@@ -447,12 +447,12 @@ def regress_conformance(smoke: bool, checks: list) -> dict:
     registry scenario present), it must run clean, and the harness must
     still *detect* a deliberately perturbed build — a vacuous grid that
     passes everything is itself a regression."""
-    from repro.cli import TRACE_WORKLOADS
     from repro.conformance import (
         deliberately_perturbed,
         run_grid,
         smoke_cases,
     )
+    from repro.scenarios import SCENARIOS
 
     cases = smoke_cases()
     families = {c.name.split("/", 1)[0] for c in cases}
@@ -460,7 +460,7 @@ def regress_conformance(smoke: bool, checks: list) -> dict:
         "barrier", "bcast", "reduce", "allreduce", "allreduce_rd",
         "reduce_scatter", "reduce_rsg", "allgather", "gather", "scatter",
         "alltoall", "alltoall_bruck", "bcast_sa", "bruck_non_pow2",
-    } | {f"scenario:{w}" for w in TRACE_WORKLOADS}
+    } | {f"scenario:{w}" for w in SCENARIOS}
     missing = sorted(expected_families - families)
     non_pow2 = sorted({c.size for c in cases if c.size & (c.size - 1)})
     if smoke:

@@ -28,6 +28,8 @@ import sys
 
 import numpy as np
 
+from repro.scenarios import FAULT_SCENARIOS, SCENARIOS, build_scenario, pick_25d_c
+
 
 def _cmd_table1(_args) -> None:
     from repro.analysis.tables import render_table1
@@ -224,22 +226,6 @@ def _cmd_questions(_args) -> None:
 
 # -- scenario registry -----------------------------------------------------
 
-#: workload -> (default p, default n, p/n constraint text for --help).
-#: The single scenario registry shared by ``trace``, ``profile``,
-#: ``faults`` and ``observe`` — both for argparse choices and for
-#: :func:`resolve_scenario` lookups.
-TRACE_WORKLOADS = {
-    "matmul25d": (8, 16, "p = q^2 c with c | q (e.g. 4, 8, 32); q | n"),
-    "cannon": (4, 16, "p a perfect square; sqrt(p) | n"),
-    "summa": (4, 16, "p a perfect square; sqrt(p) | n"),
-    "caps": (7, 14, "p = 7^k; n = 2^depth * 7 * t (e.g. n=14 at p=7)"),
-    "nbody": (4, 64, "p | n"),
-    "fft": (4, 1024, "p and n powers of two with p^2 | n"),
-}
-
-#: Scenarios with a replica-recovery variant ``repro faults`` can crash.
-FAULT_SCENARIOS = ("matmul25d",)
-
 
 def resolve_scenario(
     name: str, command: str = "repro", faults: bool = False
@@ -256,73 +242,12 @@ def resolve_scenario(
             f"{command}: scenario {name!r} has no fault-recovery variant; "
             f"valid scenarios: {', '.join(FAULT_SCENARIOS)}"
         )
-    if name not in TRACE_WORKLOADS:
+    if name not in SCENARIOS:
         raise SystemExit(
             f"{command}: unknown scenario {name!r}; valid scenarios: "
-            f"{', '.join(sorted(TRACE_WORKLOADS))}"
+            f"{', '.join(sorted(SCENARIOS))}"
         )
-    return TRACE_WORKLOADS[name]
-
-
-def _pick_25d_c(p: int) -> int:
-    """Largest valid replication factor for p = q^2 c (c | q, c <= q)."""
-    import math
-
-    from repro.exceptions import ParameterError
-
-    for c in range(int(round(p ** (1 / 3))), 0, -1):
-        if p % c:
-            continue
-        q = math.isqrt(p // c)
-        if q * q * c == p and q % c == 0:
-            return c
-    raise ParameterError(
-        f"p={p} does not factor as q^2 c with c | q (try p = 4, 8, 16, 32...)"
-    )
-
-
-def _build_trace_program(workload: str, p: int, n: int):
-    """Resolve a workload name to ``(program, args, label)`` for run_spmd.
-
-    Raises ParameterError when (p, n) violate the workload's layout
-    constraints (messages name the constraint, mirroring --help).
-    """
-    rng = np.random.default_rng(0)
-    if workload in ("matmul25d", "cannon", "summa"):
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        if workload == "matmul25d":
-            from repro.algorithms.matmul25d import grid_for_25d, matmul_25d
-
-            c = _pick_25d_c(p)
-            grid_for_25d(p, c)  # validates; matmul_25d rechecks n % q
-            return matmul_25d, (a, b, c), f"matmul25d(n={n}, c={c})"
-        if workload == "cannon":
-            from repro.algorithms.cannon import cannon_matmul
-
-            return cannon_matmul, (a, b), f"cannon(n={n})"
-        from repro.algorithms.summa import summa_matmul
-
-        return summa_matmul, (a, b), f"summa(n={n})"
-    if workload == "caps":
-        from repro.algorithms.caps import caps_matmul
-
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        return caps_matmul, (a, b), f"caps(n={n})"
-    if workload == "nbody":
-        from repro.algorithms.nbody import nbody_ring
-
-        pos = rng.standard_normal((n, 3))
-        q = rng.uniform(0.5, 2.0, n)
-        return nbody_ring, (pos, q), f"nbody(n={n})"
-    if workload == "fft":
-        from repro.algorithms.fft import fft_parallel
-
-        x = rng.standard_normal(n)
-        return fft_parallel, (x,), f"fft(n={n})"
-    resolve_scenario(workload)  # exits listing valid scenarios
-    raise AssertionError("unreachable")  # pragma: no cover
+    return SCENARIOS[name]
 
 
 def _cmd_trace(args) -> None:
@@ -336,7 +261,7 @@ def _cmd_trace(args) -> None:
     p = spec[0] if args.p is None else args.p
     n = spec[1] if args.n is None else args.n
     try:
-        program, prog_args, label = _build_trace_program(args.workload, p, n)
+        program, prog_args, label = build_scenario(args.workload, p, n)
         out = run_spmd(
             p,
             program,
@@ -432,7 +357,7 @@ def _cmd_profile(args) -> None:
         spec = resolve_scenario(args.workload, "repro profile")
         p = spec[0] if args.p is None else args.p
         n = spec[1] if args.n is None else args.n
-        program, prog_args, label = _build_trace_program(args.workload, p, n)
+        program, prog_args, label = build_scenario(args.workload, p, n)
         out = run_spmd(
             p,
             program,
@@ -540,7 +465,7 @@ def _cmd_power(args) -> None:
     n = spec[1] if args.n is None else args.n
     machine = default_machine()
     try:
-        program, prog_args, label = _build_trace_program(args.workload, p, n)
+        program, prog_args, label = build_scenario(args.workload, p, n)
         out = run_spmd(
             p,
             program,
@@ -712,12 +637,12 @@ def _cmd_observe(args) -> None:
             spec = resolve_scenario(args.workload, "repro observe")
             p = spec[0] if args.p is None else args.p
             n = spec[1] if args.n is None else args.n
-            program, prog_args, label = _build_trace_program(args.workload, p, n)
+            program, prog_args, label = build_scenario(args.workload, p, n)
             params = {"n": n}
             if args.workload == "matmul25d":
                 import math
 
-                c = _pick_25d_c(p)
+                c = pick_25d_c(p)
                 params["c"] = c
                 params["q"] = math.isqrt(p // c)
             recorder = RunRecorder(
@@ -950,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=_cmd_report)
     workload_lines = "\n".join(
         f"  {name:<10s} default p={dp:<3d} n={dn:<5d} {constraint}"
-        for name, (dp, dn, constraint) in TRACE_WORKLOADS.items()
+        for name, (dp, dn, constraint) in SCENARIOS.items()
     )
     pt = sub.add_parser(
         "trace",
@@ -963,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="workloads:\n" + workload_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    pt.add_argument("workload", choices=sorted(TRACE_WORKLOADS))
+    pt.add_argument("workload", choices=sorted(SCENARIOS))
     pt.add_argument("--p", type=int, default=None, help="rank count")
     pt.add_argument("--n", type=int, default=None, help="problem size")
     pt.add_argument(
@@ -992,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="workloads:\n" + workload_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    pp.add_argument("workload", choices=sorted(TRACE_WORKLOADS))
+    pp.add_argument("workload", choices=sorted(SCENARIOS))
     pp.add_argument("--p", type=int, default=None, help="rank count")
     pp.add_argument("--n", type=int, default=None, help="problem size")
     pp.add_argument(
@@ -1059,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="workloads:\n" + workload_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    pw.add_argument("workload", choices=sorted(TRACE_WORKLOADS))
+    pw.add_argument("workload", choices=sorted(SCENARIOS))
     pw.add_argument("--p", type=int, default=None, help="rank count")
     pw.add_argument("--n", type=int, default=None, help="problem size")
     pw.add_argument(

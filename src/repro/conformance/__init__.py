@@ -4,11 +4,15 @@ simmpi execution mode.
 :mod:`repro.conformance.oracles` predicts per-rank F/W/S/M counts and
 virtual clocks from each collective's documented cost contract and each
 registry scenario's closed form — independently of the simulator.
+:mod:`repro.conformance.battery` pairs every collective family's rank
+program with its oracle call, once, for the grids here and the sweep
+engine's ``coll:*`` cells.
 :mod:`repro.conformance.differ` runs every (case x execution-mode) cell
 and asserts bit-identity between modes and against the oracle. The CLI
 front-end is ``repro conformance``.
 """
 
+from repro.conformance.battery import BATTERY, Collective, Shape, payload
 from repro.conformance.differ import (
     BASELINE_VARIANT,
     Case,
@@ -55,6 +59,11 @@ from repro.conformance.oracles import (
 )
 
 __all__ = [
+    # battery
+    "BATTERY",
+    "Collective",
+    "Shape",
+    "payload",
     # oracles
     "OracleSpec",
     "RankCosts",

@@ -43,15 +43,16 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.conformance import oracles as _oracles
+from repro.conformance.battery import BATTERY, Shape
 from repro.conformance.oracles import (
     OracleCosts,
     OracleSpec,
     ScenarioOracle,
-    string_words,
+    oracle_scenario,
 )
 from repro.core.parameters import MachineParameters
 from repro.exceptions import ParameterError, RankFailedError
+from repro.scenarios import SCENARIOS, build_scenario, pick_25d_c
 
 __all__ = [
     "Case",
@@ -535,35 +536,6 @@ def deliberately_perturbed(extra_words: int = 1):
 
 
 # ----------------------------------------------------------------------
-# payload specs (word counts derived here, independent of payload.py)
-# ----------------------------------------------------------------------
-
-
-def _payload(kind: str, words: int):
-    """(builder, words) for a payload of ``kind``; the word count is
-    computed from the documented convention, not via
-    :func:`repro.simmpi.payload.payload_words` — so the grid also
-    cross-checks the word-accounting layer itself."""
-    if kind == "none":
-        return (lambda: None), 0
-    if kind == "array":
-        return (lambda: np.arange(float(words))), words
-    if kind == "scalar":
-        return (lambda: 1.5), 1
-    if kind == "str":
-        text = "conformance-" * 3
-        return (lambda: text), string_words(text)
-    if kind == "dict":
-        return (
-            lambda: {"a": np.arange(float(words)), "b": "oracle!!"},
-            words + string_words("oracle!!"),
-        )
-    if kind == "tuple":
-        return (lambda: (np.arange(float(words)), 2.0)), words + 1
-    raise ParameterError(f"unknown payload kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
 # grid builders
 # ----------------------------------------------------------------------
 
@@ -577,6 +549,18 @@ def _spec(case_kwargs: dict, size: int) -> OracleSpec:
     )
 
 
+def _battery_case(name: str, shape: Shape, tag: str, kw: dict) -> Case:
+    """One :data:`~repro.conformance.battery.BATTERY` family at ``shape``."""
+    family = BATTERY[name]
+    return Case(
+        name=f"{name}/{tag}",
+        size=shape.p,
+        build=lambda: (family.program(shape), ()),
+        oracle=family.oracle(_spec(kw, shape.p), shape),
+        **kw,
+    )
+
+
 def collective_cases(
     sizes: Sequence[int],
     mmw: float = math.inf,
@@ -585,159 +569,21 @@ def collective_cases(
     root_of: Callable[[int], int] = lambda p: p - 1,
     words: int = 17,
 ) -> list[Case]:
-    """The ten-collective battery at each size. Payload word counts vary
-    per collective so W, S and chunking all move; roots default to the
-    last rank to exercise the vrank rotation."""
+    """Every battery family at each size (Bruck at powers of two only).
+    Payload word counts vary per collective so W, S and chunking all
+    move; roots default to the last rank to exercise the vrank
+    rotation."""
     out: list[Case] = []
     for p in sizes:
         ns = node_size_of(p)
         kw = dict(max_message_words=mmw, node_size=ns)
-        spec = _spec(kw, p)
-        root = root_of(p)
+        shape = Shape(p, words=words, kind=payload_kind, root=root_of(p))
         tag = f"p={p}/mmw={mmw}/ns={ns}"
-        builder, bw = _payload(payload_kind, words)
-
-        def _mk(name, program_of, oracle, bsize=p, bkw=kw):
-            out.append(
-                Case(
-                    name=f"{name}/{tag}",
-                    size=bsize,
-                    build=program_of,
-                    oracle=oracle,
-                    **bkw,
-                )
-            )
-
-        from repro.simmpi import collectives as _c
-
-        _mk(
-            "barrier",
-            lambda _c=_c: (lambda comm: _c.barrier(comm), ()),
-            _oracles.oracle_barrier(spec),
-        )
-        _mk(
-            "bcast",
-            lambda b=builder, r=root, _c=_c: (
-                lambda comm: _c.bcast(comm, b() if comm.rank == r else None, root=r),
-                (),
-            ),
-            _oracles.oracle_bcast(spec, bw, root=root),
-        )
-        _mk(
-            "reduce",
-            lambda r=root, w=words, _c=_c: (
-                lambda comm: _c.reduce(comm, np.arange(float(w)), root=r),
-                (),
-            ),
-            _oracles.oracle_reduce(spec, words, root=root),
-        )
-        _mk(
-            "allreduce",
-            lambda w=words, _c=_c: (
-                lambda comm: _c.allreduce(comm, np.arange(float(w))),
-                (),
-            ),
-            _oracles.oracle_allreduce(spec, words),
-        )
-        _mk(
-            "allreduce_rd",
-            lambda w=words, _c=_c: (
-                lambda comm: _c.allreduce(
-                    comm, np.arange(float(w)), algorithm="recursive_doubling"
-                ),
-                (),
-            ),
-            _oracles.oracle_allreduce_recursive_doubling(spec, words),
-        )
-        total = 3 * words + 5  # deliberately not divisible by most p
-        _mk(
-            "reduce_scatter",
-            lambda t=total, _c=_c: (
-                lambda comm: _c.reduce_scatter(comm, np.arange(float(t))),
-                (),
-            ),
-            _oracles.oracle_reduce_scatter(spec, total),
-        )
-        _mk(
-            "reduce_rsg",
-            lambda t=total, r=root, _c=_c: (
-                lambda comm: _c.reduce(
-                    comm,
-                    np.arange(float(t)),
-                    root=r,
-                    algorithm="reduce_scatter_gather",
-                ),
-                (),
-            ),
-            _oracles.oracle_reduce_scatter_gather(spec, total, root=root),
-        )
-        ragged = [3 + (r % 4) for r in range(p)]
-        _mk(
-            "allgather",
-            lambda _c=_c: (
-                lambda comm: _c.allgather(comm, np.arange(float(3 + comm.rank % 4))),
-                (),
-            ),
-            _oracles.oracle_allgather(spec, ragged),
-        )
-        _mk(
-            "gather",
-            lambda r=root, _c=_c: (
-                lambda comm: _c.gather(
-                    comm, np.arange(float(3 + comm.rank % 4)), root=r
-                ),
-                (),
-            ),
-            _oracles.oracle_gather(spec, ragged, root=root),
-        )
-        _mk(
-            "scatter",
-            lambda r=root, _c=_c: (
-                lambda comm: _c.scatter(
-                    comm,
-                    [np.arange(float(3 + d % 4)) for d in range(comm.size)]
-                    if comm.rank == r
-                    else None,
-                    root=r,
-                ),
-                (),
-            ),
-            _oracles.oracle_scatter(spec, ragged, root=root),
-        )
-        _mk(
-            "alltoall",
-            lambda _c=_c: (
-                lambda comm: _c.alltoall(
-                    comm, [np.arange(3.0) for _ in range(comm.size)]
-                ),
-                (),
-            ),
-            _oracles.oracle_alltoall(spec, 3),
-        )
-        if p & (p - 1) == 0:
-            _mk(
-                "alltoall_bruck",
-                lambda _c=_c: (
-                    lambda comm: _c.alltoall_bruck(
-                        comm, [np.arange(3.0) for _ in range(comm.size)]
-                    ),
-                    (),
-                ),
-                _oracles.oracle_alltoall_bruck(spec, 3),
-            )
-        _mk(
-            "bcast_sa",
-            lambda r=root, w=words, _c=_c: (
-                lambda comm: _c.bcast(
-                    comm,
-                    np.arange(float(w)).reshape(1, w) if comm.rank == r else None,
-                    root=r,
-                    algorithm="scatter_allgather",
-                ),
-                (),
-            ),
-            _oracles.oracle_bcast_scatter_allgather(spec, words, root=root),
-        )
+        out += [
+            _battery_case(name, shape, tag, kw)
+            for name, family in BATTERY.items()
+            if not (family.pow2_only and p & (p - 1))
+        ]
     return out
 
 
@@ -773,17 +619,15 @@ def scenario_cases() -> list[Case]:
     """Every registry scenario at its default (p, n), oracle-checked for
     exact per-rank flops (all six) and full per-rank counts (summa,
     cannon, caps, nbody, fft)."""
-    from repro.cli import TRACE_WORKLOADS, _build_trace_program, _pick_25d_c
-
     out = []
-    for name, (p, n, _) in sorted(TRACE_WORKLOADS.items()):
-        kwargs = {"c": _pick_25d_c(p)} if name == "matmul25d" else {}
+    for name, (p, n, _) in sorted(SCENARIOS.items()):
+        kwargs = {"c": pick_25d_c(p)} if name == "matmul25d" else {}
         out.append(
             Case(
                 name=f"scenario:{name}/p={p}/n={n}",
                 size=p,
-                build=lambda name=name, p=p, n=n: _build_trace_program(name, p, n)[:2],
-                scenario=_oracles.oracle_scenario(name, p, n, **kwargs),
+                build=lambda name=name, p=p, n=n: build_scenario(name, p, n)[:2],
+                scenario=oracle_scenario(name, p, n, **kwargs),
             )
         )
     return out
@@ -806,35 +650,16 @@ def smoke_cases() -> list[Case]:
     return cases
 
 
-_RANDOM_COLLECTIVES = (
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "allreduce_rd",
-    "reduce_scatter",
-    "reduce_rsg",
-    "allgather",
-    "gather",
-    "scatter",
-    "alltoall",
-    "alltoall_bruck",
-    "bcast_sa",
-)
-
-
 def random_cases(seed: int, count: int = 40) -> list[Case]:
-    """Seeded randomized sweep: sizes 2..33 (primes included by
-    construction), random roots, payload shapes, word counts, message
-    caps and node groupings. Same seed, same grid."""
+    """Seeded randomized sweep over the battery: sizes 2..33 (primes
+    included by construction), random roots, payload shapes, word
+    counts, message caps and node groupings. Same seed, same grid."""
     rng = random.Random(seed)
-    from repro.simmpi import collectives as _c
-
     cases: list[Case] = []
     for i in range(count):
-        name = rng.choice(_RANDOM_COLLECTIVES)
+        name = rng.choice(tuple(BATTERY))
         p = rng.randint(2, 33)
-        if name == "alltoall_bruck" and p & (p - 1):
+        if BATTERY[name].pow2_only and p & (p - 1):
             p = 1 << rng.randint(1, 5)  # 2..32
         root = rng.randrange(p)
         words = rng.randint(0, 40)
@@ -842,158 +667,20 @@ def random_cases(seed: int, count: int = 40) -> list[Case]:
         divisors = [d for d in range(1, p + 1) if p % d == 0]
         ns = rng.choice([None] + divisors)
         kw = dict(max_message_words=mmw, node_size=ns)
-        spec = _spec(kw, p)
         tag = f"seed={seed}/i={i}/p={p}/root={root}/w={words}/mmw={mmw}/ns={ns}"
-
-        def case(build, oracle):
-            cases.append(
-                Case(name=f"{name}/{tag}", size=p, build=build, oracle=oracle, **kw)
-            )
-
-        if name == "barrier":
-            case(lambda _c=_c: (lambda comm: _c.barrier(comm), ()),
-                 _oracles.oracle_barrier(spec))
-        elif name == "bcast":
+        if name == "bcast":
             kind = rng.choice(("array", "scalar", "str", "dict", "tuple", "none"))
-            builder, bw = _payload(kind, words)
-            case(
-                lambda b=builder, r=root, _c=_c: (
-                    lambda comm: _c.bcast(
-                        comm, b() if comm.rank == r else None, root=r
-                    ),
-                    (),
-                ),
-                _oracles.oracle_bcast(spec, bw, root=root),
+            shape = Shape(p, words=words, kind=kind, root=root)
+        else:
+            shape = Shape(
+                p,
+                words=max(1, words),
+                root=root,
+                total=max(1, words),
+                ragged=tuple(1 + (r + words) % 5 for r in range(p)),
+                block=words % 6,
             )
-        elif name == "reduce":
-            w = max(1, words)
-            case(
-                lambda r=root, w=w, _c=_c: (
-                    lambda comm: _c.reduce(comm, np.arange(float(w)), root=r),
-                    (),
-                ),
-                _oracles.oracle_reduce(spec, w, root=root),
-            )
-        elif name == "allreduce":
-            w = max(1, words)
-            case(
-                lambda w=w, _c=_c: (
-                    lambda comm: _c.allreduce(comm, np.arange(float(w))),
-                    (),
-                ),
-                _oracles.oracle_allreduce(spec, w),
-            )
-        elif name == "allreduce_rd":
-            w = max(1, words)
-            case(
-                lambda w=w, _c=_c: (
-                    lambda comm: _c.allreduce(
-                        comm, np.arange(float(w)), algorithm="recursive_doubling"
-                    ),
-                    (),
-                ),
-                _oracles.oracle_allreduce_recursive_doubling(spec, w),
-            )
-        elif name == "reduce_scatter":
-            total = max(1, words)
-            case(
-                lambda t=total, _c=_c: (
-                    lambda comm: _c.reduce_scatter(comm, np.arange(float(t))),
-                    (),
-                ),
-                _oracles.oracle_reduce_scatter(spec, total),
-            )
-        elif name == "reduce_rsg":
-            total = max(1, words)
-            case(
-                lambda t=total, r=root, _c=_c: (
-                    lambda comm: _c.reduce(
-                        comm,
-                        np.arange(float(t)),
-                        root=r,
-                        algorithm="reduce_scatter_gather",
-                    ),
-                    (),
-                ),
-                _oracles.oracle_reduce_scatter_gather(spec, total, root=root),
-            )
-        elif name in ("allgather", "gather", "scatter"):
-            ragged = [1 + ((r + words) % 5) for r in range(p)]
-            if name == "allgather":
-                case(
-                    lambda w=words, _c=_c: (
-                        lambda comm: _c.allgather(
-                            comm, np.arange(float(1 + (comm.rank + w) % 5))
-                        ),
-                        (),
-                    ),
-                    _oracles.oracle_allgather(spec, ragged),
-                )
-            elif name == "gather":
-                case(
-                    lambda r=root, w=words, _c=_c: (
-                        lambda comm: _c.gather(
-                            comm, np.arange(float(1 + (comm.rank + w) % 5)), root=r
-                        ),
-                        (),
-                    ),
-                    _oracles.oracle_gather(spec, ragged, root=root),
-                )
-            else:
-                case(
-                    lambda r=root, w=words, _c=_c: (
-                        lambda comm: _c.scatter(
-                            comm,
-                            [
-                                np.arange(float(1 + (d + w) % 5))
-                                for d in range(comm.size)
-                            ]
-                            if comm.rank == r
-                            else None,
-                            root=r,
-                        ),
-                        (),
-                    ),
-                    _oracles.oracle_scatter(spec, ragged, root=root),
-                )
-        elif name == "alltoall":
-            bw = words % 6
-            case(
-                lambda bw=bw, _c=_c: (
-                    lambda comm: _c.alltoall(
-                        comm, [np.arange(float(bw)) for _ in range(comm.size)]
-                    ),
-                    (),
-                ),
-                _oracles.oracle_alltoall(spec, bw),
-            )
-        elif name == "alltoall_bruck":
-            bw = words % 6
-            case(
-                lambda bw=bw, _c=_c: (
-                    lambda comm: _c.alltoall_bruck(
-                        comm, [np.arange(float(bw)) for _ in range(comm.size)]
-                    ),
-                    (),
-                ),
-                _oracles.oracle_alltoall_bruck(spec, bw),
-            )
-        elif name == "bcast_sa":
-            w = max(1, words)
-            case(
-                lambda r=root, w=w, _c=_c: (
-                    lambda comm: _c.bcast(
-                        comm,
-                        np.arange(float(w)).reshape(1, w)
-                        if comm.rank == r
-                        else None,
-                        root=r,
-                        algorithm="scatter_allgather",
-                    ),
-                    (),
-                ),
-                _oracles.oracle_bcast_scatter_allgather(spec, w, root=root),
-            )
+        cases.append(_battery_case(name, shape, tag, kw))
     return cases
 
 

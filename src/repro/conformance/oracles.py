@@ -787,7 +787,7 @@ def _fft_oracle(p: int, n: int, mc, all_to_all: str = "bruck") -> ScenarioOracle
 
 
 #: Scenario-name -> oracle builder, covering the full
-#: :data:`repro.cli.TRACE_WORKLOADS` registry.
+#: :data:`repro.scenarios.SCENARIOS` registry.
 SCENARIO_ORACLES: dict[str, Callable[..., ScenarioOracle]] = {
     "summa": _summa_oracle,
     "cannon": _cannon_oracle,

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.core.costs import AlgorithmCosts, ClassicalMatMulCosts
 from repro.core.energy import energy
@@ -199,6 +198,8 @@ def cheapest_conforming_machine(
         eff = problem.efficiency_of(s)
         gap = max(0.0, target - eff)
         return float(np.sum(w * x)) + mu * (gap / target) ** 2
+
+    from scipy import optimize as _sciopt
 
     x = np.full(k, 0.1)
     for mu in (1e2, 1e4, 1e6, 1e8):

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.core.costs import AlgorithmCosts
 from repro.core.energy import energy
@@ -97,6 +96,8 @@ def matmul_optimal_memory(machine: MachineParameters) -> float:
     # below that and solve with Brent — unlike a companion-matrix
     # eigensolve (np.roots), this cannot lose the root to rounding when
     # k is huge (k ~ 1e49 arises from realistic machine constants).
+    from scipy import optimize as _sciopt
+
     lo = 0.5 * min(1.0, k**-0.5) if k > 0 else 0.0
     t = float(_sciopt.brentq(lambda x: x * x * (x + k) - 1.0, lo, 1.0))
     u = s * t
@@ -149,6 +150,8 @@ class NumericOptimizer:
     ) -> tuple[float, float]:
         """Golden-section refinement of a unimodal fn over [lo, hi] in
         log-space. Returns (argmin M, min value)."""
+
+        from scipy import optimize as _sciopt
 
         def g(logM: float) -> float:
             return fn(math.exp(logM))

@@ -18,11 +18,14 @@ across processes, machines and git revisions.
 
 Two workload families are plannable:
 
-* **scenario cells** — the CLI scenario registry's workloads
-  (``matmul25d``, ``cannon``, ``summa``, ``caps``, ``nbody``, ``fft``);
-* **collective cells** — ``coll:<op>`` for each of the ten collectives,
-  used by the property-test harness to fuzz the executor and cache
-  against the conformance oracles.
+* **scenario cells** — the workloads of the scenario registry
+  :data:`repro.scenarios.SCENARIOS` (``matmul25d``, ``cannon``,
+  ``summa``, ``caps``, ``nbody``, ``fft``);
+* **collective cells** — ``coll:<op>`` for each of the ten
+  default-algorithm families of the conformance battery
+  :data:`repro.conformance.battery.BATTERY`, used by the property-test
+  harness to fuzz the executor and cache against the conformance
+  oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.conformance.battery import BATTERY
 from repro.exceptions import ParameterError
+from repro.scenarios import SCENARIOS
 
 __all__ = [
     "CELL_SCHEMA",
@@ -51,22 +56,11 @@ __all__ = [
 CELL_SCHEMA = "repro_sweep_cell/v1"
 SPEC_SCHEMA = "repro_sweep_spec/v1"
 
-#: The scenario workloads a spec can sweep (the CLI registry's names).
-SCENARIO_WORKLOADS = ("matmul25d", "cannon", "summa", "caps", "nbody", "fft")
+#: The scenario workloads a spec can sweep (the scenario registry's names).
+SCENARIO_WORKLOADS = tuple(SCENARIOS)
 
-#: The ten collectives a ``coll:<op>`` cell can run.
-COLLECTIVE_OPS = (
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "reduce_scatter",
-    "allgather",
-    "gather",
-    "scatter",
-    "alltoall",
-    "alltoall_bruck",
-)
+#: The ten default-algorithm collectives a ``coll:<op>`` cell can run.
+COLLECTIVE_OPS = tuple(op for op, coll in BATTERY.items() if coll.default)
 
 #: The ten MachineParameters constants a cell pins (same order as the
 #: ledger's MACHINE_FIELDS).
@@ -259,12 +253,10 @@ def collective_cell(
         raise ParameterError(
             f"unknown collective {op!r}; expected one of {COLLECTIVE_OPS}"
         )
-    if op == "alltoall_bruck" and p & (p - 1):
-        raise ParameterError(
-            f"alltoall_bruck needs a power-of-two size, got p={p}"
-        )
+    if BATTERY[op].pow2_only and p & (p - 1):
+        raise ParameterError(f"{op} needs a power-of-two size, got p={p}")
     params: dict[str, Any] = {"words": int(words), "payload": payload}
-    if op in ("bcast", "reduce", "gather", "scatter"):
+    if BATTERY[op].rooted:
         params["root"] = (p - 1) if root is None else int(root)
         if not 0 <= params["root"] < p:
             raise ParameterError(f"root {params['root']} outside 0..{p - 1}")

@@ -294,9 +294,10 @@ class TestScenarioRegistry:
             assert name in msg
 
     def test_resolve_scenario_returns_registry_row(self):
-        from repro.cli import TRACE_WORKLOADS, resolve_scenario
+        from repro.cli import resolve_scenario
+        from repro.scenarios import SCENARIOS
 
-        assert resolve_scenario("fft") == TRACE_WORKLOADS["fft"]
+        assert resolve_scenario("fft") == SCENARIOS["fft"]
 
 
 class TestObserveCommand:

@@ -173,6 +173,24 @@ class TestDiffer:
         non_pow2 = {c.size for c in cases if c.size & (c.size - 1)}
         assert len(non_pow2) >= 5
 
+    def test_registries_agree(self):
+        from repro import sweep
+        from repro.conformance import (
+            BATTERY,
+            COLLECTIVE_ORACLES,
+            SCENARIO_ORACLES,
+        )
+        from repro.scenarios import SCENARIOS
+        from repro.simmpi import fastpath
+
+        assert (
+            set(SCENARIOS) == set(SCENARIO_ORACLES) == set(sweep.SCENARIO_WORKLOADS)
+        )
+        default_ops = {op for op, coll in BATTERY.items() if coll.default}
+        assert set(sweep.COLLECTIVE_OPS) == default_ops == set(COLLECTIVE_ORACLES)
+        # allreduce is a composite (reduce + bcast): no resolver of its own
+        assert set(fastpath._RESOLVERS) == set(sweep.COLLECTIVE_OPS) - {"allreduce"}
+
     def test_grid_slice_conformant(self):
         cases = [c for c in smoke_cases() if c.size == 3][:6]
         report = run_grid(cases, grid="smoke")

@@ -19,9 +19,9 @@ from repro.analysis.powertrace import (
 )
 from repro.analysis.profiler import ENERGY_TERM_KEYS, ModelProfile
 from repro.analysis.validation import default_machine
-from repro.cli import _build_trace_program
 from repro.core.power import average_power_from_report
 from repro.exceptions import ParameterError
+from repro.scenarios import build_scenario
 from repro.simmpi import run_spmd
 
 MACHINE = default_machine()
@@ -51,7 +51,7 @@ MATRIX = [
 
 
 def _trace(workload, p, n, machine=MACHINE, **kwargs):
-    program, prog_args, label = _build_trace_program(workload, p, n)
+    program, prog_args, label = build_scenario(workload, p, n)
     out = run_spmd(
         p, program, *prog_args, machine=machine, trace=True, **kwargs
     )
@@ -231,15 +231,15 @@ class TestRejections:
     def test_untraced_run_rejected(self):
         out = run_spmd(
             4,
-            _build_trace_program("cannon", 4, 16)[0],
-            *_build_trace_program("cannon", 4, 16)[1],
+            build_scenario("cannon", 4, 16)[0],
+            *build_scenario("cannon", 4, 16)[1],
             machine=MACHINE,
         )
         with pytest.raises(ParameterError, match="trace=True"):
             PowerTrace.from_result(out, MACHINE)
 
     def test_dropped_events_rejected(self):
-        program, prog_args, _label = _build_trace_program("matmul25d", 8, 16)
+        program, prog_args, _label = build_scenario("matmul25d", 8, 16)
         out = run_spmd(
             8,
             program,
@@ -252,7 +252,7 @@ class TestRejections:
             PowerTrace.from_result(out, MACHINE)
 
     def test_unmodeled_run_rejected(self):
-        program, prog_args, _label = _build_trace_program("cannon", 4, 16)
+        program, prog_args, _label = build_scenario("cannon", 4, 16)
         out = run_spmd(4, program, *prog_args, trace=True)
         with pytest.raises(ParameterError, match="machine"):
             PowerTrace.from_result(out, MACHINE)

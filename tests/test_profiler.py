@@ -14,8 +14,8 @@ from repro.analysis.profiler import (
     profile_strong_scaling_matmul,
     render_term_sweep,
 )
-from repro.cli import TRACE_WORKLOADS, _build_trace_program
 from repro.exceptions import ParameterError
+from repro.scenarios import SCENARIOS, build_scenario
 from repro.simmpi import run_spmd
 
 
@@ -33,10 +33,10 @@ def ring_prog(comm, words: int = 8, rounds: int = 2) -> float:
 class TestBitExactness:
     """The tentpole contract: term sums replay the model evaluation."""
 
-    @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
+    @pytest.mark.parametrize("workload", sorted(SCENARIOS))
     def test_terms_reproduce_model_totals(self, workload, machine):
-        p, n, _ = TRACE_WORKLOADS[workload]
-        program, prog_args, label = _build_trace_program(workload, p, n)
+        p, n, _ = SCENARIOS[workload]
+        program, prog_args, label = build_scenario(workload, p, n)
         out = run_spmd(p, program, *prog_args, trace=True)
         prof = ModelProfile.from_result(out, machine, label=label)
         # Exact equality, not approx: the profiler must be a view of

@@ -3,7 +3,10 @@ sharded executor, crash-requeue, and the single-writer ledger funnel."""
 
 import json
 import multiprocessing
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +294,38 @@ class TestCollectiveCells:
     def test_oracle_rejects_scenario_cells(self):
         with pytest.raises(ParameterError):
             cell_oracle(smoke_spec(24).cells()[0])
+
+
+class TestImportBoundary:
+    """The library runs its sweeps and builds its grids without loading
+    the CLI or scipy (the CLI itself must not pull scipy in either)."""
+
+    SCRIPT = """
+import json, sys
+import repro, repro.sweep, repro.conformance
+{cli}
+from repro.sweep import SweepSpec, execute_cell
+execute_cell(SweepSpec("cannon", n=16, p_values=(4,)).cells()[0])
+repro.conformance.smoke_cases()
+print(json.dumps([m for m in ("repro.cli", "scipy") if m in sys.modules]))
+"""
+
+    @pytest.mark.parametrize("cli", [False, True])
+    def test_library_imports_neither_cli_nor_scipy(self, cli):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = self.SCRIPT.format(cli="import repro.cli" if cli else "")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        loaded = json.loads(out.stdout.strip().splitlines()[-1])
+        assert loaded == (["repro.cli"] if cli else [])
 
 
 class TestLargeScaleSweeps:
