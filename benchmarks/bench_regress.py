@@ -301,7 +301,8 @@ def regress_faults(smoke: bool, checks: list) -> dict:
 
 def regress_fastpath(smoke: bool, checks: list) -> dict:
     """Exact gate on the analytic collective fast path: a mixed
-    workload over every collective must produce bit-identical counts,
+    workload over every collective (plus an FFT-shaped complex
+    all-to-all, both variants) must produce bit-identical counts,
     per-rank virtual clocks AND results with ``fastpath=True`` (the
     default) versus ``fastpath=False`` (pure message simulation). No
     baseline file — the comparison is exact, so there is nothing to
@@ -329,13 +330,22 @@ def regress_fastpath(smoke: bool, checks: list) -> dict:
         a2a = comm.alltoall([np.full(4, float(d)) for d in range(p)])
         br = comm.alltoall_bruck([np.full(2, float(d)) for d in range(p)])
         red = comm.reduce(arr, root=3)
+        # FFT-shaped transpose: fft.py's (rows, cols) complex128 blocks
+        # through both all-to-all variants, compared byte for byte.
+        cols = n // 32
+        y = (
+            np.arange(2.0 * cols * p) * (comm.rank + 1) + 1j * comm.rank
+        ).reshape(2, cols * p)
+        blocks = [np.ascontiguousarray(y[:, d * cols : (d + 1) * cols]) for d in range(p)]
+        fft_blocks = comm.alltoall(blocks) + comm.alltoall_bruck(blocks)
         return (
             float(np.sum(b)) + float(np.sum(s)) + float(np.sum(g))
             + float(np.sum(rs)) + float(np.sum(sc))
             + (0.0 if ga is None else float(sum(np.sum(x) for x in ga)))
             + float(sum(np.sum(x) for x in a2a))
             + float(sum(np.sum(x) for x in br))
-            + (0.0 if red is None else float(np.sum(red)))
+            + (0.0 if red is None else float(np.sum(red))),
+            [(x.shape, x.dtype.str, x.flags.writeable, x.tobytes()) for x in fft_blocks],
         )
 
     machine = default_machine()
@@ -512,7 +522,7 @@ def regress_sweep(smoke: bool, checks: list) -> dict:
     bit-identical in counts_signature, per-rank virtual clocks and the
     Eq. (1)/(2) term attribution; the warm pass must hit the cache on
     100% of cells and be >= 5x faster than the cold pass; and a worker
-    crash mid-shard must lose nothing (requeue produces the full record
+    crash mid-sweep must lose nothing (requeue produces the full record
     set). Any drift here means the cache could replay stale physics."""
     import tempfile
     from pathlib import Path as _Path
@@ -546,9 +556,16 @@ def regress_sweep(smoke: bool, checks: list) -> dict:
         cold_warm = all(
             identical(cold.records[cid], warm.records[cid]) for cid in live
         )
-        ledger_faithful = all(
-            a.counts == b.counts and a.vtimes == b.vtimes
-            for a, b in zip(cold_ledger.records(), warm_ledger.records())
+        # Append order follows completion, which dispatch makes
+        # scheduling-dependent: match the two ledgers up by cell.
+        def by_cell(ledger):
+            return {r.extra["sweep"]["cell"]: r for r in ledger.records()}
+
+        cold_rows, warm_rows = by_cell(cold_ledger), by_cell(warm_ledger)
+        ledger_faithful = set(cold_rows) == set(warm_rows) == set(live) and all(
+            cold_rows[cid].counts == warm_rows[cid].counts
+            and cold_rows[cid].vtimes == warm_rows[cid].vtimes
+            for cid in live
         )
         crashed = run_sweep(
             cells, workers=2, crash_plan={0: 1}, max_requeues=2

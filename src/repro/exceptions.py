@@ -95,7 +95,7 @@ class CommunicatorError(SimulationError):
 class SweepError(SimulationError):
     """The sharded sweep executor could not complete a sweep.
 
-    Raised when a shard exhausts its crash-requeue budget or the worker
+    Raised when a worker slot exhausts its crash-requeue budget or the worker
     pool is lost entirely; partial results are *not* silently dropped —
     the executor reports which cells finished and which were abandoned.
     """

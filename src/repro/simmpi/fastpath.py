@@ -19,9 +19,20 @@ call, walks the algorithm's communication pattern in closed form,
 bulk-applies every rank's counter increments and final virtual-clock
 value (safe because all other ranks are parked in the gate), and
 publishes the per-rank results. Everyone wakes, picks up its result,
-and continues. Cost per collective: one rendezvous plus O(edges)
+and continues. Cost per collective: one rendezvous plus the pattern's
 arithmetic in a single thread, instead of O(edges) cross-thread
 envelope deliveries.
+
+The arithmetic is vectorised over ranks where it can be. Ring steps
+(barrier, allgather, reduce_scatter, each Bruck round) meter all p
+ranks with one numpy update (:meth:`_Meter.ring`). The O(p²)
+resolvers have batched forms chosen from the input's own types: a CoW
+all-to-all whose blocks are all plain ndarrays of one shape
+(``ndim >= 1``) and one numeric dtype freezes the whole block table
+once as a (p, p, *shape) buffer and hands each receiver row views of
+it; a reduce_scatter whose inputs share one size and dtype runs every
+ring step as one fancy-indexed ``op`` call over a (p x n) matrix. Any
+other input takes the per-block / per-rank form.
 
 Equivalence contract (enforced by ``benchmarks/bench_regress.py``'s
 ``regress_fastpath`` gate and ``tests/test_fastpath.py``): for every
@@ -241,10 +252,9 @@ def run_collective(comm, name: str, args: tuple) -> Any:
 class _Ctx:
     """Per-resolution view of the world restricted to one rank group."""
 
-    __slots__ = ("world", "group", "p", "machine", "mmw", "cow", "counters", "two_level")
+    __slots__ = ("group", "p", "machine", "mmw", "cow", "counters", "two_level", "nodes")
 
     def __init__(self, world, group: tuple):
-        self.world = world
         self.group = group
         self.p = len(group)
         self.machine = world.machine
@@ -252,11 +262,22 @@ class _Ctx:
         self.cow = world.copy_on_write
         self.counters = [world.counters[w] for w in group]
         self.two_level = world.node_size is not None
+        #: node id of each local rank (two-level worlds only)
+        self.nodes = (
+            np.array(group, dtype=np.int64) // world.node_size
+            if self.two_level
+            else None
+        )
 
     def internode(self, a_local: int, b_local: int) -> bool:
+        return self.two_level and self.nodes[a_local] != self.nodes[b_local]
+
+    def ring_internode(self, shift: int) -> np.ndarray | None:
+        """Mask of local ranks whose message to ``(r + shift) % p``
+        crosses nodes (None in flat worlds)."""
         if not self.two_level:
-            return False
-        return not self.world.same_node(self.group[a_local], self.group[b_local])
+            return None
+        return self.nodes != np.roll(self.nodes, -shift)
 
     def entry_vtimes(self) -> np.ndarray | None:
         if self.machine is None:
@@ -292,6 +313,26 @@ class _Meter:
             self.msi[src] += msgs
             self.wri[dst] += words
             self.mri[dst] += msgs
+
+    def ring(self, words, msgs, shift: int) -> None:
+        """Meter one ring step in bulk: every local rank r sends
+        ``words[r]`` words in ``msgs[r]`` messages to ``(r + shift) % p``
+        (scalars apply to every rank)."""
+        p = self.ctx.p
+        words = np.broadcast_to(np.asarray(words, dtype=np.int64), (p,))
+        msgs = np.broadcast_to(np.asarray(msgs, dtype=np.int64), (p,))
+        self.ws += words
+        self.ms += msgs
+        self.wr += np.roll(words, shift)
+        self.mr += np.roll(msgs, shift)
+        cross = self.ctx.ring_internode(shift)
+        if cross is not None:
+            wi = np.where(cross, words, 0)
+            mi = np.where(cross, msgs, 0)
+            self.wsi += wi
+            self.msi += mi
+            self.wri += np.roll(wi, shift)
+            self.mri += np.roll(mi, shift)
 
     def apply(self, vtimes: np.ndarray | Sequence[float] | None) -> None:
         counters = self.ctx.counters
@@ -336,10 +377,25 @@ def _cost_vec(machine, words: np.ndarray, msgs: np.ndarray) -> np.ndarray:
     return machine.alpha_t * msgs + machine.beta_t * words
 
 
+def _ring_clock(ctx: _Ctx, t, words, msgs, shift: int = 1):
+    """Virtual clocks after one ring step in which every rank r sends
+    to ``(r + shift) % p`` and receives from ``(r - shift) % p``."""
+    if ctx.machine is None:
+        return t
+    dep = t + _cost_vec(ctx.machine, words, msgs)
+    return np.maximum(dep, np.roll(dep, shift))
+
+
 def _mc_vec(words: np.ndarray, mmw: float) -> np.ndarray:
     if math.isinf(mmw):
         return np.ones_like(words)
     return np.maximum(np.ceil(words / mmw).astype(np.int64), 1)
+
+
+def _numeric(dtype: np.dtype) -> bool:
+    """Native-order bool/int/float/complex: the dtypes the batched
+    resolvers stack (arithmetic on them keeps the dtype)."""
+    return dtype.kind in "biufc" and dtype.isnative
 
 
 def _all_err(p: int, exc: BaseException) -> list:
@@ -394,16 +450,11 @@ def _resolve_barrier(ctx: _Ctx, argslist: list) -> list:
     p = ctx.p
     meter = _Meter(ctx)
     t = ctx.entry_vtimes()
-    machine = ctx.machine
     m = message_count(0, ctx.mmw)
     step = 1
     while step < p:
-        for r in range(p):
-            meter.edge(r, (r + step) % p, 0, m)
-        if machine is not None:
-            # send: dep = t + cost; recv from (r-step)%p: max(dep_r, dep_src)
-            dep = t + _cost(machine, 0, m)
-            t = np.maximum(dep, np.roll(dep, step))
+        meter.ring(0, m, step)
+        t = _ring_clock(ctx, t, 0, m, step)
         step <<= 1
     meter.apply(t)
     return [None] * p
@@ -485,7 +536,6 @@ def _resolve_reduce(ctx: _Ctx, argslist: list) -> list:
 
 
 def _resolve_reduce_scatter(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
     bad = {
         i: CommunicatorError(
             f"reduce_scatter needs an ndarray payload, got {type(args[0]).__name__}"
@@ -496,39 +546,97 @@ def _resolve_reduce_scatter(ctx: _Ctx, argslist: list) -> list:
     if bad:
         return _partial_err(ctx, bad)
     op = argslist[0][1]
-    accs = [
-        [np.array(c, copy=True) for c in np.array_split(args[0].ravel(), p)]
-        for args in argslist
-    ]
+    arrays = [args[0] for args in argslist]
+    first = arrays[0]
+    if _numeric(first.dtype) and all(
+        a.size == first.size and a.dtype == first.dtype for a in arrays
+    ):
+        return _reduce_scatter_stacked(ctx, arrays, op)
+    return _reduce_scatter_per_rank(ctx, arrays, op)
+
+
+def _reduce_scatter_stacked(ctx: _Ctx, arrays: list, op) -> list:
+    """The ring for equal-size, equal-dtype inputs, all ranks at once.
+
+    Row r of a (p x n) matrix is rank r's accumulator. At step s chunk
+    c is reduced on rank (c + s) % p with the chunk its left neighbour
+    ships, so one fancy-indexed ``op`` call per step applies exactly
+    the per-rank loop's ``acc + inc`` to every element, in the same
+    order.
+    """
+    p, n = ctx.p, arrays[0].size
+    acc = np.empty((p, n), dtype=arrays[0].dtype)
+    for r, a in enumerate(arrays):
+        acc[r] = a.ravel()
+    flat = acc.reshape(-1)
+    idx = np.arange(p)
+    sizes = n // p + (idx < n % p)  # np.array_split's chunk sizes
+    starts = np.cumsum(sizes) - sizes
+    chunk = np.repeat(idx, sizes)  # column -> chunk index
+    cols = np.arange(n)
     meter = _Meter(ctx)
-    machine = ctx.machine
     t = ctx.entry_vtimes()
     for s in range(1, p):
-        send_at = [(r - s + 1) % p for r in range(p)]
-        sent = [accs[r][send_at[r]] for r in range(p)]
+        dst = (chunk + s) % p * n + cols
+        src = (chunk + s - 1) % p * n + cols
+        flat[dst] = op(flat[dst], flat[src])
+        w = sizes[(idx - s + 1) % p]  # rank r ships chunk (r - s + 1) % p
+        m = _mc_vec(w, ctx.mmw)
+        meter.ring(w, m, 1)
+        t = _ring_clock(ctx, t, w, m)
+    # Ownership rotation: rank r ships its reduced chunk (r+1)%p right,
+    # so rank r ends with chunk r, reduced on rank r - 1.
+    w = sizes[(idx + 1) % p]
+    m = _mc_vec(w, ctx.mmw)
+    meter.ring(w, m, 1)
+    meter.apply(_ring_clock(ctx, t, w, m))
+    result = flat[(chunk - 1) % p * n + cols]
+    if ctx.cow:
+        result = freeze_payload(result).view()
+        return [result[a : a + k] for a, k in zip(starts, sizes)]
+    return [copy_payload(result[a : a + k]) for a, k in zip(starts, sizes)]
+
+
+def _reduce_scatter_per_rank(ctx: _Ctx, arrays: list, op) -> list:
+    """The ring one rank at a time (unequal sizes or dtypes: chunks may
+    not line up, and ``op`` may fail on some ranks only).
+
+    Failures follow the message path: a rank whose ``op`` raises stops
+    sending, so its right neighbour blocks at the next step, while every
+    other rank that still gets its chunk at that step runs its own
+    ``op`` (and may fail too).
+    """
+    p = ctx.p
+    accs = [[np.array(c, copy=True) for c in np.array_split(a.ravel(), p)] for a in arrays]
+    meter = _Meter(ctx)
+    t = ctx.entry_vtimes()
+    live = [True] * p
+    errs: dict[int, BaseException] = {}
+    for s in range(1, p):
+        sent = [accs[r][(r - s + 1) % p] for r in range(p)]
         w = np.array([a.size for a in sent], dtype=np.int64)
         m = _mc_vec(w, ctx.mmw)
+        meter.ring(w, m, 1)
+        t = _ring_clock(ctx, t, w, m)
+        senders = list(live)
         for r in range(p):
-            meter.edge(r, (r + 1) % p, int(w[r]), int(m[r]))
-        if machine is not None:
-            dep = t + _cost_vec(machine, w, m)
-            t = np.maximum(dep, np.roll(dep, 1))
-        for r in range(p):
+            if not (senders[r] and senders[(r - 1) % p]):
+                live[r] = False  # failed earlier, or its chunk never comes
+                continue
             recv_idx = (r - s) % p
             try:
                 accs[r][recv_idx] = op(accs[r][recv_idx], sent[(r - 1) % p])
             except Exception as exc:
-                return _partial_err(ctx, {r: exc})
+                errs[r] = exc
+                live[r] = False
+    if errs:
+        return _partial_err(ctx, errs)
     # Ownership rotation: rank r ships its reduced chunk (r+1)%p right.
     owned = [accs[r][(r + 1) % p] for r in range(p)]
     w = np.array([a.size for a in owned], dtype=np.int64)
     m = _mc_vec(w, ctx.mmw)
-    for r in range(p):
-        meter.edge(r, (r + 1) % p, int(w[r]), int(m[r]))
-    if machine is not None:
-        dep = t + _cost_vec(machine, w, m)
-        t = np.maximum(dep, np.roll(dep, 1))
-    meter.apply(t)
+    meter.ring(w, m, 1)
+    meter.apply(_ring_clock(ctx, t, w, m))
     out: list = []
     for r in range(p):
         chunk = owned[(r - 1) % p]
@@ -543,30 +651,14 @@ def _resolve_allgather(ctx: _Ctx, argslist: list) -> list:
     w = np.array([words for _fp, words in packs], dtype=np.int64)
     m = _mc_vec(w, ctx.mmw)
     meter = _Meter(ctx)
-    total_w, total_m = int(w.sum()), int(m.sum())
-    for r in range(p):
-        # Rank r forwards every block except origin (r+1)%p to its right
-        # neighbor, and receives every block except its own from the left.
-        nxt = (r + 1) % p
-        ws, ms = total_w - int(w[nxt]), total_m - int(m[nxt])
-        wr, mr = total_w - int(w[r]), total_m - int(m[r])
-        meter.ws[r] += ws
-        meter.ms[r] += ms
-        meter.wr[r] += wr
-        meter.mr[r] += mr
-        if ctx.internode(r, nxt):
-            meter.wsi[r] += ws
-            meter.msi[r] += ms
-        if ctx.internode((r - 1) % p, r):
-            meter.wri[r] += wr
-            meter.mri[r] += mr
+    # Rank r forwards every block except origin (r+1)%p to its right
+    # neighbor, and receives every block except its own from the left.
+    meter.ring(w.sum() - np.roll(w, -1), m.sum() - np.roll(m, -1), 1)
     t = ctx.entry_vtimes()
     if ctx.machine is not None:
         for s in range(p - 1):
             w_send = np.roll(w, s)  # rank r ships origin (r-s)%p at step s
-            m_send = np.roll(m, s)
-            dep = t + _cost_vec(ctx.machine, w_send, m_send)
-            t = np.maximum(dep, np.roll(dep, 1))
+            t = _ring_clock(ctx, t, w_send, np.roll(m, s))
     meter.apply(t)
     return [
         [_deliver(ctx, fp, argslist[o][0]) for o, (fp, _w) in enumerate(packs)]
@@ -635,19 +727,68 @@ def _resolve_scatter(ctx: _Ctx, argslist: list) -> list:
     return [_deliver(ctx, packs[r][0], objs[r]) for r in range(p)]
 
 
-def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
+def _blocks_checked(ctx: _Ctx, argslist: list, name: str):
+    """The (src, dst) block table, or per-rank errors for ranks that did
+    not pass one block per destination."""
     p = ctx.p
     bad = {
         i: CommunicatorError(
-            f"alltoall needs one block per rank ({p}), got {len(args[0])}"
+            f"{name} needs one block per rank ({p}), got {len(args[0])}"
         )
         for i, args in enumerate(argslist)
         if len(args[0]) != p
     }
     if bad:
-        return _partial_err(ctx, bad)
-    packs = [[_pack(ctx, args[0][d]) for d in range(p)] for args in argslist]
-    w = np.array([[words for _fp, words in row] for row in packs], dtype=np.int64)
+        return None, _partial_err(ctx, bad)
+    return [args[0] for args in argslist], None
+
+
+def _uniform_blocks(table: list) -> bool:
+    """True when every block is a plain ndarray of one shape (ndim >= 1)
+    and one numeric dtype, so the table stacks into one array whose
+    rows index back into blocks (0-d blocks would come back as numpy
+    scalars)."""
+    first = table[0][0]
+    if type(first) is not np.ndarray or first.ndim == 0 or not _numeric(first.dtype):
+        return False
+    shape, dtype = first.shape, first.dtype
+    return all(
+        type(b) is np.ndarray and b.shape == shape and b.dtype == dtype
+        for row in table
+        for b in row
+    )
+
+
+def _pack_table(ctx: _Ctx, table: list):
+    """Words ``W[src, dst]`` of an all-to-all block table, and what each
+    rank receives, indexed ``[dst][src]``.
+
+    In a CoW world a uniform table (see :func:`_uniform_blocks`) is
+    frozen once as a single (p, p, *shape) buffer, and every receiver
+    gets read-only views of its column: one copy for the whole
+    collective instead of p² freezes. Any other table is packed block
+    by block.
+    """
+    p = ctx.p
+    if ctx.cow and _uniform_blocks(table):
+        frozen = freeze_payload(np.array(table)).view()
+        W = np.full((p, p), frozen[0, 0].size, dtype=np.int64)
+        return W, [list(frozen[:, dst]) for dst in range(p)]
+    packs = [[_pack(ctx, block) for block in row] for row in table]
+    W = np.array([[words for _fp, words in row] for row in packs], dtype=np.int64)
+    received = [
+        [_deliver(ctx, packs[src][dst][0], table[src][dst]) for src in range(p)]
+        for dst in range(p)
+    ]
+    return W, received
+
+
+def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
+    p = ctx.p
+    table, err = _blocks_checked(ctx, argslist, "alltoall")
+    if err is not None:
+        return err
+    w, received = _pack_table(ctx, table)
     m = _mc_vec(w, ctx.mmw)
     meter = _Meter(ctx)
     idx = np.arange(p)
@@ -657,10 +798,7 @@ def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
     meter.wr += np.where(off, 0, w).sum(axis=0)
     meter.mr += np.where(off, 0, m).sum(axis=0)
     if ctx.two_level:
-        nodes = np.array(
-            [ctx.group[r] // ctx.world.node_size for r in range(p)], dtype=np.int64
-        )
-        inter = nodes[:, None] != nodes[None, :]
+        inter = ctx.nodes[:, None] != ctx.nodes[None, :]
         meter.wsi += np.where(inter, w, 0).sum(axis=1)
         meter.msi += np.where(inter, m, 0).sum(axis=1)
         meter.wri += np.where(inter, w, 0).sum(axis=0)
@@ -669,13 +807,9 @@ def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
     if ctx.machine is not None:
         for k in range(1, p):
             dest = (idx + k) % p
-            dep = t + _cost_vec(ctx.machine, w[idx, dest], m[idx, dest])
-            t = np.maximum(dep, np.roll(dep, k))
+            t = _ring_clock(ctx, t, w[idx, dest], m[idx, dest], k)
     meter.apply(t)
-    return [
-        [_deliver(ctx, packs[src][r][0], argslist[src][0][r]) for src in range(p)]
-        for r in range(p)
-    ]
+    return received
 
 
 def _resolve_alltoall_bruck(ctx: _Ctx, argslist: list) -> list:
@@ -687,45 +821,28 @@ def _resolve_alltoall_bruck(ctx: _Ctx, argslist: list) -> list:
                 f"alltoall_bruck requires a power-of-two size, got {p}"
             ),
         )
-    bad = {
-        i: CommunicatorError(
-            f"alltoall_bruck needs one block per rank ({p}), got {len(args[0])}"
-        )
-        for i, args in enumerate(argslist)
-        if len(args[0]) != p
-    }
-    if bad:
-        return _partial_err(ctx, bad)
+    table, err = _blocks_checked(ctx, argslist, "alltoall_bruck")
+    if err is not None:
+        return err
+    w, received = _pack_table(ctx, table)
     # Phase-1 rotation: slot j on rank r holds the block for relative
-    # destination j, frozen once (the log p re-shippings all adopt it).
-    packs = [
-        [_pack(ctx, argslist[r][0][(r + j) % p]) for j in range(p)] for r in range(p)
-    ]
-    W = np.array([[words for _fp, words in row] for row in packs], dtype=np.int64)
+    # destination j, i.e. W[r, j] = w[r, (r + j) % p].
+    idx = np.arange(p)
+    W = w[idx[:, None], (idx[:, None] + idx[None, :]) % p]
     meter = _Meter(ctx)
     t = ctx.entry_vtimes()
     mask = 1
     while mask < p:
-        ship = [j for j in range(p) if j & mask]
+        ship = (idx & mask) != 0
         sent_w = W[:, ship].sum(axis=1)
         sent_m = _mc_vec(sent_w, ctx.mmw)
-        for r in range(p):
-            meter.edge(r, (r + mask) % p, int(sent_w[r]), int(sent_m[r]))
-        if ctx.machine is not None:
-            dep = t + _cost_vec(ctx.machine, sent_w, sent_m)
-            t = np.maximum(dep, np.roll(dep, mask))
+        meter.ring(sent_w, sent_m, mask)
+        t = _ring_clock(ctx, t, sent_w, sent_m, mask)
         # Shipped slots now hold whatever the left-by-mask rank had.
         W[:, ship] = np.roll(W[:, ship], mask, axis=0)
         mask <<= 1
     meter.apply(t)
-    # Block from src destined to r sits in packs[src][(r - src) % p].
-    return [
-        [
-            _deliver(ctx, packs[src][(r - src) % p][0], argslist[src][0][r])
-            for src in range(p)
-        ]
-        for r in range(p)
-    ]
+    return received
 
 
 _RESOLVERS = {

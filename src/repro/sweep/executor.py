@@ -1,12 +1,18 @@
-"""Sharded sweep executor: fan cells over OS processes, funnel records
-through a single writer, survive worker crashes.
+"""Sweep executor: dispatch cells to OS processes longest-first, funnel
+records through a single writer, survive worker crashes.
 
 The threaded simmpi pool parallelises *ranks inside one simulation*;
 Python's GIL means two simulations never overlap in one process. This
-executor gets real sweep-level parallelism by sharding cells across a
-``multiprocessing`` pool — each worker process simulates its shard's
-cells serially (reusing its process-local rank-thread pool) and streams
-finished records back over a queue.
+executor gets real sweep-level parallelism from a few ``multiprocessing``
+worker *slots*. The parent keeps the cache misses in one queue, sorted
+by descending ``p``, and feeds each slot over its own pipe: a slot holds
+at most two cells (the one it simulates and the next), and every time
+it reports a cell the parent sends it the next one from the queue,
+before committing the finished record. Big cells therefore start first
+and the small ones at the tail fill whichever slot frees up, so no
+worker is left with the round's whole heavy end. Workers simulate their
+cells serially (reusing their process-local rank-thread pool) and
+stream finished records back over a queue.
 
 Three invariants the tests pin:
 
@@ -14,12 +20,13 @@ Three invariants the tests pin:
   ledger or the cache. Workers ship ``RunRecord`` JSON over the queue;
   the parent appends. The ledger's append-only JSONL therefore never
   sees interleaved writes, whatever the worker count.
-* **Crash-requeue** — a worker that dies mid-shard (segfault, OOM kill,
-  injected ``os._exit``) loses nothing: results it already queued are
-  drained, and the *remaining* cells of its shard are re-queued to a
-  replacement worker. A shard that keeps dying exhausts its
-  ``max_requeues`` budget and the sweep raises
-  :class:`~repro.exceptions.SweepError` (partial results attached).
+* **Crash-requeue** — a worker that dies (segfault, OOM kill, injected
+  ``os._exit``) loses nothing: results it already queued are drained,
+  and the cells it held but never reported go back to the front of the
+  queue, served first by a replacement worker in the same slot. A slot
+  that keeps dying exhausts its ``max_requeues`` budget and the sweep
+  raises :class:`~repro.exceptions.SweepError` (partial results
+  attached).
 * **Cache short-circuit** — cells whose content address is already in
   the :class:`~repro.sweep.cache.RunCache` are *replayed* (the cached
   record re-appended bit-identically) without touching a worker; only
@@ -28,7 +35,8 @@ Three invariants the tests pin:
 Determinism: the simulator is deterministic per cell, so the *set* of
 records a sweep produces is independent of worker count and scheduling;
 only the ledger append order varies (the observatory's later-wins
-querying is already order-insensitive).
+querying is already order-insensitive). ``CellOutcome.shard`` names the
+slot that simulated a cell.
 """
 
 from __future__ import annotations
@@ -38,8 +46,9 @@ import multiprocessing
 import os
 import queue as queue_mod
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.exceptions import SweepError
 from repro.observatory.ledger import Ledger, RunRecord
@@ -67,11 +76,11 @@ def default_workers() -> int:
 @dataclass(frozen=True)
 class CellOutcome:
     """What happened to one cell: replayed from cache, simulated fresh,
-    or failed (workload raised / shard abandoned)."""
+    or failed (workload raised / sweep abandoned)."""
 
     cell_id: str
     status: str  # "hit" | "simulated" | "failed"
-    shard: int | None = None
+    shard: int | None = None  # the worker slot that ran it
     error: str | None = None
     wall_seconds: float = 0.0
 
@@ -137,21 +146,24 @@ class SweepOutcome:
         }
 
 
-def _shard_worker(
-    shard_id: int,
-    payloads: Sequence[tuple[str, dict]],
+def _slot_worker(
+    slot_id: int,
+    generation: int,
+    tasks,
     out_queue,
     crash_after: int | None = None,
 ) -> None:
     """Worker entry point (top-level so spawn contexts can pickle it).
 
-    Simulates its shard's cells in order, streaming one message per
-    cell. ``crash_after=k`` is the fault-injection hook: after queueing
-    k results the worker flushes the queue feeder and dies with
-    ``os._exit`` — no cleanup, no sentinel — exactly like a segfault.
+    Simulates the cells the parent sends down ``tasks`` (a pipe end) in
+    arrival order, answering each with one message on ``out_queue``,
+    until it reads ``None`` or the parent goes away. ``crash_after=k``
+    is the fault-injection hook: once k cells are finished the worker
+    flushes the queue feeder and dies with ``os._exit`` — no cleanup,
+    no sentinel — exactly like a segfault.
     """
     done = 0
-    for cell_id, cell_json in payloads:
+    while True:
         if crash_after is not None and done >= crash_after:
             # Flush buffered messages so the parent sees everything this
             # worker actually finished, then die without ceremony.
@@ -159,15 +171,20 @@ def _shard_worker(
             out_queue.join_thread()
             os._exit(137)
         try:
+            task = tasks.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        cell_id, cell_json = task
+        try:
             record = execute_cell(Cell.from_json(cell_json))
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            out_queue.put(
-                ("failed", shard_id, cell_id, f"{type(exc).__name__}: {exc}")
-            )
+            kind, payload = "failed", f"{type(exc).__name__}: {exc}"
         else:
-            out_queue.put(("done", shard_id, cell_id, record.to_json()))
+            kind, payload = "done", record.to_json()
+        out_queue.put((kind, slot_id, generation, cell_id, payload))
         done += 1
-    out_queue.put(("shard_done", shard_id, None, None))
 
 
 def _annotate(record: RunRecord, cache_status: str, cell_id: str) -> RunRecord:
@@ -190,28 +207,55 @@ def _mp_context(name: str | None):
         return multiprocessing.get_context("spawn")
 
 
-class _Shard:
-    """Parent-side view of one shard: its pending cells + live process."""
+#: Cells a worker slot holds at once: the one it simulates and the next,
+#: so a worker never idles waiting on the parent between cells.
+_SLOT_DEPTH = 2
 
-    def __init__(self, shard_id: int, cells: list[Cell]):
-        self.shard_id = shard_id
-        self.pending: dict[str, Cell] = {c.cell_id: c for c in cells}
-        self.order: list[str] = [c.cell_id for c in cells]
+
+class _Slot:
+    """Parent-side view of one worker slot: its live process, the pipe
+    that feeds it cells, and the cells sent but not yet reported."""
+
+    def __init__(self, slot_id: int):
+        self.slot_id = slot_id
         self.process = None
+        self.tasks = None
         self.generation = 0
-        self.finished = False
-
-    def remaining(self) -> list[Cell]:
-        return [self.pending[cid] for cid in self.order if cid in self.pending]
+        self.in_flight: list[Cell] = []
+        self.retired = False
 
     def start(self, ctx, out_queue, crash_after: int | None) -> None:
-        payloads = [(c.cell_id, c.to_json()) for c in self.remaining()]
+        self.close()
+        reader, writer = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
-            target=_shard_worker,
-            args=(self.shard_id, payloads, out_queue, crash_after),
+            target=_slot_worker,
+            args=(self.slot_id, self.generation, reader, out_queue, crash_after),
             daemon=True,
         )
         self.process.start()
+        reader.close()
+        self.tasks = writer
+
+    def send(self, cell: Cell) -> None:
+        self.in_flight.append(cell)
+        try:
+            self.tasks.send((cell.cell_id, cell.to_json()))
+        except OSError:  # died already; the liveness scan requeues it
+            pass
+
+    def stop(self) -> None:
+        """Ask the worker to exit once its cells are done."""
+        if self.tasks is not None:
+            try:
+                self.tasks.send(None)
+            except OSError:
+                pass
+        self.close()
+
+    def close(self) -> None:
+        if self.tasks is not None:
+            self.tasks.close()
+            self.tasks = None
 
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -227,24 +271,24 @@ def run_sweep(
     crash_plan: dict[int, int] | None = None,
     fingerprint: str | None = None,
 ) -> SweepOutcome:
-    """Run a planned cell list: replay cache hits, shard the misses over
-    worker processes, funnel every record through this (single-writer)
-    process into ``ledger`` and ``cache``.
+    """Run a planned cell list: replay cache hits, dispatch the misses
+    longest-first to worker processes, funnel every record through this
+    (single-writer) process into ``ledger`` and ``cache``.
 
     Parameters
     ----------
     workers:
-        Process count for the miss shards. ``0`` simulates serially
-        in-process (no multiprocessing at all — the reference path the
-        fuzz suite differences the sharded path against). Default:
-        :func:`default_workers`, capped at the miss count.
+        Worker slots for the misses. ``0`` simulates serially in-process,
+        in plan order (no multiprocessing at all — the reference path
+        the fuzz suite differences the dispatched path against).
+        Default: :func:`default_workers`, capped at the miss count.
     max_requeues:
-        Crash budget per shard. Each worker death re-queues the shard's
-        remaining cells to a fresh process; one death past the budget
-        raises :class:`SweepError` with the partial outcome attached as
-        ``exc.outcome``.
+        Crash budget per slot. Each worker death that loses cells puts
+        them back on the queue and starts a fresh process in the slot;
+        one death past the budget raises :class:`SweepError` with the
+        partial outcome attached as ``exc.outcome``.
     crash_plan:
-        Fault injection for tests: ``{shard_id: k}`` makes that shard's
+        Fault injection for tests: ``{slot_id: k}`` makes that slot's
         *first* worker die after finishing k cells. Replacement workers
         never crash (generation > 0 runs clean).
     fingerprint:
@@ -280,7 +324,7 @@ def run_sweep(
         workers = min(default_workers(), max(1, len(misses)))
     outcome.workers = workers
 
-    def _commit(cell: Cell, record: RunRecord, shard_id: int | None) -> None:
+    def _commit(cell: Cell, record: RunRecord, slot_id: int | None) -> None:
         if cache is not None:
             cache.put(cell, record, fingerprint)
         if ledger is not None:
@@ -290,7 +334,7 @@ def run_sweep(
             CellOutcome(
                 cell.cell_id,
                 "simulated",
-                shard=shard_id,
+                shard=slot_id,
                 wall_seconds=record.wall_seconds,
             )
         )
@@ -313,88 +357,103 @@ def run_sweep(
         outcome.elapsed = time.perf_counter() - start
         return outcome
 
-    # -- sharded path ------------------------------------------------------
+    # -- dispatched path -------------------------------------------------
     ctx = _mp_context(mp_context)
     out_queue = ctx.Queue()
-    shard_lists: list[list[Cell]] = [[] for _ in range(min(workers, len(misses)))]
-    for i, cell in enumerate(misses):
-        shard_lists[i % len(shard_lists)].append(cell)
-    shards = [_Shard(i, cs) for i, cs in enumerate(shard_lists)]
+    # Longest first: big-p cells start early, and the small ones at the
+    # tail fill whichever slot frees up (ties keep plan order).
+    queue = deque(sorted(misses, key=lambda c: -c.p))
+    slots = [_Slot(i) for i in range(min(workers, len(misses)))]
     cell_index = {c.cell_id: c for c in misses}
     crash_plan = dict(crash_plan or {})
     recorded: set[str] = set()
 
-    for shard in shards:
-        shard.start(ctx, out_queue, crash_plan.get(shard.shard_id))
+    def _fill() -> None:
+        """Top every live slot up to ``_SLOT_DEPTH`` cells."""
+        for slot in slots:
+            while not slot.retired and len(slot.in_flight) < _SLOT_DEPTH and queue:
+                cell = queue.popleft()
+                if cell.cell_id not in recorded:
+                    slot.send(cell)
 
     def _handle(msg) -> None:
-        kind, shard_id, cell_id, payload = msg
-        shard = shards[shard_id]
-        if kind == "shard_done":
-            shard.finished = True
-            return
+        kind, slot_id, generation, cell_id, payload = msg
+        slot = slots[slot_id]
+        if generation == slot.generation:
+            slot.in_flight = [c for c in slot.in_flight if c.cell_id != cell_id]
+        _fill()  # the slot's next cell goes out before this one commits
         if cell_id in recorded:
             return  # duplicate replay after a requeue race — drop it
         recorded.add(cell_id)
-        shard.pending.pop(cell_id, None)
         if kind == "done":
-            _commit(cell_index[cell_id], RunRecord.from_json(payload), shard_id)
+            _commit(cell_index[cell_id], RunRecord.from_json(payload), slot_id)
         else:  # "failed" — the workload raised; not a crash, no requeue
             outcome.outcomes.append(
-                CellOutcome(cell_id, "failed", shard=shard_id, error=payload)
+                CellOutcome(cell_id, "failed", shard=slot_id, error=payload)
             )
 
-    try:
-        while not all(s.finished or not s.pending for s in shards):
+    def _drain() -> None:
+        while True:
             try:
                 _handle(out_queue.get(timeout=_POLL_SECONDS))
-                continue
+            except queue_mod.Empty:
+                return
+
+    def _abandon(slot: _Slot) -> SweepError:
+        outcome.elapsed = time.perf_counter() - start
+        reason = (
+            f"slot {slot.slot_id} lost {slot.generation} worker(s); requeue "
+            f"budget ({max_requeues}) exhausted"
+        )
+        abandoned = [cid for cid in cell_index if cid not in recorded]
+        for cid in abandoned:
+            outcome.outcomes.append(
+                CellOutcome(cid, "failed", shard=slot.slot_id, error=reason)
+            )
+        err = SweepError(f"{reason}; {len(abandoned)} cell(s) abandoned")
+        err.outcome = outcome
+        return err
+
+    for slot in slots:
+        slot.start(ctx, out_queue, crash_plan.get(slot.slot_id))
+    _fill()
+    finished = False
+    try:
+        while len(recorded) < len(misses):
+            try:
+                _handle(out_queue.get(timeout=_POLL_SECONDS))
             except queue_mod.Empty:
                 pass
-            for shard in shards:
-                if shard.finished or not shard.pending or shard.alive():
+            for slot in slots:
+                if slot.retired or slot.alive():
                     continue
-                # Dead worker: drain what it managed to flush, then
-                # requeue whatever is still pending.
-                while True:
-                    try:
-                        _handle(out_queue.get(timeout=_POLL_SECONDS))
-                    except queue_mod.Empty:
-                        break
-                if shard.finished or not shard.pending:
+                # Dead worker: drain what it managed to flush, then put
+                # its unreported cells back at the front of the queue.
+                _drain()
+                lost = [c for c in slot.in_flight if c.cell_id not in recorded]
+                slot.in_flight = []
+                if not lost:
+                    slot.retired = True  # nothing lost; the others carry on
+                    slot.close()
                     continue
-                shard.generation += 1
-                if shard.generation > max_requeues:
-                    outcome.elapsed = time.perf_counter() - start
-                    for cid in list(shard.pending):
-                        outcome.outcomes.append(
-                            CellOutcome(
-                                cid,
-                                "failed",
-                                shard=shard.shard_id,
-                                error=(
-                                    f"shard {shard.shard_id} lost "
-                                    f"{shard.generation} worker(s); requeue "
-                                    f"budget ({max_requeues}) exhausted"
-                                ),
-                            )
-                        )
-                    err = SweepError(
-                        f"shard {shard.shard_id} exhausted its requeue "
-                        f"budget ({max_requeues}); "
-                        f"{len(shard.pending)} cell(s) abandoned"
-                    )
-                    err.outcome = outcome
-                    raise err
+                slot.generation += 1
+                if slot.generation > max_requeues:
+                    raise _abandon(slot)
+                queue.extendleft(reversed(lost))
                 outcome.requeues += 1
                 # Replacement runs clean: an injected crash fires once.
-                shard.start(ctx, out_queue, None)
+                slot.start(ctx, out_queue, None)
+                _fill()
+        finished = True
     finally:
-        for shard in shards:
-            if shard.process is not None:
-                shard.process.join(timeout=5.0)
-                if shard.process.is_alive():  # pragma: no cover
-                    shard.process.terminate()
+        for slot in slots:
+            slot.stop()
+            if slot.process is not None:
+                if not finished:  # abandoned sweep: don't wait on cells
+                    slot.process.terminate()
+                slot.process.join(timeout=5.0)
+                if slot.process.is_alive():  # pragma: no cover
+                    slot.process.terminate()
         out_queue.close()
 
     outcome.elapsed = time.perf_counter() - start

@@ -34,7 +34,7 @@ MACHINE = MachineParameters(
     max_message_words=float(2**16),
 )
 
-SIZES = (4, 16, 64)
+SIZES = (4, 16, 36, 64)
 MODES = ("copy", "cow")
 
 # Per-destination payloads are seeded from (rank, dest) so every block
@@ -96,25 +96,98 @@ def _prog_alltoall_bruck(comm):
     return comm.alltoall_bruck(blocks)
 
 
+def _prog_reduce_scatter_int2d(comm):
+    base = np.arange(3 * (comm.size + 1), dtype=np.int64).reshape(3, -1)
+    return comm.reduce_scatter(base * (comm.rank + 1))
+
+
+# Uniform all-to-all blocks (one shape, one numeric dtype) take the
+# batched resolvers; each maker turns a (rank, dest) seed into a block.
+def _block_f64(k: int) -> np.ndarray:
+    return _payload(k, n=5)
+
+
+def _block_c128(k: int) -> np.ndarray:
+    # (rows, cols) complex128, the shape fft.py's transpose ships
+    return (_payload(k, n=6) + 1j * _payload(k + 1, n=6)).reshape(2, 3)
+
+
+def _block_i64(k: int) -> np.ndarray:
+    return np.arange(4, dtype=np.int64) * (k + 1)
+
+
+def _block_0d(k: int) -> np.ndarray:
+    return np.array(float(k))
+
+
+def _uniform_program(collective: str, make):
+    def program(comm):
+        blocks = [make(comm.rank * comm.size + d) for d in range(comm.size)]
+        return getattr(comm, collective)(blocks)
+
+    return program
+
+
+def _forwarding_program(collective: str):
+    """Every odd destination gets a block this rank received earlier."""
+
+    def program(comm):
+        p = comm.size
+        exchange = getattr(comm, collective)
+        first = exchange([_block_f64(comm.rank * p + d) for d in range(p)])
+        blocks = [
+            first[(d + 1) % p] if d % 2 else _block_f64(p * p + comm.rank + d)
+            for d in range(p)
+        ]
+        return first, exchange(blocks)
+
+    return program
+
+
 PROGRAMS = {
     "barrier": _prog_barrier,
     "bcast": _prog_bcast,
     "reduce": _prog_reduce,
     "allreduce": _prog_allreduce,
     "reduce_scatter": _prog_reduce_scatter,
+    "reduce_scatter_int2d": _prog_reduce_scatter_int2d,
     "allgather": _prog_allgather,
     "gather": _prog_gather,
     "scatter": _prog_scatter,
     "alltoall": _prog_alltoall,
     "alltoall_bruck": _prog_alltoall_bruck,
 }
+for _op in ("alltoall", "alltoall_bruck"):
+    for _kind, _make in (
+        ("f64", _block_f64),
+        ("c128", _block_c128),
+        ("i64", _block_i64),
+        ("0d", _block_0d),
+    ):
+        PROGRAMS[f"{_op}_{_kind}"] = _uniform_program(_op, _make)
+    PROGRAMS[f"{_op}_forward"] = _forwarding_program(_op)
+
+#: (collective, size) cells of the matrix; Bruck needs a power of two.
+MATRIX = [
+    (name, size)
+    for name in sorted(PROGRAMS)
+    for size in SIZES
+    if size & (size - 1) == 0 or "bruck" not in name
+]
 
 
 def _flatten(value):
     """Strict structural normalization so ndarray contents (and their
-    exact values), list shapes and scalars all compare."""
+    exact values), dtypes, writability, list shapes and scalars all
+    compare."""
     if isinstance(value, np.ndarray):
-        return ("nd", value.shape, value.tobytes())
+        return (
+            "nd",
+            value.shape,
+            value.dtype.str,
+            value.flags.writeable,
+            value.tobytes(),
+        )
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, tuple(_flatten(v) for v in value))
     return value
@@ -134,8 +207,7 @@ def _compare_runs(size, program, **kwargs):
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("collective", sorted(PROGRAMS))
+    @pytest.mark.parametrize("collective,size", MATRIX)
     def test_counts_vtimes_payloads_identical(self, collective, size, mode):
         _compare_runs(
             size,
@@ -163,6 +235,36 @@ class TestEquivalenceMatrix:
         fast = run_spmd(8, program, payload_mode="cow")
         assert fast.results == (False,) * 8
 
+    @pytest.mark.parametrize("collective", ["alltoall", "alltoall_bruck"])
+    def test_zero_d_blocks_arrive_as_read_only_arrays(self, collective):
+        fast = run_spmd(8, PROGRAMS[f"{collective}_0d"], payload_mode="cow")
+        for got in fast.results:
+            assert all(type(b) is np.ndarray and b.ndim == 0 for b in got)
+            assert not any(b.flags.writeable for b in got)
+
+    @pytest.mark.parametrize("collective", ["alltoall", "alltoall_bruck"])
+    def test_uniform_blocks_share_one_frozen_buffer(self, collective):
+        # The batched resolver freezes the whole block table once; a
+        # block-by-block freeze would give every block its own buffer.
+        def program(comm):
+            got = PROGRAMS[f"{collective}_c128"](comm)
+            return got[0].base, len({id(b.base) for b in got}), got[0].flags.writeable
+
+        out = run_spmd(8, program, payload_mode="cow")
+        assert len({id(base) for base, _n, _w in out.results}) == 1
+        assert [(n, w) for _b, n, w in out.results] == [(1, False)] * 8
+
+    def test_equal_reduce_scatter_inputs_share_one_frozen_buffer(self):
+        # The stacked resolver freezes all ranks' reduced chunks as one
+        # buffer; the per-rank loop would freeze each chunk on its own.
+        def program(comm):
+            got = _prog_reduce_scatter(comm)
+            return got.base, got.flags.writeable
+
+        out = run_spmd(8, program, payload_mode="cow")
+        assert len({id(base) for base, _w in out.results}) == 1
+        assert not any(w for _b, w in out.results)
+
     def test_zero_and_scalar_payloads(self):
         def program(comm):
             a = comm.bcast(None if comm.rank else 0.5, root=0)
@@ -171,6 +273,58 @@ class TestEquivalenceMatrix:
             return (a, tuple(b), None if c is None else tuple(c))
 
         _compare_runs(4, program)
+
+
+def _rs_mixed_dtypes(comm):
+    dtype = np.float32 if comm.rank == 1 else np.float64
+    return comm.reduce_scatter(np.arange(4.0 * comm.size + 3, dtype=dtype))
+
+
+def _rs_broadcasting_sizes(comm):
+    # size-1 chunks on rank 0 broadcast against the others' size-2 chunks
+    return comm.reduce_scatter(_payload(comm.rank, n=comm.size * (2 if comm.rank else 1)))
+
+
+def _rs_mismatched_sizes(comm):
+    return comm.reduce_scatter(_payload(comm.rank, n=2 * comm.size + comm.rank))
+
+
+class TestReduceScatterPerRankInputs:
+    """Inputs the stacked reduce_scatter cannot take (mixed dtypes or
+    unequal sizes) go through the per-rank ring, which must return the
+    message path's arrays or fail on the same ranks with the same
+    errors."""
+
+    @staticmethod
+    def _outcome(size, program, **kwargs):
+        try:
+            out = run_spmd(size, program, machine=MACHINE, timeout=20.0, **kwargs)
+        except RankFailedError as exc:
+            return "failed", {
+                r: (type(e).__name__, str(e)) for r, e in exc.failures.items()
+            }
+        return "ok", (
+            out.report.counts_signature(),
+            [r.vtime for r in out.report.ranks],
+            [_flatten(r) for r in out.results],
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("size", (4, 7, 16))
+    @pytest.mark.parametrize(
+        "program,expect",
+        [
+            (_rs_mixed_dtypes, "ok"),
+            (_rs_broadcasting_sizes, "ok"),
+            (_rs_mismatched_sizes, "failed"),
+        ],
+        ids=["mixed-dtypes", "broadcasting-sizes", "mismatched-sizes"],
+    )
+    def test_matches_message_path(self, program, expect, size, mode):
+        fast = self._outcome(size, program, payload_mode=mode)
+        slow = self._outcome(size, program, payload_mode=mode, fastpath=False)
+        assert fast[0] == expect
+        assert fast == slow
 
 
 class TestFallbacks:

@@ -246,6 +246,29 @@ class TestExecutor:
             assert clean.records[cid].counts == crashed.records[cid].counts
             assert clean.records[cid].vtimes == crashed.records[cid].vtimes
 
+    def test_dispatch_runs_largest_p_first(self):
+        cells = smoke_spec(24).cells()  # plan order: p = 36, 72, 108
+        assert cells[-1].p == max(c.p for c in cells)
+        out = run_sweep(cells, workers=1)
+        assert [o.cell_id for o in out.outcomes] == [
+            c.cell_id for c in sorted(cells, key=lambda c: -c.p)
+        ]
+
+    def test_crashed_in_flight_cell_recorded_once(self, tmp_path):
+        # The worker finishes the p=108 cell and dies holding p=72; the
+        # replacement picks it up from the front of the queue.
+        cells = smoke_spec(24).cells()
+        clean = run_sweep(cells, workers=0)
+        led = Ledger(tmp_path / "l.jsonl")
+        crashed = run_sweep(cells, ledger=led, workers=1, crash_plan={0: 1})
+        assert crashed.requeues == 1 and crashed.failed == 0
+        want = sorted(c.cell_id for c in cells)
+        assert sorted(o.cell_id for o in crashed.outcomes) == want
+        assert sorted(r.extra["sweep"]["cell"] for r in led.records()) == want
+        for cid in want:
+            assert clean.records[cid].counts == crashed.records[cid].counts
+            assert clean.records[cid].vtimes == crashed.records[cid].vtimes
+
     def test_requeue_budget_exhaustion_raises_with_partial(self):
         cells = smoke_spec(24).cells()
         with pytest.raises(SweepError) as exc:
