@@ -17,8 +17,8 @@ halves of that promise:
   ``analysis_ratio`` so a quadratic regression in the sweep shows up
   PR over PR.
 
-The workload is the same point-to-point-heavy ring as
-``bench_trace_overhead.py`` — one send+recv+flops event triple per rank
+The workload is ``bench_trace_overhead.py``'s point-to-point-heavy ring
+(imported from there) — one send+recv+flops event triple per rank
 per round, the densest event stream per simulated second and therefore
 the worst case for the analysis loop.
 
@@ -36,26 +36,13 @@ import statistics
 import time
 from pathlib import Path
 
-import numpy as np
-
+from bench_trace_overhead import ring_heavy
 from repro.analysis.powertrace import PowerTrace
 from repro.analysis.validation import default_machine
 from repro.simmpi import SpmdPool
 
 SCHEMA = "bench_power_overhead/v1"
 DEFAULT_SIZES = (8, 32)
-
-
-def ring_heavy(comm, words: int, rounds: int) -> float:
-    """Each round: shift a small block around the ring and meter a tiny
-    kernel — one send+recv+flops event triple per rank per round."""
-    block = np.full(words, float(comm.rank), dtype=np.float64)
-    total = 0.0
-    for _ in range(rounds):
-        block = comm.shift(block, 1)
-        comm.add_flops(2.0 * words, label="fold")
-        total += float(block[0])
-    return total
 
 
 def run_benchmark(

@@ -1,9 +1,8 @@
 """Benchmark regression gate: fresh numbers vs the committed baselines.
 
-The repo commits four performance baselines at its root —
+The repo commits three performance baselines at its root —
 ``BENCH_simmpi.json`` (pool+cow speedup over spawn+copy),
-``BENCH_trace_overhead.json`` (traced/untraced wall-clock ratio),
-``BENCH_metrics_overhead.json`` (metered/unmetered ratio) and
+``BENCH_trace_overhead.json`` (traced/untraced wall-clock ratio) and
 ``BENCH_power_overhead.json`` (power-analysis/run wall-clock ratio).
 This script is the PR gate over them:
 
@@ -20,8 +19,8 @@ This script is the PR gate over them:
    order-of-magnitude regressions — a pool that stopped beating spawn,
    a hook path that got 2.5x slower — not single-digit drift.
 3. The fresh runs' own correctness flags must hold (bit-identical
-   counts with tracing/metrics on or off) — these are exact, not
-   tolerance-based.
+   counts with tracing or power analysis on or off) — these are
+   exact, not tolerance-based.
 4. **Baseline-less exact gates** — the fault hooks' disabled path, the
    analytic collective fast path, and the observatory's ``record=``
    run-ledger hook must each be bit-identical (counts, per-rank
@@ -55,10 +54,6 @@ BASELINES = {
         "schema": "bench_trace_overhead/v1",
         "flags": ("counts_identical",),
     },
-    "BENCH_metrics_overhead.json": {
-        "schema": "bench_metrics_overhead/v1",
-        "flags": ("counts_identical", "vtimes_identical"),
-    },
     "BENCH_power_overhead.json": {
         "schema": "bench_power_overhead/v1",
         "flags": ("counts_identical", "vtimes_identical"),
@@ -74,7 +69,6 @@ BASELINES = {
 TOLERANCES = {
     "simmpi_speedup": {"floor_abs": 1.2, "floor_frac": 0.12},
     "trace_overhead_ratio": {"ceil_abs": 2.5, "ceil_frac": 2.5},
-    "metrics_overhead_ratio": {"ceil_abs": 2.0, "ceil_frac": 2.5},
     "power_analysis_ratio": {"ceil_abs": 2.0, "ceil_frac": 2.5},
 }
 
@@ -175,39 +169,6 @@ def regress_trace(baseline: dict, smoke: bool, checks: list) -> dict:
     _check(
         checks,
         "trace:overhead_ratio",
-        value <= ceil,
-        f"fresh={value:.2f}x ceil={ceil:.2f}x (baseline max: {ref:.2f}x)",
-    )
-    return fresh
-
-
-def regress_metrics(baseline: dict, smoke: bool, checks: list) -> dict:
-    import bench_metrics_overhead
-
-    cfg = (
-        {"sizes": (8,), "rounds": 40, "repeats": 2}
-        if smoke
-        else {"sizes": (8,), "rounds": 100, "repeats": 3}
-    )
-    fresh = bench_metrics_overhead.run_benchmark(**cfg)
-    _check(
-        checks,
-        "metrics:counts_identical(fresh)",
-        fresh["counts_identical"],
-        "metered counts match unmetered",
-    )
-    _check(
-        checks,
-        "metrics:vtimes_identical(fresh)",
-        fresh["vtimes_identical"],
-        "metered virtual clocks match unmetered",
-    )
-    ref = max(baseline["overhead_ratio"].values())
-    value = max(fresh["overhead_ratio"].values())
-    ceil = _ceil("metrics_overhead_ratio", ref)
-    _check(
-        checks,
-        "metrics:overhead_ratio",
         value <= ceil,
         f"fresh={value:.2f}x ceil={ceil:.2f}x (baseline max: {ref:.2f}x)",
     )
@@ -458,6 +419,7 @@ def regress_conformance(smoke: bool, checks: list) -> dict:
     still *detect* a deliberately perturbed build — a vacuous grid that
     passes everything is itself a regression."""
     from repro.conformance import (
+        VARIANTS,
         deliberately_perturbed,
         run_grid,
         smoke_cases,
@@ -477,16 +439,16 @@ def regress_conformance(smoke: bool, checks: list) -> dict:
         # Size-structure checks are cheap; only run a slice of the grid.
         sliced = [c for c in cases if c.size in (3, 4)]
         report = run_grid(sliced, grid="smoke")
-        cells_floor = 8 * len(sliced)
+        cells_floor = len(VARIANTS) * len(sliced)
     else:
         report = run_grid(cases, grid="smoke")
         cells_floor = 200
     with deliberately_perturbed(extra_words=2):
         perturbed = run_grid(cases[:4], grid="smoke", fail_limit=1)
-    grid_big_enough = 8 * len(cases) >= 200
+    grid_cells = len(VARIANTS) * len(cases)
     _check(
-        checks, "conformance:grid_floor", grid_big_enough,
-        f"smoke grid spans {8 * len(cases)} cells (floor 200)",
+        checks, "conformance:grid_floor", grid_cells >= 200,
+        f"smoke grid spans {grid_cells} cells (floor 200)",
     )
     _check(
         checks, "conformance:non_pow2_sizes", len(non_pow2) >= 5,
@@ -662,7 +624,6 @@ def main(argv=None) -> int:
         runners = {
             "BENCH_simmpi.json": regress_simmpi,
             "BENCH_trace_overhead.json": regress_trace,
-            "BENCH_metrics_overhead.json": regress_metrics,
             "BENCH_power_overhead.json": regress_power,
         }
         for fname, runner in runners.items():

@@ -365,7 +365,6 @@ def _cmd_profile(args) -> None:
             machine=machine,
             trace=True,
             trace_capacity=args.capacity,
-            metrics=True,
         )
         profile = ModelProfile.from_result(out, machine, label=label)
         if args.json:
@@ -1069,9 +1068,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential conformance: cost oracles vs every execution mode",
         description=(
             "Execute a grid of (collective | scenario) cases under all "
-            "eight execution modes (message path vs analytic fastpath, "
-            "engine vs pool, copy vs CoW payloads, trace/metrics "
-            "observers) and assert per-rank counts, virtual clocks, "
+            "seven execution modes (message path vs analytic fastpath, "
+            "engine vs pool, copy vs CoW payloads, the trace "
+            "observer) and assert per-rank counts, virtual clocks, "
             "internode sub-tallies and payload contents are bit-identical "
             "across modes and equal to the closed-form oracles of "
             "repro.conformance.oracles. Any divergence prints a minimized "

@@ -1,9 +1,8 @@
 """Differential conformance runner: every execution mode vs the oracle.
 
-The simulator can execute the same program eight ways — message path or
+The simulator can execute the same program seven ways — message path or
 analytic fastpath, fresh-thread engine or persistent pool, copy-on-write
-or deep-copy payload transport, with tracing or metrics observers on or
-off. Each combination must produce **bit-identical** per-rank counts
+or deep-copy payload transport, with the tracing observer on or off. Each combination must produce **bit-identical** per-rank counts
 (:meth:`~repro.simmpi.trace.TraceReport.counts_signature`), virtual
 clocks, internode sub-tallies, and payload contents — identical to each
 other *and* to the closed-form predictions of
@@ -91,9 +90,10 @@ MACHINE = MachineParameters(
     max_message_words=float(2**16),
 )
 
-#: The eight execution modes every case runs under. ``trace``/``metrics``
-#: worlds force the message path internally (per-message observers);
-#: their cells prove observation never perturbs the counts.
+#: The seven execution modes every case runs under. ``trace`` worlds
+#: force the message path internally (per-message observer, plus the
+#: live mailbox-depth histogram); their cells prove observation never
+#: perturbs the counts.
 VARIANTS: tuple[tuple[str, dict], ...] = (
     ("message+engine+cow", dict(runner="engine", payload_mode="cow", fastpath=False)),
     ("message+engine+copy", dict(runner="engine", payload_mode="copy", fastpath=False)),
@@ -104,10 +104,6 @@ VARIANTS: tuple[tuple[str, dict], ...] = (
     (
         "trace+engine+cow",
         dict(runner="engine", payload_mode="cow", fastpath=True, trace=True),
-    ),
-    (
-        "metrics+engine+cow",
-        dict(runner="engine", payload_mode="cow", fastpath=True, metrics=True),
     ),
 )
 

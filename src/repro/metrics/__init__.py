@@ -1,8 +1,6 @@
 """repro.metrics — lightweight runtime metrics for the simulator.
 
-Three instrument kinds in the Prometheus mold, kept deliberately tiny so
-the simulator's hot paths can afford them when enabled and pay a single
-``is None`` test when not:
+Three instrument kinds in the Prometheus mold:
 
 * :class:`~repro.metrics.registry.Counter` — monotonically increasing
   totals (messages sent, collective calls, dropped trace events);
@@ -12,15 +10,15 @@ the simulator's hot paths can afford them when enabled and pay a single
   distributions (message sizes, collective fan-out, mailbox depth).
 
 A :class:`~repro.metrics.registry.MetricsRegistry` owns instruments by
-(name, labels); per-rank registries built during a run are merged at
-run end (:meth:`MetricsRegistry.merged`) into the run-level registry on
-:class:`~repro.simmpi.engine.SpmdResult`. Exporters render any registry
-as Prometheus text exposition format or JSON
+(name, labels). A traced run's registry is folded from its event logs
+after the join (:func:`~repro.metrics.runtime.run_metrics`, read as
+``SpmdResult.metrics``). Exporters render any registry as Prometheus
+text exposition format or JSON
 (:func:`~repro.metrics.export.to_prometheus`,
 :func:`~repro.metrics.export.to_json_dict`).
 
-The simulator-facing instrument bundle (:class:`RankMetrics`) and the
-standard bucket layouts live in :mod:`repro.metrics.runtime`.
+The fold and the standard bucket layouts live in
+:mod:`repro.metrics.runtime`.
 """
 
 from repro.metrics.export import to_json_dict, to_prometheus
@@ -29,8 +27,7 @@ from repro.metrics.runtime import (
     COLLECTIVE_FANOUT_BUCKETS,
     MAILBOX_DEPTH_BUCKETS,
     MESSAGE_WORD_BUCKETS,
-    RankMetrics,
-    collect_run_metrics,
+    run_metrics,
 )
 
 __all__ = [
@@ -38,8 +35,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RankMetrics",
-    "collect_run_metrics",
+    "run_metrics",
     "to_prometheus",
     "to_json_dict",
     "MESSAGE_WORD_BUCKETS",

@@ -111,7 +111,7 @@ def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
 def to_record_snapshot(registry: MetricsRegistry) -> dict:
     """A compact summary of the registry for run-ledger embedding.
 
-    The full :func:`to_json_dict` dump of a metered run carries every
+    The full :func:`to_json_dict` dump of a traced run carries every
     per-rank histogram bucket — hundreds of numbers per record line.
     A ledger wants the headline shape, not the raw exposition: scalar
     instruments keep their value; histograms collapse to

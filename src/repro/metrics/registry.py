@@ -2,13 +2,10 @@
 
 Instruments follow Prometheus semantics (histogram buckets are
 ``le``-bounded, cumulative only at export time) but are plain Python
-objects mutated without locks: during a simulated run each rank owns a
-private registry and only that rank's thread (or, for mailbox-depth
-observations, threads serialized by the mailbox lock) touches it.
-Cross-rank aggregation happens once, after the SPMD join, via
-:meth:`MetricsRegistry.merged` — the same lock-free-by-ownership
-discipline as :class:`~repro.simmpi.counters.CostCounter` and
-:class:`~repro.simmpi.events.EventLog`.
+objects mutated without locks. Run metrics are built after the SPMD
+join from the event logs; the one instrument touched during a run, a
+mailbox's depth histogram, is observed only under that mailbox's lock.
+Registries combine via :meth:`MetricsRegistry.merged`.
 
 Merge rules: counters and histograms add; gauges keep the maximum (all
 gauges here are occupancy/high-water style, where the worst rank is the

@@ -1,41 +1,48 @@
-"""The simulator's per-rank instrument bundle and run-end collection.
+"""The simulator's run metrics, folded from a traced run's event logs.
 
-A run started with ``metrics=True`` (see
-:func:`repro.simmpi.engine.run_spmd` / :meth:`repro.simmpi.pool.SpmdPool.run`)
-gives every rank a :class:`RankMetrics`: a private
-:class:`~repro.metrics.registry.MetricsRegistry` plus direct references
-to the hot-path instruments, so a metering hook is one attribute load
-and one method call — no name lookup. The hooks live in
-:mod:`repro.simmpi.comm` (message sizes), :mod:`repro.simmpi.events`
-(collective fan-out, via the shared span object),
-:mod:`repro.simmpi.mailbox` (queue depth at deposit) and the run-end
-collector below (trace-ring occupancy and drops). Like tracing, the
-disabled path pays a single ``is None`` test per operation and the
-metered counts/virtual clocks are bit-identical either way
-(``benchmarks/bench_metrics_overhead.py`` guards both).
+A traced run (``trace=True`` on :func:`repro.simmpi.engine.run_spmd` /
+:meth:`repro.simmpi.pool.SpmdPool.run`) already records every send and
+every collective span in its per-rank
+:class:`~repro.simmpi.events.EventLog`. :func:`run_metrics` replays
+those logs after the join — the same post-hoc pattern as the power
+trace — so the simulator carries no metering hook of its own.
+``SpmdResult.metrics`` calls it on first read and caches the result;
+untraced runs have no metrics (None).
+
+The one live instrument is host-side: in a traced world every
+:class:`~repro.simmpi.mailbox.Mailbox` observes its queue depth after
+each deposit into its own :func:`mailbox_depth_histogram`. That depth
+depends on thread scheduling, not on the simulated program, so no
+event carries it.
 
 Instrument reference
 --------------------
 
-==================================== ========= ==============================
-name                                 kind      meaning
-==================================== ========= ==============================
-simmpi_sends_total                   counter   point-to-point sends issued
-simmpi_sent_words_total              counter   words injected (the model's W)
-simmpi_sent_messages_total           counter   messages injected (S)
-simmpi_message_words                 histogram words per send
-simmpi_collectives_total             counter   depth-0 collective calls,
-                                               labeled ``collective=<name>``
-simmpi_collective_fanout             histogram communicator size per depth-0
-                                               collective call
-simmpi_mailbox_depth                 histogram pending messages in the
-                                               destination mailbox after
-                                               each deposit
-simmpi_trace_events_dropped_total    counter   trace events lost to ring
-                                               wraparound (traced runs)
-simmpi_trace_ring_occupancy_ratio    gauge     final ring fill fraction,
-                                               max over ranks (traced runs)
-==================================== ========= ==============================
+================================= ========= ====================== ===========================
+name                              kind      source                 meaning
+================================= ========= ====================== ===========================
+simmpi_sends_total                counter   ``send`` events        point-to-point sends issued
+simmpi_sent_words_total           counter   ``send`` events        words injected (the
+                                                                   model's W)
+simmpi_sent_messages_total        counter   ``send`` events        messages injected (S)
+simmpi_message_words              histogram ``send`` events        words per send
+simmpi_collectives_total          counter   depth-0 ``coll``       collective calls, labeled
+                                            events                 ``collective=<name>``
+simmpi_collective_fanout          histogram depth-0 ``coll``       communicator size per call
+                                            events (``size``)
+simmpi_mailbox_depth              histogram live, per mailbox      pending messages in the
+                                                                   destination mailbox after
+                                                                   each deposit
+simmpi_trace_events_dropped_total counter   ``EventLog.dropped``   trace events lost to ring
+                                                                   wraparound
+simmpi_trace_ring_occupancy_ratio gauge     ``EventLog`` fill      final ring fill fraction,
+                                                                   max over ranks
+================================= ========= ====================== ===========================
+
+Under ring drops (``trace_capacity`` too small) the send and collective
+families count only the retained events; the dropped counter says how
+many are missing. The mailbox depth also counts the deposits of
+communicator set-up traffic, which is not metered as sends.
 
 Pool-level worker instruments (``simmpi_pool_*``) are registered by
 :class:`~repro.simmpi.pool.SpmdPool` when constructed with
@@ -44,11 +51,11 @@ Pool-level worker instruments (``simmpi_pool_*``) are registered by
 
 from __future__ import annotations
 
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import Histogram, MetricsRegistry
 
 __all__ = [
-    "RankMetrics",
-    "collect_run_metrics",
+    "run_metrics",
+    "mailbox_depth_histogram",
     "MESSAGE_WORD_BUCKETS",
     "COLLECTIVE_FANOUT_BUCKETS",
     "MAILBOX_DEPTH_BUCKETS",
@@ -71,102 +78,74 @@ MAILBOX_DEPTH_BUCKETS = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
 )
 
-
-class RankMetrics:
-    """One rank's registry plus cached hot-path instruments."""
-
-    __slots__ = (
-        "rank",
-        "registry",
-        "span_depth",
-        "sends_total",
-        "sent_words_total",
-        "sent_messages_total",
-        "message_words",
-        "collective_fanout",
-        "mailbox_depth",
-        "events_dropped",
-        "ring_occupancy",
-        "_collective_counters",
-    )
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        reg = MetricsRegistry()
-        self.registry = reg
-        #: live collective-nesting depth (only depth-0 calls are counted,
-        #: so e.g. the reduce+bcast inside an allreduce is one call)
-        self.span_depth = 0
-        self.sends_total = reg.counter(
-            "simmpi_sends_total", help="Point-to-point sends issued."
-        )
-        self.sent_words_total = reg.counter(
-            "simmpi_sent_words_total",
-            help="Words injected into the network (the model's W).",
-        )
-        self.sent_messages_total = reg.counter(
-            "simmpi_sent_messages_total",
-            help="Messages injected into the network (the model's S).",
-        )
-        self.message_words = reg.histogram(
-            "simmpi_message_words",
-            MESSAGE_WORD_BUCKETS,
-            help="Distribution of words per point-to-point send.",
-        )
-        self.collective_fanout = reg.histogram(
-            "simmpi_collective_fanout",
-            COLLECTIVE_FANOUT_BUCKETS,
-            help="Communicator size per depth-0 collective call.",
-        )
-        self.mailbox_depth = reg.histogram(
-            "simmpi_mailbox_depth",
-            MAILBOX_DEPTH_BUCKETS,
-            help="Pending messages in the destination mailbox after a deposit.",
-        )
-        self.events_dropped = reg.counter(
-            "simmpi_trace_events_dropped_total",
-            help="Trace events lost to ring-buffer wraparound.",
-        )
-        self.ring_occupancy = reg.gauge(
-            "simmpi_trace_ring_occupancy_ratio",
-            help="Final trace-ring fill fraction (max over ranks when merged).",
-        )
-        self._collective_counters: dict[str, object] = {}
-
-    # -- hooks (hot paths) ----------------------------------------------
-
-    def observe_send(self, words: int, messages: int) -> None:
-        """Record one point-to-point send of ``words`` in ``messages``."""
-        self.sends_total.value += 1.0
-        self.sent_words_total.value += words
-        self.sent_messages_total.value += messages
-        self.message_words.observe(words)
-
-    def observe_collective(self, name: str, size: int) -> None:
-        """Record entering a depth-0 collective on a ``size``-rank comm."""
-        counter = self._collective_counters.get(name)
-        if counter is None:
-            counter = self.registry.counter(
-                "simmpi_collectives_total",
-                labels={"collective": name},
-                help="Depth-0 collective calls by name.",
-            )
-            self._collective_counters[name] = counter
-        counter.value += 1.0  # type: ignore[attr-defined]
-        self.collective_fanout.observe(size)
+_MAILBOX_DEPTH = "simmpi_mailbox_depth"
+_MAILBOX_DEPTH_HELP = "Pending messages in the destination mailbox after a deposit."
 
 
-def collect_run_metrics(world) -> MetricsRegistry:
-    """Finalize and merge a run's per-rank registries (post-join only).
+def mailbox_depth_histogram() -> Histogram:
+    """A fresh histogram for one mailbox's post-deposit queue depth."""
+    return Histogram(_MAILBOX_DEPTH, MAILBOX_DEPTH_BUCKETS, help=_MAILBOX_DEPTH_HELP)
 
-    Folds trace-ring health (drops, occupancy) into each rank's registry
-    when the run was also traced, then returns the cross-rank merge:
-    counters and histograms sum, gauges keep the worst rank.
+
+def run_metrics(event_logs, mailbox_depths) -> MetricsRegistry:
+    """Fold a traced run's event logs (and mailbox depths) into a registry.
+
+    ``event_logs`` are the run's per-rank
+    :class:`~repro.simmpi.events.EventLog`\\ s; ``mailbox_depths`` the
+    per-mailbox histograms of :func:`mailbox_depth_histogram`. Counters
+    and histograms sum over ranks; the occupancy gauge keeps the worst
+    rank.
     """
-    for rm, counter in zip(world.rank_metrics, world.counters):
-        elog = counter.elog
-        if elog is not None:
-            if elog.dropped:
-                rm.events_dropped.inc(elog.dropped)
-            rm.ring_occupancy.set(len(elog) / elog.capacity)
-    return MetricsRegistry.merged(rm.registry for rm in world.rank_metrics)
+    reg = MetricsRegistry()
+    sends = reg.counter("simmpi_sends_total", help="Point-to-point sends issued.")
+    sent_words = reg.counter(
+        "simmpi_sent_words_total",
+        help="Words injected into the network (the model's W).",
+    )
+    sent_messages = reg.counter(
+        "simmpi_sent_messages_total",
+        help="Messages injected into the network (the model's S).",
+    )
+    message_words = reg.histogram(
+        "simmpi_message_words",
+        MESSAGE_WORD_BUCKETS,
+        help="Distribution of words per point-to-point send.",
+    )
+    fanout = reg.histogram(
+        "simmpi_collective_fanout",
+        COLLECTIVE_FANOUT_BUCKETS,
+        help="Communicator size per depth-0 collective call.",
+    )
+    depth = reg.histogram(
+        _MAILBOX_DEPTH, MAILBOX_DEPTH_BUCKETS, help=_MAILBOX_DEPTH_HELP
+    )
+    dropped = reg.counter(
+        "simmpi_trace_events_dropped_total",
+        help="Trace events lost to ring-buffer wraparound.",
+    )
+    occupancy = reg.gauge(
+        "simmpi_trace_ring_occupancy_ratio",
+        help="Final trace-ring fill fraction (max over ranks when merged).",
+    )
+    collectives: dict[str, float] = {}
+    for log in event_logs:
+        for ev in log.events():
+            if ev.kind == "send":
+                sends.value += 1.0
+                sent_words.value += ev.words
+                sent_messages.value += ev.messages
+                message_words.observe(ev.words)
+            elif ev.kind == "coll" and ev.depth == 0:
+                collectives[ev.tag] = collectives.get(ev.tag, 0.0) + 1.0
+                fanout.observe(ev.size)
+        dropped.inc(log.dropped)
+        occupancy.set(max(occupancy.value, len(log) / log.capacity))
+    for name, calls in collectives.items():
+        reg.counter(
+            "simmpi_collectives_total",
+            labels={"collective": name},
+            help="Depth-0 collective calls by name.",
+        ).inc(calls)
+    for hist in mailbox_depths:
+        depth._merge_from(hist)
+    return reg

@@ -146,6 +146,7 @@ class RunRecord:
     #: machine-wide envelope peak from the power telemetry — only
     #: available when the run was traced (event logs, no ring drops)
     peak_watts: float | None = None
+    #: headline snapshot of the run metrics (traced runs only)
     metrics: dict[str, Any] | None = None
     wall_seconds: float | None = None
     git_sha: str | None = None

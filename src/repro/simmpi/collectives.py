@@ -22,7 +22,7 @@ alltoall_bruck  Bruck (p = 2^j)         S = log2 p, W = (p/2) k log2 p
 (k here is the per-destination block size for the all-to-alls.)
 
 When the world runs without per-message observers (no tracing, no
-metrics, no fault plan) a collective called with its default algorithm
+fault plan) a collective called with its default algorithm
 and the built-in :func:`sum_op` dispatches to the analytic fast path
 (:mod:`repro.simmpi.fastpath`) instead of the envelope simulation
 below — same counts, virtual clocks and payloads, resolved once per

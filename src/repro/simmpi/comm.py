@@ -63,12 +63,8 @@ class Comm:
         #: metering hooks below test it once per operation, which is the
         #: entire overhead of the disabled tracing path
         self._elog = world.counters[self._group[rank]].elog
-        #: this rank's RankMetrics (None when the world is unmetered);
-        #: same zero-overhead-when-off discipline as ``_elog``
-        rank_metrics = world.rank_metrics
-        self._mx = None if rank_metrics is None else rank_metrics[self._group[rank]]
         #: the world's live FaultState (None for fault-free runs); same
-        #: zero-overhead-when-off discipline as ``_elog``/``_mx``
+        #: zero-overhead-when-off discipline as ``_elog``
         self._fx = world.faults
         #: the fast-path rendezvous gate for this communicator's context,
         #: or None when ineligible (world-level observers active, world
@@ -200,8 +196,6 @@ class Comm:
             cost = machine.alpha_t * msgs + machine.beta_t * words
             counter.advance_clock(cost)
             departure = counter.vtime
-        if self._mx is not None:
-            self._mx.observe_send(words, msgs)
         trace_ref = None
         if self._elog is not None:
             seq = self._elog.append(

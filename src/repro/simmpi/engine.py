@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from time import monotonic as _monotonic
 from typing import Any, Callable
 
@@ -45,12 +46,23 @@ class SpmdResult:
     #: per-rank EventLogs when the run was traced (``trace=True``),
     #: else None — input to the :mod:`repro.analysis.timeline` analyses
     event_logs: tuple | None = None
-    #: merged run-level :class:`~repro.metrics.registry.MetricsRegistry`
-    #: when the run was metered (``metrics=True``), else None
-    metrics: object | None = None
+    #: per-rank mailbox-depth histograms when the run was traced, else
+    #: None — the host-side part of :attr:`metrics`
+    mailbox_depths: tuple | None = None
     #: ranks whose injected crash fired during the run (their ``results``
     #: entries are None); empty for fault-free runs
     crashed: tuple[int, ...] = ()
+
+    @cached_property
+    def metrics(self):
+        """Run-level :class:`~repro.metrics.registry.MetricsRegistry`
+        folded from the event logs on first read (traced runs only),
+        else None — see :func:`repro.metrics.runtime.run_metrics`."""
+        if self.event_logs is None:
+            return None
+        from repro.metrics.runtime import run_metrics
+
+        return run_metrics(self.event_logs, self.mailbox_depths)
 
     def __iter__(self):
         return iter(self.results)
@@ -97,16 +109,14 @@ def _finalize(
         raise RankFailedError(primary or merged)
 
     report = TraceReport(ranks=tuple(c.snapshot() for c in world.counters))
-    metrics = None
-    if world.rank_metrics is not None:
-        from repro.metrics.runtime import collect_run_metrics
-
-        metrics = collect_run_metrics(world)
+    mailbox_depths = None
+    if world.trace:
+        mailbox_depths = tuple(box.depths for box in world.mailboxes)
     result = SpmdResult(
         results=tuple(results),
         report=report,
         event_logs=world.event_logs,
-        metrics=metrics,
+        mailbox_depths=mailbox_depths,
         crashed=tuple(sorted(crashes)),
     )
     if world.record is not None:
@@ -129,7 +139,6 @@ def run_spmd(
     payload_mode: str = "cow",
     trace: bool = False,
     trace_capacity: int | None = None,
-    metrics: bool = False,
     faults: Any = None,
     fastpath: bool = True,
     record: Any = None,
@@ -168,19 +177,14 @@ def run_spmd(
         Record per-rank structured event logs (sends, receives,
         collective spans, kernel spans) for the
         :mod:`repro.analysis.timeline` analyses; the result's
-        ``event_logs`` / :meth:`SpmdResult.timeline` expose them.
-        Counts are bit-identical traced or not; the untraced default
-        pays only one ``is None`` test per operation.
+        ``event_logs`` / :meth:`SpmdResult.timeline` expose them, and
+        :attr:`SpmdResult.metrics` folds them into runtime metrics on
+        first read. Counts are bit-identical traced or not; the
+        untraced default pays only one ``is None`` test per operation.
     trace_capacity:
         Per-rank event ring size (default
         :data:`~repro.simmpi.events.DEFAULT_TRACE_CAPACITY`); overflow
         drops the oldest events.
-    metrics:
-        Record runtime metrics (message-size / collective-fan-out /
-        mailbox-depth histograms, send totals, trace-ring health) into
-        per-rank registries merged onto ``SpmdResult.metrics``. Counts
-        and virtual clocks are bit-identical metered or not; the
-        unmetered default pays only one ``is None`` test per operation.
     faults:
         Optional :class:`~repro.simmpi.faults.FaultPlan` of deterministic
         injected failures (rank crashes, message drops/duplicates/delays,
@@ -192,7 +196,7 @@ def run_spmd(
         with ``faults=None`` versus an empty plan.
     fastpath:
         When True (default), eligible collectives (default algorithm,
-        built-in reduce op, no tracing/metrics/faults) resolve
+        built-in reduce op, no tracing/faults) resolve
         analytically instead of simulating every envelope — identical
         counts, virtual clocks and payloads at a fraction of the
         wall-clock cost (see :mod:`repro.simmpi.fastpath`). Pass False
@@ -224,7 +228,6 @@ def run_spmd(
         payload_mode=payload_mode,
         trace=trace,
         trace_capacity=trace_capacity,
-        metrics=metrics,
         faults=faults,
         fastpath=fastpath,
         record=record,

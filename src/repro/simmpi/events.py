@@ -11,8 +11,8 @@ structured :class:`Event` records appended by the metering hooks in
   tallies, the peer's world rank and (on receives) a ``ref`` to the
   matching send event so cross-rank dependencies can be replayed;
 * ``coll`` — a collective span (begin/end virtual times plus the
-  F/W/S the collective charged), tagged with the collective name and
-  algorithm;
+  F/W/S the collective charged), tagged with the collective name,
+  algorithm and communicator size;
 * ``alloc`` / ``release`` — memory high-water tracking marks.
 
 Events carry *virtual* times: ``t0``/``t1`` are the rank's clock before
@@ -27,6 +27,13 @@ owning rank's thread appends during a run, and readers look only after
 the SPMD join. The default path stays zero-overhead: when tracing is
 off no ``EventLog`` exists and every hook is a single ``is None`` test
 (guarded by ``benchmarks/bench_trace_overhead.py``).
+
+Everything that observes a traced run reads these logs after the join
+and adds no hook of its own: the timeline and critical path
+(:mod:`repro.analysis.timeline`), the Eq. (2) power trace
+(:mod:`repro.analysis.powertrace`) and the run metrics
+(:func:`repro.metrics.runtime.run_metrics`, read as
+``SpmdResult.metrics``).
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ class Event:
     tag: Any = None  # message tag / collective name / kernel label
     detail: str = ""  # collective algorithm etc.
     depth: int = 0  # collective-nesting depth when recorded
+    size: int = 0  # communicator size (coll only)
     ref: tuple[int, int] | None = None  # (rank, seq) of the matching send
 
     @property
@@ -127,6 +135,7 @@ class EventLog:
         tag: Any = None,
         detail: str = "",
         ref: tuple[int, int] | None = None,
+        size: int = 0,
     ) -> int:
         """Record an event; returns its ``seq`` id."""
         seq = self._count
@@ -145,6 +154,7 @@ class EventLog:
             detail=detail,
             depth=self.span_depth,
             ref=ref,
+            size=size,
         )
         if seq < self.capacity:
             self._buf.append(ev)
@@ -206,26 +216,20 @@ class _CollectiveSpan:
 
     Snapshots the rank's clock and sent/flop tallies on entry and logs
     the deltas on exit, so each span carries exactly the F/W/S the
-    collective charged. Nested collectives (e.g. the scatter+allgather
-    inside a large-message bcast) record at increasing ``depth``;
-    breakdowns aggregate depth-0 spans only to avoid double counting.
-
-    The span doubles as the metrics hook for collectives: when the run
-    is metered (``metrics=True``), entering a *depth-0* span records the
-    call and the communicator's fan-out into the rank's
-    :class:`~repro.metrics.runtime.RankMetrics`. The metrics nesting
-    depth is tracked on the RankMetrics itself so metering works with
-    tracing off (and matches ``elog.span_depth`` when both are on).
+    collective charged, plus the communicator's size (the fan-out that
+    :func:`repro.metrics.runtime.run_metrics` folds). Nested
+    collectives (e.g. the scatter+allgather inside a large-message
+    bcast) record at increasing ``depth``; breakdowns and metrics
+    aggregate depth-0 spans only to avoid double counting.
     """
 
     __slots__ = (
-        "_elog", "_mx", "_size", "_counter", "_name", "_detail",
+        "_elog", "_size", "_counter", "_name", "_detail",
         "_t0", "_w0", "_m0", "_f0",
     )
 
-    def __init__(self, elog, mx, size: int, counter, name: str, detail: str):
+    def __init__(self, elog, size: int, counter, name: str, detail: str):
         self._elog = elog
-        self._mx = mx
         self._size = size
         self._counter = counter
         self._name = name
@@ -237,22 +241,12 @@ class _CollectiveSpan:
         self._w0 = c.words_sent
         self._m0 = c.messages_sent
         self._f0 = c.flops
-        if self._elog is not None:
-            self._elog.span_depth += 1
-        mx = self._mx
-        if mx is not None:
-            if mx.span_depth == 0:
-                mx.observe_collective(self._name, self._size)
-            mx.span_depth += 1
+        self._elog.span_depth += 1
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        if self._mx is not None:
-            self._mx.span_depth -= 1
-        elog = self._elog
-        if elog is None:
-            return False
         c = self._counter
+        elog = self._elog
         elog.span_depth -= 1
         elog.append(
             "coll",
@@ -263,19 +257,18 @@ class _CollectiveSpan:
             flops=c.flops - self._f0,
             tag=self._name,
             detail=self._detail,
+            size=self._size,
         )
         return False
 
 
 def collective_span(comm, name: str, detail: str = ""):
-    """Context manager tracing/metering one collective call on ``comm``.
+    """Context manager tracing one collective call on ``comm``.
 
-    Returns a shared no-op object when the world is neither traced nor
-    metered, so the default path pays two attribute tests and no
-    allocation.
+    Returns a shared no-op object when the world is untraced, so the
+    default path pays one attribute test and no allocation.
     """
     elog = comm._elog
-    mx = comm._mx
-    if elog is None and mx is None:
+    if elog is None:
         return _NULL_SPAN
-    return _CollectiveSpan(elog, mx, comm.size, comm.counter, name, detail)
+    return _CollectiveSpan(elog, comm.size, comm.counter, name, detail)

@@ -6,8 +6,8 @@ thread mailboxes, each paying a lock, a condition-variable wake and
 per-hop metering under the GIL. Those envelopes exist only to produce
 three observable effects — per-rank counter increments, per-rank
 virtual-clock advances, and delivered payloads. When nothing is
-watching the individual messages (no tracing, no metrics, no fault
-plan, no custom reduce op), all three can be computed *analytically*
+watching the individual messages (no tracing, no fault plan, no
+custom reduce op), all three can be computed *analytically*
 from the same recurrences the binomial/ring/Bruck algorithms induce,
 without any envelope ever crossing a mailbox.
 
@@ -54,7 +54,7 @@ collectives on the same communicator) are reported as
 path's eventual timeout — a deliberate diagnostic upgrade.
 
 The fall-back rules live at the dispatch sites in
-:mod:`repro.simmpi.collectives`: tracing, metrics, fault plans,
+:mod:`repro.simmpi.collectives`: tracing, fault plans,
 non-default algorithms and non-builtin reduce ops all take the real
 message path, unchanged.
 """

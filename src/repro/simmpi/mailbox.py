@@ -40,7 +40,7 @@ class Mailbox:
 
     __slots__ = (
         "owner_rank",
-        "metrics",
+        "depths",
         "_lock",
         "_ready",
         "_boxes",
@@ -51,11 +51,11 @@ class Mailbox:
 
     def __init__(self, owner_rank: int):
         self.owner_rank = owner_rank
-        #: owner rank's RankMetrics when the run is metered, else None;
-        #: depth observations happen under the mailbox lock, so senders
-        #: racing on put() are serialized and the owner never touches
-        #: this histogram elsewhere
-        self.metrics = None
+        #: histogram of the pending-message count after each deposit when
+        #: the world is traced, else None (set by the World). Observations
+        #: happen under the mailbox lock, so senders racing on put() are
+        #: serialized, and the histogram is read only after the join.
+        self.depths = None
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         # (source_world_rank, context_id) -> {tag: FIFO of (stamp, payload)}
@@ -92,8 +92,8 @@ class Mailbox:
             self._stamp += 1
             chan.append((self._stamp, payload))
             self._pending += 1
-            if self.metrics is not None:
-                self.metrics.mailbox_depth.observe(self._pending)
+            if self.depths is not None:
+                self.depths.observe(self._pending)
             self._ready.notify_all()
 
     def get(

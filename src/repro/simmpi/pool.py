@@ -90,8 +90,8 @@ class SpmdPool:
         ``simmpi_pool_busy_seconds_total`` per worker (labeled
         ``worker=<index>``) plus a ``simmpi_pool_workers`` gauge —
         exposed via :attr:`metrics`. Off by default; the disabled worker
-        loop is unchanged. This is independent of the per-run
-        ``metrics=`` flag of :meth:`run`.
+        loop is unchanged. Per-run metrics are separate: a traced run's
+        ``SpmdResult.metrics`` is folded from its event logs.
 
     The pool is a context manager; leaving the ``with`` block shuts the
     workers down. A pool survives failed runs — a program raising in
@@ -200,7 +200,6 @@ class SpmdPool:
         payload_mode: str = "cow",
         trace: bool = False,
         trace_capacity: int | None = None,
-        metrics: bool = False,
         faults: Any = None,
         fastpath: bool = True,
         record: Any = None,
@@ -211,9 +210,9 @@ class SpmdPool:
         Drop-in equivalent of :func:`~repro.simmpi.engine.run_spmd` —
         identical signature, results, trace counts, and failure
         behavior (including ``trace=``/``trace_capacity=`` event
-        tracing, ``metrics=`` run metrics, ``faults=`` injection, the
-        ``fastpath=`` analytic-collective toggle and the ``record=``
-        run-ledger hook) —
+        tracing and the run metrics folded from it, ``faults=``
+        injection, the ``fastpath=`` analytic-collective toggle and the
+        ``record=`` run-ledger hook) —
         minus the per-call thread spawn/join. Like ``run_spmd``'s join
         watchdog, a rank wedged outside a receive raises
         :class:`~repro.exceptions.DeadlockError` naming the stuck ranks
@@ -229,7 +228,6 @@ class SpmdPool:
             payload_mode=payload_mode,
             trace=trace,
             trace_capacity=trace_capacity,
-            metrics=metrics,
             faults=faults,
             fastpath=fastpath,
             record=record,

@@ -54,19 +54,14 @@ class World:
         When True, every rank records structured events (sends,
         receives, collective spans, kernel spans, alloc/release) into a
         per-rank :class:`~repro.simmpi.events.EventLog` for the
-        :mod:`repro.analysis.timeline` analyses. Off by default — the
+        post-hoc consumers (:mod:`repro.analysis.timeline`, the power
+        trace, ``SpmdResult.metrics``), and every mailbox observes its
+        queue depth after each deposit into its own histogram (the one
+        host-side metric the logs cannot carry). Off by default — the
         untraced path pays only one ``is None`` test per operation.
     trace_capacity:
         Per-rank event ring capacity; older events are overwritten once
         it is exceeded (counted in ``CounterSnapshot.events_dropped``).
-    metrics:
-        When True, every rank records runtime metrics (message-size,
-        collective fan-out and mailbox-depth distributions, send
-        totals, trace-ring health) into a per-rank
-        :class:`~repro.metrics.runtime.RankMetrics`, merged at run end
-        into ``SpmdResult.metrics``. Off by default — the disabled path
-        pays only one ``is None`` test per operation, and counts and
-        virtual clocks are bit-identical either way.
     faults:
         Optional :class:`~repro.simmpi.faults.FaultPlan`. When given
         (and non-empty), each rank's metered operations tick the plan's
@@ -82,9 +77,8 @@ class World:
         instead of moving O(p log p) envelopes through mailboxes —
         bit-identical counts, virtual clocks and payloads (see
         :mod:`repro.simmpi.fastpath`). Automatically disabled when
-        ``trace``, ``metrics`` or ``faults`` need to observe individual
-        messages; pass ``fastpath=False`` to force the message path
-        outright.
+        ``trace`` or ``faults`` need to observe individual messages;
+        pass ``fastpath=False`` to force the message path outright.
     record:
         Optional run-ledger hook — a
         :class:`~repro.observatory.ledger.RunRecorder` (or bare
@@ -107,7 +101,6 @@ class World:
         payload_mode: str = "cow",
         trace: bool = False,
         trace_capacity: int | None = None,
-        metrics: bool = False,
         faults=None,
         fastpath: bool = True,
         record=None,
@@ -154,14 +147,10 @@ class World:
             )
             for counter, log in zip(self.counters, self.event_logs):
                 counter.elog = log
-        #: per-rank RankMetrics when metered, else None (zero-overhead path)
-        self.rank_metrics = None
-        if metrics:
-            from repro.metrics.runtime import RankMetrics
+            from repro.metrics.runtime import mailbox_depth_histogram
 
-            self.rank_metrics = tuple(RankMetrics(r) for r in range(size))
-            for box, rm in zip(self.mailboxes, self.rank_metrics):
-                box.metrics = rm
+            for box in self.mailboxes:
+                box.depths = mailbox_depth_histogram()
         #: live FaultState when a non-empty FaultPlan was given, else None
         #: (zero-overhead path — one ``is None`` test per operation)
         self.faults = faults.activate(size) if faults else None
@@ -174,14 +163,9 @@ class World:
         #: set once any rank raises; receivers poll it via interrupt()
         self.failed = threading.Event()
         #: True when eligible collectives resolve analytically — any
-        #: per-message observer (tracing, metrics, faults) forces the
-        #: faithful envelope simulation instead
-        self.fastpath = (
-            bool(fastpath)
-            and not self.trace
-            and self.rank_metrics is None
-            and self.faults is None
-        )
+        #: per-message observer (tracing, faults) forces the faithful
+        #: envelope simulation instead
+        self.fastpath = bool(fastpath) and not self.trace and self.faults is None
         #: per-communicator-context CollectiveGates, created lazily by
         #: collective_gate() as Comms are constructed
         self._gates: dict[tuple, object] = {}

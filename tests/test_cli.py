@@ -1,8 +1,23 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def assert_matches_golden(text: str, golden: str) -> None:
+    """``--metrics-out`` output equals the committed file byte for byte,
+    apart from the mailbox-depth samples (they depend on thread
+    scheduling; their HELP/TYPE header lines are kept)."""
+    lines = text.splitlines(keepends=True)
+    depth = [x for x in lines if x.startswith("simmpi_mailbox_depth_")]
+    kept = "".join(x for x in lines if not x.startswith("simmpi_mailbox_depth_"))
+    assert kept == (DATA / golden).read_text(encoding="utf-8")
+    assert len(depth) == 13  # 11 buckets + _sum + _count
 
 
 class TestParser:
@@ -179,6 +194,12 @@ class TestProfileCommand:
         text = prom.read_text()
         assert "# TYPE simmpi_sent_words_total counter" in text
         assert "simmpi_message_words_bucket" in text
+        assert_matches_golden(text, "profile_nbody_p2_n8.prom")
+
+    def test_profile_metrics_out_matmul25d(self, capsys, tmp_path):
+        prom = tmp_path / "metrics.prom"
+        assert main(["profile", "matmul25d", "--metrics-out", str(prom)]) == 0
+        assert_matches_golden(prom.read_text(), "profile_matmul25d.prom")
 
     def test_profile_sweep(self, capsys):
         assert main(["profile", "matmul25d", "--sweep", "--n", "16"]) == 0

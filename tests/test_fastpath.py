@@ -350,8 +350,12 @@ class TestFallbacks:
         assert any(e.kind == "coll" for e in out.event_logs[0].events())
 
     def test_metrics_forces_message_path(self, poisoned):
-        out = run_spmd(4, _prog_allreduce, metrics=True)
-        assert out.metrics is not None
+        # run metrics come from the event log, so they ride the traced
+        # message path
+        out = run_spmd(4, _prog_allreduce, trace=True)
+        assert out.metrics.get(
+            "simmpi_collectives_total", {"collective": "allreduce"}
+        ).value == 4.0
 
     def test_faults_force_message_path(self, poisoned):
         plan = FaultPlan([SlowdownFault(rank=1, factor=2.0, first_op=2, last_op=4)])
@@ -409,7 +413,6 @@ class TestFallbacks:
         assert run_spmd(4, prog).results == (True,) * 4
         assert run_spmd(4, prog, fastpath=False).results == (False,) * 4
         assert run_spmd(4, prog, trace=True).results == (False,) * 4
-        assert run_spmd(4, prog, metrics=True).results == (False,) * 4
         assert run_spmd(1, prog).results == (False,)
 
 

@@ -16,7 +16,8 @@ from repro.metrics import (
     to_json_dict,
     to_prometheus,
 )
-from repro.simmpi import SpmdPool, run_spmd
+from repro.scenarios import SCENARIOS, build_scenario
+from repro.simmpi import CartComm, SpmdPool, run_spmd
 
 
 def ring_prog(comm, words: int = 16, rounds: int = 3) -> float:
@@ -160,19 +161,26 @@ class TestRunMetrics:
         assert out.metrics is None
 
     def test_counts_bit_identical_on_off(self):
-        on = run_spmd(4, ring_prog, metrics=True)
+        on = run_spmd(4, ring_prog, trace=True)
+        assert on.metrics is not None
         off = run_spmd(4, ring_prog)
         assert on.report.counts_signature() == off.report.counts_signature()
 
     def test_vtimes_bit_identical_on_off(self, machine):
-        on = run_spmd(4, ring_prog, machine=machine, metrics=True)
+        on = run_spmd(4, ring_prog, machine=machine, trace=True)
+        assert on.metrics is not None
         off = run_spmd(4, ring_prog, machine=machine)
         assert tuple(r.vtime for r in on.report.ranks) == tuple(
             r.vtime for r in off.report.ranks
         )
 
+    def test_derived_once_on_first_read(self):
+        out = run_spmd(2, ring_prog, trace=True)
+        assert "metrics" not in vars(out)
+        assert out.metrics is out.metrics
+
     def test_send_totals_match_report(self):
-        out = run_spmd(4, ring_prog, metrics=True)
+        out = run_spmd(4, ring_prog, trace=True)
         reg = out.metrics
         assert reg.get("simmpi_sent_words_total").value == out.report.total_words
         assert (
@@ -187,7 +195,7 @@ class TestRunMetrics:
             comm.allreduce(float(comm.rank))
             return None
 
-        out = run_spmd(4, prog, metrics=True)
+        out = run_spmd(4, prog, trace=True)
         counted = {
             (m.labels[0][1], m.value)
             for m in out.metrics.metrics()
@@ -195,37 +203,84 @@ class TestRunMetrics:
         }
         assert counted == {("allreduce", 4.0)}
 
+    def test_fanout_on_subcommunicators(self):
+        # Two bcasts on each 2-rank row of a 2x2 grid, then one world
+        # allreduce (whose nested bcast is depth 1). Fan-out is the
+        # communicator's size, not the world's.
+        def prog(comm):
+            row = CartComm(comm, (2, 2)).axis(1).comm
+            for _ in range(2):
+                row.bcast(float(comm.rank), root=0)
+            comm.allreduce(1.0)
+            return row.size
+
+        out = run_spmd(4, prog, trace=True)
+        assert out.results == (2, 2, 2, 2)
+        reg = out.metrics
+        fanout = reg.get("simmpi_collective_fanout")
+        le = dict(zip(fanout.bounds, fanout.counts))
+        assert le[2.0] == 8  # 4 ranks x 2 row bcasts, 2 each
+        assert le[4.0] == 4  # 4 ranks x 1 world allreduce
+        assert (fanout.count, fanout.sum) == (12, 8 * 2 + 4 * 4)
+        assert reg.get("simmpi_collectives_total", {"collective": "bcast"}).value == 8
+        assert (
+            reg.get("simmpi_collectives_total", {"collective": "allreduce"}).value
+            == 4
+        )
+        assert reg.get("simmpi_collectives_total", {"collective": "reduce"}) is None
+
     def test_mailbox_depth_observed(self):
-        out = run_spmd(4, ring_prog, metrics=True)
+        out = run_spmd(4, ring_prog, trace=True)
         h = out.metrics.get("simmpi_mailbox_depth")
         assert h.count > 0
 
     def test_dropped_events_surfaced(self):
-        out = run_spmd(2, ring_prog, trace=True, trace_capacity=4, metrics=True)
-        dropped = out.metrics.get("simmpi_trace_events_dropped_total").value
+        out = run_spmd(2, ring_prog, trace=True, trace_capacity=4)
+        reg = out.metrics
+        dropped = reg.get("simmpi_trace_events_dropped_total").value
         assert dropped == sum(log.dropped for log in out.event_logs)
         assert dropped > 0
+        # The send and collective families fold only the retained events.
+        retained_sends = sum(
+            ev.kind == "send" for log in out.event_logs for ev in log.events()
+        )
+        assert reg.get("simmpi_sends_total").value == retained_sends
+        assert reg.get("simmpi_sent_words_total").value < out.report.total_words
+        assert reg.get("simmpi_trace_ring_occupancy_ratio").value == 1.0
 
-    def test_no_trace_means_zero_dropped(self):
-        out = run_spmd(2, ring_prog, metrics=True)
-        assert out.metrics.get("simmpi_trace_events_dropped_total").value == 0.0
+
+class TestScenarioMetrics:
+    @pytest.mark.parametrize("workload", sorted(SCENARIOS))
+    def test_totals_and_mailbox_depth(self, workload):
+        p, n, _ = SCENARIOS[workload]
+        program, args, _ = build_scenario(workload, p, n)
+        out = run_spmd(p, program, *args, trace=True)
+        reg = out.metrics
+        assert reg.get("simmpi_sent_words_total").value == out.report.total_words
+        assert (
+            reg.get("simmpi_sent_messages_total").value
+            == out.report.total_messages
+        )
+        # Every send is a deposit; communicator set-up adds unmetered ones.
+        sends = reg.get("simmpi_sends_total").value
+        assert reg.get("simmpi_mailbox_depth").count >= sends
 
 
 class TestPoolReuse:
     def test_fresh_registry_per_run(self):
-        """Worker reuse must not leak per-rank metric state across runs."""
+        """Worker reuse must not leak per-run metric state across runs."""
         with SpmdPool() as pool:
-            first = pool.run(4, ring_prog, metrics=True)
-            second = pool.run(4, ring_prog, metrics=True)
+            first = pool.run(4, ring_prog, trace=True)
+            second = pool.run(4, ring_prog, trace=True)
         a = first.metrics.get("simmpi_sent_words_total").value
         b = second.metrics.get("simmpi_sent_words_total").value
         assert a == b  # identical workload -> identical (not doubled) totals
 
     def test_metrics_off_run_between_metered_runs(self):
         with SpmdPool() as pool:
-            on = pool.run(4, ring_prog, metrics=True)
+            on = pool.run(4, ring_prog, trace=True)
             off = pool.run(4, ring_prog)
-            again = pool.run(4, ring_prog, metrics=True)
+            again = pool.run(4, ring_prog, trace=True)
         assert off.metrics is None
         assert (
             on.metrics.get("simmpi_sent_words_total").value
@@ -301,7 +356,7 @@ class TestExport:
         assert by_name["words"]["counts"] == [1, 0, 1]
 
     def test_run_registry_exports(self):
-        out = run_spmd(2, ring_prog, metrics=True)
+        out = run_spmd(2, ring_prog, trace=True)
         text = to_prometheus(out.metrics)
         assert "simmpi_sent_words_total" in text
         json.dumps(to_json_dict(out.metrics))
