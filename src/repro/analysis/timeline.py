@@ -10,6 +10,10 @@ them into answers to "where did the simulated time go?":
   (:func:`~repro.analysis.asciiplot.gantt_chart`), and a
   Chrome/Perfetto ``trace.json`` exporter
   (:meth:`Timeline.save_chrome_trace`; open in https://ui.perfetto.dev).
+  One event generator feeds both :meth:`Timeline.to_chrome_trace` (the
+  object) and the file writer, which streams fixed-size batches through
+  the C JSON encoder and never holds the whole document; its bytes equal
+  ``json.dumps(to_chrome_trace(...))``.
 * :class:`CriticalPath` — the exact chain of events that bounds
   :attr:`~repro.simmpi.trace.TraceReport.simulated_time`. The walk
   starts at the finishing rank and follows each stalled receive back to
@@ -30,6 +34,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from repro.analysis.asciiplot import gantt_chart
 from repro.exceptions import ParameterError
@@ -41,6 +47,9 @@ __all__ = ["Timeline", "CriticalPath"]
 
 #: Gantt glyph per event kind (stalled receives drawn as ``.``).
 _GANTT_GLYPHS = {"flops": "#", "coll": "=", "send": ">", "recv": "<"}
+
+#: Events per ``json.dumps`` call when streaming a Perfetto export.
+_EXPORT_BATCH = 1024
 
 
 def _contributes(ev: Event) -> bool:
@@ -274,18 +283,23 @@ class Timeline:
         :class:`~repro.analysis.powertrace.PowerTrace` as ``power``
         merges its counter tracks (``ph: "C"``; machine envelope plus
         one track per rank) so Perfetto draws P(t) above the spans.
+        :meth:`save_chrome_trace` streams the same events to a file.
         """
-        events: list[dict] = []
+        return {
+            "traceEvents": list(self._chrome_events(flows, power)),
+            "displayTimeUnit": "ms",
+        }
+
+    def _chrome_events(self, flows: bool, power) -> Iterator[dict]:
+        """Yield :meth:`to_chrome_trace`'s ``traceEvents``, in order."""
         for rank in range(self.size):
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": rank,
-                    "name": "thread_name",
-                    "args": {"name": f"rank {rank}"},
-                }
-            )
+            yield {
+                "ph": "M",
+                "pid": 0,
+                "tid": rank,
+                "name": "thread_name",
+                "args": {"name": f"rank {rank}"},
+            }
         for log in self.logs:
             for ev in log.events():
                 args = {
@@ -302,68 +316,73 @@ class Timeline:
                 if ev.detail:
                     args["algorithm"] = ev.detail
                 if ev.kind in ("alloc", "release"):
-                    events.append(
-                        {
-                            "ph": "i",
-                            "s": "t",
-                            "pid": 0,
-                            "tid": ev.rank,
-                            "ts": ev.t0 * 1e6,
-                            "name": f"{ev.kind} {ev.words}w",
-                            "cat": ev.kind,
-                            "args": args,
-                        }
-                    )
-                    continue
-                events.append(
-                    {
-                        "ph": "X",
+                    yield {
+                        "ph": "i",
+                        "s": "t",
                         "pid": 0,
                         "tid": ev.rank,
                         "ts": ev.t0 * 1e6,
-                        "dur": ev.duration * 1e6,
-                        "name": ev.label(),
+                        "name": f"{ev.kind} {ev.words}w",
                         "cat": ev.kind,
                         "args": args,
                     }
-                )
+                    continue
+                yield {
+                    "ph": "X",
+                    "pid": 0,
+                    "tid": ev.rank,
+                    "ts": ev.t0 * 1e6,
+                    "dur": ev.duration * 1e6,
+                    "name": ev.label(),
+                    "cat": ev.kind,
+                    "args": args,
+                }
                 if flows and ev.kind == "recv" and ev.ref is not None:
                     sent = self.find(*ev.ref)
                     if sent is None:
                         continue
                     flow_id = f"{ev.ref[0]}.{ev.ref[1]}"
-                    events.append(
-                        {
-                            "ph": "s",
-                            "pid": 0,
-                            "tid": sent.rank,
-                            "ts": sent.t1 * 1e6,
-                            "id": flow_id,
-                            "name": "msg",
-                            "cat": "msg",
-                        }
-                    )
-                    events.append(
-                        {
-                            "ph": "f",
-                            "bp": "e",
-                            "pid": 0,
-                            "tid": ev.rank,
-                            "ts": ev.t1 * 1e6,
-                            "id": flow_id,
-                            "name": "msg",
-                            "cat": "msg",
-                        }
-                    )
+                    yield {
+                        "ph": "s",
+                        "pid": 0,
+                        "tid": sent.rank,
+                        "ts": sent.t1 * 1e6,
+                        "id": flow_id,
+                        "name": "msg",
+                        "cat": "msg",
+                    }
+                    yield {
+                        "ph": "f",
+                        "bp": "e",
+                        "pid": 0,
+                        "tid": ev.rank,
+                        "ts": ev.t1 * 1e6,
+                        "id": flow_id,
+                        "name": "msg",
+                        "cat": "msg",
+                    }
         if power is not None:
-            events.extend(power.counter_events())
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+            yield from power.counter_events()
 
     def save_chrome_trace(self, path, flows: bool = True, power=None) -> None:
         """Write :meth:`to_chrome_trace` as JSON, loadable by
-        https://ui.perfetto.dev or ``chrome://tracing``."""
+        https://ui.perfetto.dev or ``chrome://tracing``.
+
+        The events are streamed: each batch of ``_EXPORT_BATCH`` events
+        is encoded by one ``json.dumps`` call (the C encoder; ``json.dump``
+        always runs the pure-Python one) and written at once, so neither
+        the event list nor the document string is ever held whole. The
+        bytes equal ``json.dumps(self.to_chrome_trace(flows, power))``.
+        """
+        events = self._chrome_events(flows, power)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_chrome_trace(flows=flows, power=power), fh)
+            fh.write('{"traceEvents": [')
+            sep = ""
+            while batch := list(islice(events, _EXPORT_BATCH)):
+                fh.write(sep)
+                fh.write(json.dumps(batch)[1:-1])
+                sep = ", "
+            fh.write('], "displayTimeUnit": "ms"}')
 
 
 class CriticalPath:

@@ -183,7 +183,9 @@ class NBodyOptimizer:
 
         If t_max admits an M0 run, returns (M0, p chosen minimal such
         that T <= t_max). Otherwise runs at the 2D limit M = n/sqrt(p)
-        with the paper's p_min quadratic.
+        with the paper's p_min quadratic. Raises
+        :class:`~repro.exceptions.InfeasibleError` when that p exceeds
+        1e300 (sqrt(p) > 1e150), as a subnormal B can ask for.
         """
         if n <= 0 or t_max <= 0:
             raise ParameterError("n and t_max must be > 0")
@@ -198,11 +200,17 @@ class NBodyOptimizer:
             return OptimalRun(
                 p=p, M=M0, time=self.time(n, p, M0), energy=self.energy(n, M0)
             )
-        # 2D limit: p_min = ((bt n)/(2 Tmax) + sqrt(bt^2 n^2 + 4 Tmax gt f n^2)/(2 Tmax))^2
-        gt_f = g.gamma_t * self.f
-        sqrt_p = (bt * n + math.sqrt(bt**2 * n**2 + 4.0 * t_max * gt_f * n**2)) / (
-            2.0 * t_max
-        )
+        # 2D limit: p_min = ((bt n)/(2 Tmax) + sqrt(bt^2 n^2 + 4 Tmax gt f n^2)/(2 Tmax))^2,
+        # divided through by Tmax so that a vanishing deadline (a subnormal
+        # B makes M0 and the threshold subnormal) overflows towards the
+        # guard instead of underflowing terms of the root to 0.
+        h = bt / (2.0 * t_max)
+        sqrt_p = n * (h + math.sqrt(h * h + g.gamma_t * self.f / t_max))
+        if sqrt_p > 1e150:
+            raise InfeasibleError(
+                f"deadline {t_max!r} s for n={n!r} needs p = {sqrt_p!r}**2 "
+                f"processors at the 2D limit, beyond the sqrt(p) <= 1e150 guard"
+            )
         p = sqrt_p**2
         M = n / math.sqrt(p)
         return OptimalRun(p=p, M=M, time=self.time(n, p, M), energy=self.energy(n, M))

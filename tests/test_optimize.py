@@ -6,13 +6,15 @@ is the argmin; the budget solutions are tight at the boundary; the
 quadratics satisfy their defining constraints)."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimize import NBodyOptimizer
+from repro.core.parameters import MachineParameters
 from repro.exceptions import InfeasibleError, ParameterError
 
 from conftest import machine_strategy
@@ -21,6 +23,31 @@ from conftest import machine_strategy
 @pytest.fixture
 def opt(machine):
     return NBodyOptimizer(machine, interaction_flops=10.0)
+
+
+def subnormal_b_optimizer(interaction_flops=10.0):
+    """Only time per flop, memory energy and a subnormal B = beta_e: M0
+    and the runtime threshold are subnormal, so a 1e-3 fraction of it
+    asks for p far beyond float range."""
+    machine = MachineParameters(
+        gamma_t=1e-13, beta_t=0.0, alpha_t=0.0,
+        gamma_e=0.0, beta_e=5e-324, alpha_e=0.0,
+        delta_e=1e-15, epsilon_e=0.0,
+        memory_words=1024.0, max_message_words=1.0,
+    )
+    return NBodyOptimizer(machine, interaction_flops=interaction_flops)
+
+
+def pmin_sqrt_p(o, n, t_max):
+    """The paper's 2D-limit root sqrt(p_min) = (bt' n + sqrt(bt'^2 n^2 +
+    4 t_max gamma_t f n^2)) / (2 t_max), in 60-digit decimals: no term
+    underflows or overflows, independently of the optimizer's floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        bt, n, t = Decimal(o.bt_eff), Decimal(n), Decimal(t_max)
+        gt_f = Decimal(o.machine.gamma_t) * Decimal(o.f)
+        root = ((bt * n) ** 2 + 4 * t * gt_f * n**2).sqrt()
+        return float((bt * n + root) / (2 * t))
 
 
 def optimizer_strategy():
@@ -152,17 +179,48 @@ class TestMinEnergyGivenRuntime:
         assert run.energy > opt.min_energy(n)
 
     @given(optimizer_strategy(), st.floats(min_value=0.001, max_value=0.5))
+    @example(o=subnormal_b_optimizer(), frac=0.001)
+    @example(
+        # subnormal bt' and B: 4 t_max gamma_t f underflowed to 0 in the
+        # float form, which then returned a p that missed the deadline
+        o=NBodyOptimizer(
+            MachineParameters(
+                gamma_t=1e-13, beta_t=2.2250738585e-313, alpha_t=0.0,
+                gamma_e=0.0, beta_e=0.0, alpha_e=2.2250738585e-313,
+                delta_e=9.57047513261198e-08, epsilon_e=0.0,
+                memory_words=2097152.0, max_message_words=2097152.0,
+            ),
+            interaction_flops=10.0,
+        ),
+        frac=0.5,
+    )
     @settings(max_examples=30)
     def test_pmin_quadratic_is_tight(self, o, frac):
         if o.Dm == 0 or o.B == 0:
             return
         n = 1e6
         t_max = o.runtime_threshold_for_min_energy(n) * frac
-        run = o.min_energy_given_runtime(n, t_max)
+        try:
+            run = o.min_energy_given_runtime(n, t_max)
+        except InfeasibleError:
+            # refused only when p really is beyond float range
+            assert pmin_sqrt_p(o, n, t_max) > 1e150
+            return
         assert run.time <= t_max * (1 + 1e-6)
         # Any fewer processors would miss the deadline.
         t_fewer = o.time(n, run.p * 0.99, n / math.sqrt(run.p * 0.99))
         assert t_fewer > t_max * (1 - 1e-9)
+
+    @pytest.mark.parametrize("interaction_flops", [10.0, 1.0])
+    def test_subnormal_b_deadline_infeasible(self, interaction_flops):
+        # The paper's float form overflowed at sqrt_p**2 for f=10; for
+        # f=1 its discriminant underflowed to 0 and p = 0 divided by zero.
+        o = subnormal_b_optimizer(interaction_flops)
+        n = 1e6
+        t_max = o.runtime_threshold_for_min_energy(n) * 0.001
+        assert pmin_sqrt_p(o, n, t_max) > 1e150
+        with pytest.raises(InfeasibleError, match="deadline"):
+            o.min_energy_given_runtime(n, t_max)
 
     def test_invalid(self, opt):
         with pytest.raises(ParameterError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.matmul25d import matmul_25d
+from repro.analysis import timeline
 from repro.analysis.timeline import CriticalPath
 from repro.exceptions import ParameterError
 from repro.simmpi import run_spmd
@@ -267,3 +268,84 @@ class TestChromeTrace:
         assert data["traceEvents"] == json.loads(
             json.dumps(tl.to_chrome_trace())
         )["traceEvents"]
+
+
+# sha256 of the CLI's Perfetto exports (58,366 B and 68,275 B). They pin
+# the exact bytes users get, so a separator, float-format or ordering
+# drift in the writer fails here even when the parsed events agree.
+TRACE_MATMUL25D_P8_SHA256 = (
+    "c133ad1658e481e720665635201c85d12f1e7dc3f19aef0ebf55757114c1f26c"
+)
+POWER_MATMUL25D_SHA256 = (
+    "69136b29423d11eac8fbe56342cc493440f6b5c7cadd3769ae715dd8a903d402"
+)
+
+
+class TestChromeTraceBytes:
+    """``save_chrome_trace`` writes exactly ``json.dumps(to_chrome_trace())``."""
+
+    @staticmethod
+    def _sha256(path) -> str:
+        import hashlib
+
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_cli_trace_bytes_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        assert main(["trace", "matmul25d", "--p", "8", "--out", str(path)]) == 0
+        assert path.stat().st_size == 58366
+        assert self._sha256(path) == TRACE_MATMUL25D_P8_SHA256
+
+    def test_cli_power_perfetto_bytes_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "power_trace.json"
+        assert main(["power", "matmul25d", "--perfetto-out", str(path)]) == 0
+        assert path.stat().st_size == 68275
+        assert self._sha256(path) == POWER_MATMUL25D_SHA256
+
+    @pytest.fixture(scope="class")
+    def nbody_p32(self):
+        from repro.analysis.powertrace import PowerTrace
+        from repro.analysis.validation import default_machine
+        from repro.scenarios import build_scenario
+
+        machine = default_machine()
+        program, args, _ = build_scenario("nbody", 32, 256)
+        out = run_spmd(32, program, *args, machine=machine, trace=True)
+        return out.timeline(), PowerTrace.from_result(out, machine)
+
+    @pytest.mark.parametrize("flows", [True, False])
+    def test_multi_batch_equals_dumps(self, nbody_p32, flows, tmp_path):
+        tl, pt = nbody_p32
+        doc = tl.to_chrome_trace(flows=flows, power=pt)
+        # several full batches plus a partial one
+        assert len(doc["traceEvents"]) > 3 * timeline._EXPORT_BATCH
+        path = tmp_path / "trace.json"
+        tl.save_chrome_trace(path, flows=flows, power=pt)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc)
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_batch_boundaries_equal_dumps(
+        self, traced_matmul, machine, batch, tmp_path, monkeypatch
+    ):
+        from repro.analysis.powertrace import PowerTrace
+
+        monkeypatch.setattr(timeline, "_EXPORT_BATCH", batch)
+        tl = traced_matmul.timeline()
+        pt = PowerTrace.from_result(traced_matmul, machine)
+        path = tmp_path / "trace.json"
+        tl.save_chrome_trace(path, power=pt)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            tl.to_chrome_trace(power=pt)
+        )
+
+    def test_metadata_only_equals_dumps(self, tmp_path):
+        tl = run_spmd(1, lambda comm: None, trace=True).timeline()
+        doc = tl.to_chrome_trace()
+        assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
+        path = tmp_path / "trace.json"
+        tl.save_chrome_trace(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc)
