@@ -16,6 +16,9 @@ mismatched, exactly like MPI contexts. Context ids are derived
 deterministically from the parent's id, a per-parent split sequence
 number, and the color — identical across ranks without any metadata
 exchange (SPMD programs call split in the same order everywhere).
+Only the membership travels: split gathers every rank's (color, key)
+at local rank 0, which sends each rank its new group and rank — an
+unmetered gather/scatter of 2(p-1) mailbox deposits in two hops.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from repro.simmpi.request import Request
 from repro.simmpi.world import World
 
 __all__ = ["Comm"]
+
+#: Tag of the unmetered split traffic (distinct from any program tag).
+_SPLIT_TAG = ("_setup", "split")
 
 
 class Comm:
@@ -505,23 +511,20 @@ class Comm:
 
     def split(self, color: Hashable, key: int | None = None) -> "Comm":
         """Partition the communicator by ``color``; rank order within each
-        new communicator follows ``key`` (default: current rank).
+        new communicator follows ``key`` (default: current rank), ties
+        broken by current rank.
 
         Every rank must call split (it is collective). The (color, key)
         exchange travels *unmetered*: communicator construction is setup
         machinery outside the paper's cost model (which charges only the
         algorithm's F/W/S), and metering it would pollute small-problem
         count validation with O(p) metadata words per sub-communicator.
+        It is one gather/scatter through local rank 0: 2(p-1) mailbox
+        deposits in two hops (see :meth:`_split_unmetered`).
         """
         if key is None:
             key = self._rank
-        pairs = self._allgather_unmetered((color, key))
-        members = sorted(
-            (r for r, (c, _k) in enumerate(pairs) if c == color),
-            key=lambda r: (pairs[r][1], r),
-        )
-        my_local = members.index(self._rank)
-        group = tuple(self._group[r] for r in members)
+        group, my_local = self._split_unmetered(color, key)
         self._split_seq += 1
         context = (self._context, self._split_seq, color)
         return Comm(self._world, group, my_local, context=context)
@@ -591,37 +594,55 @@ class Comm:
             )
         return payload
 
-    def _allgather_unmetered(self, obj: Any) -> list:
-        """Ring allgather that bypasses the cost counters (setup traffic
-        for communicator construction only)."""
+    def _split_unmetered(self, color: Hashable, key: int) -> tuple[tuple[int, ...], int]:
+        """This rank's (world-rank group, local rank) after a split.
+
+        Every other rank sends its (color, key) to local rank 0, which
+        orders each colour's members by (key, local rank) once and sends
+        each rank its own share back: 2(p-1) deposits in two hops, none
+        of them metered. The replies are fresh tuples of ints, so nothing
+        needs copying on the way.
+        """
         p = self.size
-        out: list = [None] * p
-        out[self._rank] = copy_payload(obj)
         if p == 1:
-            return out
-        right = self._group[(self._rank + 1) % p]
-        left_local = (self._rank - 1) % p
-        left = self._group[left_local]
-        carrying = self._rank
-        block = obj
-        mailbox = self._world.mailboxes[self.world_rank]
-        for step in range(p - 1):
-            self._world.mailboxes[right].put(
-                self.world_rank,
-                self._context,
-                ("_setup", step),
-                Envelope(copy_payload(block), None),
+            return self._group, 0
+        world = self._world
+        me = self.world_rank
+        mailbox = world.mailboxes[me]
+        root = self._group[0]
+        if self._rank != 0:
+            world.mailboxes[root].put(
+                me, self._context, _SPLIT_TAG, Envelope((color, key), None)
             )
-            block = mailbox.get(
-                left,
+            return mailbox.get(
+                root,
                 self._context,
-                ("_setup", step),
-                timeout=self._world.timeout,
-                abort_check=self._abort_for(left),
+                _SPLIT_TAG,
+                timeout=world.timeout,
+                abort_check=self._abort_for(root),
             ).payload
-            carrying = (carrying - 1) % p
-            out[carrying] = block
-        return out
+        members: dict[Hashable, list] = {color: [(key, 0)]}
+        for r in range(1, p):
+            src = self._group[r]
+            c, k = mailbox.get(
+                src,
+                self._context,
+                _SPLIT_TAG,
+                timeout=world.timeout,
+                abort_check=self._abort_for(src),
+            ).payload
+            members.setdefault(c, []).append((k, r))
+        shares: list = [None] * p
+        for ordered in members.values():
+            ordered.sort()
+            group = tuple(self._group[r] for _k, r in ordered)
+            for local, (_k, r) in enumerate(ordered):
+                shares[r] = (group, local)
+        for r in range(1, p):
+            world.mailboxes[self._group[r]].put(
+                me, self._context, _SPLIT_TAG, Envelope(shares[r], None)
+            )
+        return shares[0]
 
     def _check_peer(self, peer: int, what: str) -> None:
         if not 0 <= peer < self.size:
