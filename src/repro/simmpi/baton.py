@@ -1,0 +1,322 @@
+"""One runnable rank per world: the FIFO baton.
+
+Every simulated rank is an OS thread, but at most one rank of a
+:class:`~repro.simmpi.world.World` executes at a time — the one holding
+the world's :class:`Baton`. A rank gives the baton up only where it
+would block: a receive with no matching message, a collective gate it
+is not the last to reach, a missed ``Request.test()`` or liveness poll,
+a ``recv_reliable`` retry wait, or its return. The baton then goes to
+the rank that has waited longest in the ready queue (FIFO, so a rank
+polling in a loop cannot starve the others).
+
+Why: with every rank thread runnable at once, each GIL release (numpy
+calls, lock waits) wakes a convoy of hundreds of threads fighting for
+the interpreter. With one runnable thread per world there is nobody to
+fight, every hand-off is one lock release to one parked thread, and a
+fault-free run is a single fixed interleaving — so host-side
+observations such as mailbox depth are reproducible.
+
+It also makes deadlock detection exact. When the holder gives the
+baton up and no rank is ready, no timed ``recv_reliable`` waiter is
+pending and some rank is still parked, nothing can ever wake the parked
+ranks: every one of them raises :class:`~repro.exceptions.DeadlockError`
+naming the blocked ranks and what each waits on, at once instead of
+after the watchdog timeout. The watchdogs stay as backstops for ranks
+wedged outside the simulator (a holder that never blocks).
+
+Ranks start lazily: rank r's thread (or pool job) is launched the first
+time the baton reaches it, in rank order.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import deque
+from typing import Callable
+
+from repro.exceptions import DeadlockError
+
+__all__ = ["Baton"]
+
+# Rank states. NEW ranks have not started; run() queues them all.
+_NEW, _READY, _RUN, _PARKED, _TIMED, _DONE = range(6)
+
+#: Blocked ranks listed by name in a deadlock message before the rest
+#: are summarized as a count (the message is repeated on every rank).
+_NAMED_BLOCKED = 16
+
+
+class Baton:
+    """The single-runner scheduler of one world of ``size`` ranks.
+
+    Each rank owns one armed ``threading.Lock`` as its wake: parking is
+    ``acquire()``, handing the baton over is ``release()`` by the
+    previous holder. All queue and state changes happen under one
+    mutex, so :meth:`ready` and :meth:`wake_all` are safe from any
+    thread (the engine's join watchdog aborts from outside the world).
+    """
+
+    __slots__ = (
+        "size",
+        "_mu",
+        "_ready",
+        "_state",
+        "_wakes",
+        "_poked",
+        "_waits",
+        "_timed",
+        "_holder",
+        "_start",
+        "_started",
+        "_done",
+        "_finished",
+        "_deadlock",
+        "_detect",
+    )
+
+    def __init__(self, size: int):
+        self.size = size
+        self._mu = threading.Lock()
+        self._ready: deque[int] = deque()
+        self._state = [_NEW] * size
+        self._wakes = [threading.Lock() for _ in range(size)]
+        for wake in self._wakes:
+            wake.acquire()
+        #: ranks readied while running; their next block returns at once
+        self._poked = [False] * size
+        #: parked rank -> what it waits on (named in a deadlock)
+        self._waits: dict[int, tuple] = {}
+        #: ranks in a timed wait; while any exists there is no deadlock
+        self._timed: set[int] = set()
+        self._holder: int | None = None
+        self._start: Callable[[int], None] | None = None
+        self._started = [False] * size
+        self._done = 0
+        self._finished = threading.Event()
+        #: snapshot of the blocked ranks once a deadlock is detected
+        self._deadlock: dict[int, tuple] | None = None
+        self._detect = True
+
+    @classmethod
+    def solo(cls) -> "Baton":
+        """A one-rank baton already held by the calling thread.
+
+        Backs a :class:`~repro.simmpi.mailbox.Mailbox` used outside any
+        world: its deposits come from arbitrary threads, so an empty
+        ready queue is no deadlock there and waits end only by a
+        :meth:`ready` or their timeout.
+        """
+        baton = cls(1)
+        baton._state[0] = _RUN
+        baton._started[0] = True
+        baton._holder = 0
+        baton._detect = False
+        return baton
+
+    # -- running a world -----------------------------------------------
+
+    def run(self, start: Callable[[int], None], budget: float) -> bool:
+        """Launch rank 0 and wait up to ``budget`` seconds for every rank
+        to finish. ``start(r)`` launches rank r; it is called once per
+        rank, when the baton first reaches it. Returns False when the
+        budget ran out first (some rank is wedged)."""
+        self._start = start
+        with self._mu:
+            self._ready.extend(range(self.size))
+            nxt = self._next()
+        self._wake(nxt)
+        return self._finished.wait(budget)
+
+    def wait(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for every rank to finish."""
+        return self._finished.wait(timeout)
+
+    def unfinished(self) -> list[int]:
+        """Ranks that started but have not finished, in rank order."""
+        with self._mu:
+            return [
+                r
+                for r in range(self.size)
+                if self._started[r] and self._state[r] != _DONE
+            ]
+
+    def exit(self, rank: int) -> None:
+        """``rank`` returned or raised: pass the baton on for good."""
+        with self._mu:
+            self._state[rank] = _DONE
+            self._done += 1
+            nxt = self._next() if self._holder == rank else None
+            finished = self._done == self.size
+            if finished:
+                # The launcher closes over the substrate's threads or
+                # job, which hold the world: drop it to break the cycle.
+                self._start = None
+        self._wake(nxt)
+        if finished:
+            self._finished.set()
+
+    # -- giving the baton up ---------------------------------------------
+
+    def block(
+        self, rank: int, waits_on: tuple, timeout: float, timed: bool = False
+    ) -> bool:
+        """Give the baton up until :meth:`ready` is called for ``rank``.
+
+        ``waits_on`` describes the wait for a deadlock message:
+        ``("recv", source, tag)`` or ``("collective", name)``. A
+        ``timed`` wait (``recv_reliable``'s retry) does not count as
+        blocked: while one is pending, an empty ready queue is no
+        deadlock. Returns True when woken by :meth:`ready`, False once
+        ``timeout`` seconds passed first; either way the caller holds
+        the baton again on return. Raises
+        :class:`~repro.exceptions.DeadlockError` when the world
+        deadlocked while the rank was parked.
+        """
+        mu = self._mu
+        with mu:
+            if self._poked[rank]:
+                self._poked[rank] = False
+                return True
+            if timed:
+                self._state[rank] = _TIMED
+                self._timed.add(rank)
+            else:
+                self._state[rank] = _PARKED
+                self._waits[rank] = waits_on
+            nxt = self._next()
+        self._wake(nxt)
+        wake = self._wakes[rank]
+        woke = wake.acquire(timeout=timeout)
+        if not woke:
+            # Expired: re-queue for the baton unless a ready() raced us.
+            with mu:
+                if self._unpark(rank):
+                    if self._holder is None:
+                        self._holder = rank
+                        self._state[rank] = _RUN
+                        return False
+                    self._state[rank] = _READY
+                    self._ready.append(rank)
+                else:
+                    woke = True
+            wake.acquire()
+        if self._deadlock is not None:
+            raise DeadlockError(self._deadlock_message(rank))
+        return woke
+
+    def yield_(self, rank: int) -> None:
+        """Move the holder to the back of the ready queue (a missed
+        poll): every rank that was ready runs before it resumes. A no-op
+        when no other rank is ready."""
+        with self._mu:
+            if not self._ready:
+                return
+            self._state[rank] = _READY
+            self._ready.append(rank)
+            nxt = self._next()
+        self._wake(nxt)
+        self._wakes[rank].acquire()
+
+    # -- making ranks ready ----------------------------------------------
+
+    def ready(self, rank: int) -> None:
+        """Make a parked or timed-waiting ``rank`` runnable: it joins the
+        back of the ready queue, or takes the baton at once when nobody
+        holds it. Readying the running rank makes its next
+        :meth:`block` return immediately; other states are left alone."""
+        with self._mu:
+            if self._state[rank] == _RUN:
+                self._poked[rank] = True
+                return
+            nxt = self._ready_locked((rank,))
+        self._wake(nxt)
+
+    def ready_many(self, ranks) -> None:
+        """:meth:`ready` for each of ``ranks`` in order, under one lock
+        acquisition (the fast-path leader wakes a whole group)."""
+        with self._mu:
+            nxt = self._ready_locked(ranks)
+        self._wake(nxt)
+
+    def wake_all(self) -> None:
+        """Make every parked or timed-waiting rank ready, in rank order
+        (abort and injected crashes: the woken ranks re-check their
+        abort conditions and park again if unaffected)."""
+        with self._mu:
+            waiting = sorted([*self._waits, *self._timed])
+            nxt = self._ready_locked(waiting)
+        self._wake(nxt)
+
+    # -- internals (callers hold _mu unless noted) ------------------------
+
+    def _unpark(self, rank: int) -> bool:
+        state = self._state[rank]
+        if state == _PARKED:
+            del self._waits[rank]
+            return True
+        if state == _TIMED:
+            self._timed.discard(rank)
+            return True
+        return False
+
+    def _ready_locked(self, ranks) -> int | None:
+        """Queue the waiting ones of ``ranks``; when the baton is free,
+        hand it to the first of them and return that rank to wake."""
+        for rank in ranks:
+            if self._unpark(rank):
+                self._state[rank] = _READY
+                self._ready.append(rank)
+        if self._holder is None and self._ready:
+            return self._next()
+        return None
+
+    def _next(self) -> int | None:
+        """Hand the baton to the longest-waiting ready rank (returned,
+        to be woken once _mu is released), or detect a deadlock."""
+        ready = self._ready
+        if not ready and self._waits and not self._timed and self._detect:
+            # Nobody can run and nothing timed will come back: every
+            # parked rank is waiting on another parked rank.
+            self._deadlock = dict(self._waits)
+            for rank in sorted(self._waits):
+                self._state[rank] = _READY
+                ready.append(rank)
+            self._waits.clear()
+        if not ready:
+            self._holder = None
+            return None
+        rank = ready.popleft()
+        self._holder = rank
+        self._state[rank] = _RUN
+        return rank
+
+    def _wake(self, rank: int | None) -> None:
+        """Resume (or launch) the new holder; called without _mu."""
+        if rank is None:
+            return
+        if self._started[rank]:
+            self._wakes[rank].release()
+        else:
+            self._started[rank] = True
+            self._start(rank)
+
+    def _deadlock_message(self, rank: int) -> str:
+        blocked = self._deadlock
+        named = sorted(blocked)[:_NAMED_BLOCKED]
+        listing = "; ".join(
+            f"rank {r} waits {_describe(blocked[r])}" for r in named
+        )
+        if len(blocked) > len(named):
+            listing += f"; and {len(blocked) - len(named)} more"
+        return (
+            f"rank {rank}: deadlock — no rank can proceed while "
+            f"{len(blocked)} rank(s) are blocked: {listing}"
+        )
+
+
+def _describe(waits_on: tuple) -> str:
+    kind = waits_on[0]
+    if kind == "recv":
+        _kind, source, tag = waits_on
+        return f"for a message from rank {source} (tag={tag!r})"
+    return f"in collective {waits_on[1]!r}"

@@ -284,7 +284,12 @@ class Comm:
                 )
                 return True, env
             env = mailbox.try_get(src_world, self._context, tag)
-            return env is not NOTHING, env
+            if env is NOTHING:
+                # A missed poll lets every ready rank run first, so a
+                # test() loop cannot keep the sender from ever sending.
+                self._world.baton.yield_(self.world_rank)
+                return False, env
+            return True, env
 
         def finish(env):
             return self._open_envelope(env, src_world, tag=tag)
@@ -335,7 +340,8 @@ class Comm:
     ) -> Any:
         """A receive that survives injected message drops.
 
-        Waits ``retry_timeout`` seconds at a time; when a wait expires
+        Waits ``retry_timeout`` seconds at a time without holding the
+        world's baton (other ranks run meanwhile); when a wait expires
         without a delivery, the receiver asks the fault state for a
         retransmission of a dropped envelope on this channel, metering
         the re-send *and* the receive as recovery traffic (the
@@ -374,6 +380,7 @@ class Comm:
                     tag,
                     timeout=min(retry_timeout, remaining),
                     abort_check=abort_check,
+                    timed=True,
                 )
             except PeerDeadError:
                 raise
@@ -438,16 +445,26 @@ class Comm:
         return frozenset(i for i, w in enumerate(self._group) if w in doomed)
 
     def dead_ranks(self) -> frozenset[int]:
-        """Local ranks whose injected crash has already fired."""
+        """Local ranks whose injected crash has already fired.
+
+        While some doomed rank of this communicator is still alive the
+        answer can change, so the query then yields the baton: a loop
+        polling it lets the doomed ranks run to their crash."""
         dead = self._world.dead
-        if not dead:
-            return frozenset()
-        return frozenset(i for i, w in enumerate(self._group) if w in dead)
+        found = frozenset(i for i, w in enumerate(self._group) if w in dead)
+        if not self.doomed_ranks() <= found:
+            self._world.baton.yield_(self.world_rank)
+        return found
 
     def is_alive(self, rank: int) -> bool:
-        """False once ``rank``'s (local) injected crash has fired."""
+        """False once ``rank``'s (local) injected crash has fired. A
+        query that finds the rank alive yields the baton, so a loop
+        polling it lets the other ranks run."""
         self._check_peer(rank, "rank")
-        return self._group[rank] not in self._world.dead
+        if self._group[rank] in self._world.dead:
+            return False
+        self._world.baton.yield_(self.world_rank)
+        return True
 
     # -- collectives --------------------------------------------------------
 

@@ -1,19 +1,22 @@
 """The SPMD execution engine.
 
-:func:`run_spmd` launches one OS thread per rank, each executing the
+:func:`run_spmd` runs one OS thread per rank, each executing the
 same ``program(comm, *args, **kwargs)`` — the SPMD idiom of mpi4py
-scripts, with the communicator injected instead of imported. It joins
-all ranks, converts any rank exception into
+scripts, with the communicator injected instead of imported. It waits
+for all ranks, converts any rank exception into
 :class:`~repro.exceptions.RankFailedError` (after waking peers blocked
 on receives), and returns an :class:`SpmdResult` carrying each rank's
 return value plus the :class:`~repro.simmpi.trace.TraceReport` of
 measured costs.
 
-Threads (not processes) are the right substrate here: payload isolation
-at the send boundary gives us distributed-memory semantics, the
-workloads are NumPy-bound (GIL released inside BLAS), and determinism
-of the *counts* is guaranteed by the algorithms' fixed communication
-patterns, not by scheduling order.
+Only one rank of a run executes at a time: the one holding the world's
+:class:`~repro.simmpi.baton.Baton`. A rank hands it on only where it
+would block (or when it returns), to the longest-waiting ready rank,
+and rank r's thread starts the first time the baton reaches it. So a
+fault-free run is one fixed interleaving, a deadlock is reported the
+moment no rank can proceed, and hundreds of rank threads never contend
+for the interpreter lock. Determinism of the *counts* never depended on
+this: it comes from the algorithms' fixed communication patterns.
 
 ``run_spmd`` spawns fresh threads per call; for repeated runs (sweeps,
 benchmarks) use :class:`~repro.simmpi.pool.SpmdPool`, which keeps the
@@ -146,6 +149,12 @@ def run_spmd(
 ) -> SpmdResult:
     """Run ``program(comm, *args, **kwargs)`` on ``size`` simulated ranks.
 
+    One rank runs at a time (see :mod:`repro.simmpi.baton`): ranks start
+    in rank order, each runs until it would block or returns, and the
+    baton then passes to the longest-waiting ready rank. A program in
+    which every unfinished rank is blocked fails at once with
+    :class:`~repro.exceptions.DeadlockError` on each blocked rank.
+
     Parameters
     ----------
     size:
@@ -156,7 +165,8 @@ def run_spmd(
     max_message_words:
         The model's m: payloads are metered as ceil(words/m) messages.
     timeout:
-        Deadlock watchdog — seconds a receive may block.
+        Backstop watchdog — seconds a receive or collective may stay
+        blocked (a deadlock among ranks is reported without waiting).
     machine:
         Optional :class:`~repro.core.parameters.MachineParameters`; when
         given, per-rank virtual clocks advance by the Eq. (1) cost of
@@ -216,8 +226,9 @@ def run_spmd(
     RankFailedError
         If any rank raises; carries the per-rank exceptions.
     DeadlockError
-        If rank threads fail to join within the watchdog budget (a rank
-        wedged outside a receive, e.g. a user-code infinite loop).
+        If the ranks fail to finish within the ``2*timeout + 1`` budget
+        (a rank wedged outside a receive, e.g. a user-code infinite
+        loop, never gives the baton up).
     """
     world = World(
         size,
@@ -239,8 +250,8 @@ def run_spmd(
     failures_lock = threading.Lock()
 
     def runner(rank: int) -> None:
-        comm = Comm(world, group=range(size), rank=rank)
         try:
+            comm = Comm(world, group=range(size), rank=rank)
             results[rank] = program(comm, *args, **kwargs)
         except RankCrashedError as exc:
             # Injected crash: isolate the rank instead of failing the
@@ -252,33 +263,30 @@ def run_spmd(
             with failures_lock:
                 failures[rank] = exc
             world.abort()
+        finally:
+            world.baton.exit(rank)
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
         for r in range(size)
     ]
-    for t in threads:
-        t.start()
-    # Join watchdog: the mailbox deadlock timeout only covers ranks
-    # blocked in a receive. A rank wedged *outside* one (user-code
-    # infinite loop) would hang a bare join forever, so bound the total
-    # join time consistently with ``timeout=``: one full receive timeout
-    # for the slowest rank to unblock, another for its own cleanup
-    # cascade, plus scheduling slack.
-    deadline = _monotonic() + 2.0 * world.timeout + 1.0
-    stuck = []
-    for r, t in enumerate(threads):
-        t.join(max(0.0, deadline - _monotonic()))
-        if t.is_alive():
-            stuck.append(r)
-    if stuck:
+    # Join watchdog: the baton reports a deadlock among blocked ranks at
+    # once, but a rank wedged *outside* the simulator (user-code infinite
+    # loop) never gives the baton up, so bound the total run time
+    # consistently with ``timeout=``: one full receive timeout for the
+    # slowest rank to unblock, another for its own cleanup cascade,
+    # plus scheduling slack.
+    if not world.baton.run(lambda r: threads[r].start(), 2.0 * world.timeout + 1.0):
         world.abort()  # unblock anything still waiting on the stuck ranks
+        stuck = world.baton.unfinished()
         raise DeadlockError(
             f"rank thread(s) {stuck} failed to join within "
             f"{2.0 * world.timeout + 1.0:.1f}s (2*timeout+1); the rank(s) "
             "are wedged outside a receive — likely an infinite loop in "
             "the SPMD program"
         )
+    for t in threads:
+        t.join()  # every rank has exited the baton; only teardown is left
 
     return _finalize(
         world, results, failures, crashes, wall_seconds=_monotonic() - wall_start

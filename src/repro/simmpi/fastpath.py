@@ -2,8 +2,8 @@
 
 The message path in :mod:`repro.simmpi.collectives` simulates every
 collective faithfully: a p-rank broadcast moves p-1 envelopes through
-thread mailboxes, each paying a lock, a condition-variable wake and
-per-hop metering under the GIL. Those envelopes exist only to produce
+thread mailboxes, each paying a lock, a baton hand-off between rank
+threads and per-hop metering. Those envelopes exist only to produce
 three observable effects — per-rank counter increments, per-rank
 virtual-clock advances, and delivered payloads. When nothing is
 watching the individual messages (no tracing, no fault plan, no
@@ -13,15 +13,18 @@ without any envelope ever crossing a mailbox.
 
 Mechanics: all ranks of the communicator meet at a
 :class:`CollectiveGate` (one per communicator context, owned by the
-:class:`~repro.simmpi.world.World`). The last rank to arrive becomes
+:class:`~repro.simmpi.world.World`). Each early arriver parks on the
+world's :class:`~repro.simmpi.baton.Baton`, which passes the one
+runnable slot to the next ready rank. The last rank to arrive becomes
 the *leader*: it resolves the whole collective once — validates the
 call, walks the algorithm's communication pattern in closed form,
 bulk-applies every rank's counter increments and final virtual-clock
-value (safe because all other ranks are parked in the gate), and
-publishes the per-rank results. Everyone wakes, picks up its result,
-and continues. Cost per collective: one rendezvous plus the pattern's
-arithmetic in a single thread, instead of O(edges) cross-thread
-envelope deliveries.
+value (safe because all other ranks are parked in the gate), publishes
+the per-rank results and makes the parked ranks ready in ring order
+from its successor. They resume one at a time, in that order, as the
+baton reaches them. Cost per collective: one rendezvous plus the
+pattern's arithmetic in a single thread, instead of O(edges)
+cross-thread envelope deliveries.
 
 The arithmetic is vectorised over ranks where it can be. Ring steps
 (barrier, allgather, reduce_scatter, each Bruck round) meter all p
@@ -47,7 +50,8 @@ semantics (all ranks must arrive before any proceeds), which MPI
 permits for every collective. A program that relies on a collective
 NOT synchronizing (e.g. a root racing ahead of its bcast to satisfy a
 peer's earlier point-to-point receive) is erroneous under the MPI
-standard; it deadlocks here and should run with ``fastpath=False``.
+standard; it deadlocks here — reported at once by the world's baton,
+naming the collective — and should run with ``fastpath=False``.
 Mismatched arguments across ranks (different roots, different
 collectives on the same communicator) are reported as
 :class:`~repro.exceptions.CommunicatorError` instead of the message
@@ -89,14 +93,12 @@ class _Err:
 
 
 class _Cycle:
-    """One rendezvous generation: who parked, who led, and the
-    published outcomes."""
+    """One rendezvous generation: the published outcomes, or the abort
+    mark that tells parked ranks the collective was abandoned."""
 
-    __slots__ = ("parked", "leader", "outcomes", "aborted")
+    __slots__ = ("outcomes", "aborted")
 
-    def __init__(self, size: int):
-        self.parked = [False] * size
-        self.leader = -1
+    def __init__(self):
         self.outcomes: list | None = None
         self.aborted = False
 
@@ -104,36 +106,18 @@ class _Cycle:
 class CollectiveGate:
     """Reusable rendezvous for one communicator's rank group.
 
-    Each collective call deposits ``(name, args)`` and blocks; the last
-    arriver resolves the whole collective (see :func:`resolve`) and
-    publishes per-rank outcomes through the current :class:`_Cycle`.
-    The gate is cyclic: a fresh cycle is installed before the old one
-    is published, and a rank can only re-arrive after picking up its
-    previous outcome, so generations never overlap.
-
-    Parked ranks block on persistent per-rank *turnstiles*: plain
-    ``threading.Lock`` objects held in the locked state, used as binary
-    semaphores (wake = ``release()`` by any thread, wait =
-    ``acquire()``, which leaves the turnstile re-armed for the next
-    cycle with zero allocations — much leaner per wake than
-    ``Event``/``Condition``, which allocate a fresh waiter lock on
-    every wait).
-
-    Waking is a *relay*, not a broadcast: the leader wakes only its
-    ring successor, and every rank wakes the next on its way out,
-    stopping after the ring wraps back to the leader. Releasing all
-    p-1 turnstiles from one thread would make every parked thread
-    runnable at once — at p = 4096 on few cores that thundering herd
-    turns each collective into an OS-scheduler/GIL convoy orders of
-    magnitude slower than the arithmetic it replaced. The relay keeps
-    the runnable set at ~2 threads, the same discipline the message
-    path gets for free from pairwise envelope hand-offs.
+    Each collective call deposits ``(name, args)`` and parks on the
+    world's baton; the last arriver resolves the whole collective (see
+    :func:`resolve`), publishes per-rank outcomes through the current
+    :class:`_Cycle` and makes every parked rank ready in ring order
+    from its successor. The gate is cyclic: a fresh cycle is installed
+    before the old one is published, and a rank can only re-arrive
+    after picking up its previous outcome, so generations never
+    overlap. Only one rank of the world runs at a time, so waking the
+    whole group at once costs one queue append per rank.
     """
 
-    __slots__ = (
-        "world", "group", "size", "_lock", "_arrived", "_inputs", "_cycle",
-        "_turnstiles",
-    )
+    __slots__ = ("world", "group", "size", "_lock", "_arrived", "_inputs", "_cycle")
 
     def __init__(self, world, group: Sequence[int]):
         self.world = world
@@ -142,12 +126,7 @@ class CollectiveGate:
         self._lock = threading.Lock()
         self._arrived = 0
         self._inputs: list = [None] * self.size
-        self._cycle = _Cycle(self.size)
-        # Armed (locked) turnstiles; acquire() consumes a wake and
-        # leaves the turnstile armed again.
-        self._turnstiles = [threading.Lock() for _ in range(self.size)]
-        for turnstile in self._turnstiles:
-            turnstile.acquire()
+        self._cycle = _Cycle()
 
     def rendezvous(self, local_rank: int, item: tuple) -> Any:
         """Deposit this rank's call and block until the collective is
@@ -157,11 +136,10 @@ class CollectiveGate:
             self._inputs[local_rank] = item
             self._arrived += 1
             if self._arrived == self.size:
-                cycle.leader = local_rank
                 inputs = self._inputs
                 self._inputs = [None] * self.size
                 self._arrived = 0
-                self._cycle = _Cycle(self.size)
+                self._cycle = _Cycle()
                 try:
                     cycle.outcomes = resolve(self.world, self.group, inputs)
                 finally:
@@ -169,19 +147,24 @@ class CollectiveGate:
                         cycle.outcomes = [
                             _Err(SimulationError("collective resolution failed"))
                         ] * self.size
-                    self._wake_next(cycle, local_rank)
+                    group = self.group
+                    self.world.baton.ready_many(
+                        group[(local_rank + i) % self.size]
+                        for i in range(1, self.size)
+                    )
                 return self._pick(cycle, local_rank)
-            cycle.parked[local_rank] = True
             aborted = cycle.aborted  # World.abort() already swept this cycle
-        # Parked path: wait without the lock. world.abort() interrupts
-        # via the turnstiles; a genuine never-arriving peer trips the
-        # same watchdog budget a blocking receive gets.
-        turnstile = self._turnstiles[local_rank]
+        # Parked path: world.abort() wakes every parked rank; a genuine
+        # never-arriving peer is a deadlock the baton reports at once,
+        # and the watchdog budget a blocking receive gets stays as the
+        # backstop.
+        baton = self.world.baton
+        me = self.group[local_rank]
+        waits_on = ("collective", item[0])
         deadline = monotonic() + self.world.timeout
         while not aborted:
-            woke = turnstile.acquire(timeout=max(0.0, deadline - monotonic()))
+            woke = baton.block(me, waits_on, max(0.0, deadline - monotonic()))
             if cycle.outcomes is not None:
-                self._wake_next(cycle, local_rank)
                 return self._pick(cycle, local_rank)
             if cycle.aborted:
                 break
@@ -189,31 +172,15 @@ class CollectiveGate:
                 if self.world.failed.is_set():
                     break
                 raise DeadlockError(
-                    f"rank {self.group[local_rank]} timed out after "
+                    f"rank {me} timed out after "
                     f"{self.world.timeout}s waiting for peers to enter a "
                     "collective; likely deadlock (some rank never made the "
                     "matching call)"
                 )
-            # Spurious wake: a stale arm left over from a wake that
-            # raced a timeout or an abort sweep. Just park again.
+            # Woken by a crash elsewhere (mark_dead): park again.
         raise DeadlockError(
-            f"rank {self.group[local_rank]}: collective abandoned because "
-            "a peer rank failed"
+            f"rank {me}: collective abandoned because a peer rank failed"
         )
-
-    def _wake_next(self, cycle: _Cycle, local_rank: int) -> None:
-        """Relay the wake to this rank's ring successor; the chain
-        stops once it wraps back around to the leader, so each parked
-        rank is woken exactly once per cycle."""
-        nxt = local_rank + 1
-        if nxt >= self.size:
-            nxt = 0
-        if nxt == cycle.leader:
-            return
-        try:
-            self._turnstiles[nxt].release()
-        except RuntimeError:  # lost a race with interrupt(); the extra
-            pass              # arm is absorbed by the spurious-wake loop
 
     @staticmethod
     def _pick(cycle: _Cycle, local_rank: int) -> Any:
@@ -223,20 +190,13 @@ class CollectiveGate:
         return out
 
     def interrupt(self) -> None:
-        """Wake ranks parked in an incomplete rendezvous (called by
-        :meth:`~repro.simmpi.world.World.abort` after the failed flag is
-        set). Waking with ``outcomes`` still None is how waiters learn
-        the collective was abandoned. The ``aborted`` flag catches
-        ranks that arrive after this sweep, so they never park."""
+        """Mark the open rendezvous abandoned (called by
+        :meth:`~repro.simmpi.world.World.abort` before it wakes every
+        parked rank). Woken ranks that find ``outcomes`` still None
+        and ``aborted`` set give up; ranks arriving later see the flag
+        and never park."""
         with self._lock:
-            cycle = self._cycle
-            cycle.aborted = True
-            for local, is_parked in enumerate(cycle.parked):
-                if is_parked:
-                    try:
-                        self._turnstiles[local].release()
-                    except RuntimeError:  # already armed by the relay
-                        pass
+            self._cycle.aborted = True
 
 
 def run_collective(comm, name: str, args: tuple) -> Any:

@@ -3,12 +3,18 @@
 Each rank owns a :class:`Mailbox`. Sends are *eager*: the payload is
 deposited into the destination's mailbox without blocking (the simulator
 models an infinitely buffered network — adequate because the paper's
-models charge per word/message, not for contention). Receives block
-until a matching message arrives, with a watchdog timeout that converts
-a hung wait into :class:`~repro.exceptions.DeadlockError` instead of a
-frozen test suite. The watchdog tracks an *absolute* deadline: spurious
-condition-variable wake-ups (frequent at large rank counts, where many
-messages land in every mailbox) do not re-arm it.
+models charge per word/message, not for contention). A receive with no
+matching message records the ``(source, context, tag)`` it waits on and
+parks its rank on the world's :class:`~repro.simmpi.baton.Baton`, which
+hands the single runnable slot to the next ready rank; the deposit that
+matches the recorded pattern makes the owner ready again. No other
+deposit wakes it, so there are no spurious wake-ups.
+
+A wait that can never be satisfied is detected by the baton at once
+(every other rank is blocked too) and raises
+:class:`~repro.exceptions.DeadlockError` naming the blocked ranks. A
+watchdog with an *absolute* deadline stays as a backstop: a receive
+still unmatched after ``timeout`` seconds raises ``DeadlockError``.
 
 Matching is FIFO per (source, communicator context, tag) channel, like
 MPI's non-overtaking guarantee for point-to-point traffic on one
@@ -27,6 +33,7 @@ from time import monotonic as _monotonic
 from typing import Any, Hashable
 
 from repro.exceptions import DeadlockError
+from repro.simmpi.baton import Baton
 
 __all__ = ["Mailbox", "ANY_TAG", "NOTHING"]
 
@@ -36,28 +43,43 @@ ANY_TAG: object = object()
 
 
 class Mailbox:
-    """Per-rank inbox with blocking, channel-matched receives."""
+    """Per-rank inbox with blocking, channel-matched receives.
+
+    ``baton`` is the owning world's scheduler (the owner parks on it
+    as rank ``owner_rank``). Without one, the mailbox stands alone: its
+    owner is whichever thread calls :meth:`get`, deposits may come from
+    any thread, and a wait ends only by a matching deposit, an
+    :meth:`interrupt` or its timeout.
+    """
 
     __slots__ = (
         "owner_rank",
         "depths",
         "_lock",
-        "_ready",
+        "_baton",
+        "_slot",
+        "_want",
         "_boxes",
         "_stamp",
         "_pending",
         "_closed",
     )
 
-    def __init__(self, owner_rank: int):
+    def __init__(self, owner_rank: int, baton: Baton | None = None):
         self.owner_rank = owner_rank
         #: histogram of the pending-message count after each deposit when
         #: the world is traced, else None (set by the World). Observations
-        #: happen under the mailbox lock, so senders racing on put() are
-        #: serialized, and the histogram is read only after the join.
+        #: happen under the mailbox lock and are read only after the join.
         self.depths = None
         self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        if baton is None:
+            baton, slot = Baton.solo(), 0
+        else:
+            slot = owner_rank
+        self._baton = baton
+        self._slot = slot
+        # The (source, context, tag) the parked owner waits on, else None.
+        self._want: tuple | None = None
         # (source_world_rank, context_id) -> {tag: FIFO of (stamp, payload)}
         # Invariant: no empty deques or empty tag dicts are retained.
         self._boxes: dict[tuple[int, Hashable], dict[Hashable, deque]] = {}
@@ -80,7 +102,7 @@ class Mailbox:
         left its NIC whether or not anyone was listening.
         """
         key = (source, context)
-        with self._ready:
+        with self._lock:
             if self._closed:
                 return
             box = self._boxes.get(key)
@@ -94,7 +116,15 @@ class Mailbox:
             self._pending += 1
             if self.depths is not None:
                 self.depths.observe(self._pending)
-            self._ready.notify_all()
+            want = self._want
+            if (
+                want is not None
+                and want[0] == source
+                and want[1] == context
+                and (want[2] is ANY_TAG or want[2] == tag)
+            ):
+                self._want = None
+                self._baton.ready(self._slot)
 
     def get(
         self,
@@ -103,21 +133,26 @@ class Mailbox:
         tag: Hashable,
         timeout: float,
         abort_check=None,
+        timed: bool = False,
     ) -> Any:
         """Block until a matching message is available, then return it.
 
-        Raises :class:`DeadlockError` once ``timeout`` seconds have
-        elapsed without a match — in a correctly synchronized SPMD
-        program the only way a receive waits that long is a deadlock or
-        a peer crash. The deadline is absolute: wake-ups for
-        non-matching traffic do not extend it. If ``abort_check`` (a
-        zero-argument callable) returns True after a wake-up, the wait
-        is abandoned immediately with :class:`DeadlockError` — the
-        engine uses this to cancel waits when a peer rank fails.
+        The owner parks on the baton until the matching deposit (or an
+        abort) makes it ready. Raises :class:`DeadlockError` when the
+        baton finds every rank blocked, or once ``timeout`` seconds have
+        elapsed without a match — the backstop watchdog; its deadline
+        is absolute. If ``abort_check`` (a zero-argument callable)
+        returns True after a wake-up, the wait is abandoned immediately
+        with :class:`DeadlockError` — the engine uses this to cancel
+        waits when a peer rank fails. A ``timed`` wait (the retry wait
+        of ``recv_reliable``) expects its timeout: it is not counted as
+        blocked by the baton's deadlock detection.
         """
         deadline = _monotonic() + timeout
-        with self._ready:
-            while True:
+        waits_on = ("recv", source, tag)
+        while True:
+            with self._lock:
+                self._want = None
                 payload = self._try_pop(source, context, tag)
                 if payload is not _NOTHING:
                     return payload
@@ -127,26 +162,32 @@ class Mailbox:
                         "peer rank failed"
                     )
                 remaining = deadline - _monotonic()
-                if remaining <= 0 or not self._ready.wait(timeout=remaining):
+                if remaining > 0:
+                    self._want = (source, context, tag)
+            if remaining <= 0 or not self._baton.block(
+                self._slot, waits_on, remaining, timed
+            ):
+                with self._lock:
+                    self._want = None
                     # One final look: the message may have landed between
-                    # the timeout expiring and us reacquiring the lock.
+                    # the timeout expiring and the baton coming back.
                     payload = self._try_pop(source, context, tag)
-                    if payload is not _NOTHING:
-                        return payload
-                    # An abort may equally have raced the timeout: if a
-                    # peer failed while we slept, blame the failure, not
-                    # a spurious "timed out after {timeout}s" deadlock.
-                    if abort_check is not None and abort_check():
-                        raise DeadlockError(
-                            f"rank {self.owner_rank}: receive abandoned "
-                            "because a peer rank failed"
-                        )
+                if payload is not _NOTHING:
+                    return payload
+                # An abort may equally have raced the timeout: if a
+                # peer failed while we slept, blame the failure, not
+                # a spurious "timed out after {timeout}s" deadlock.
+                if abort_check is not None and abort_check():
                     raise DeadlockError(
-                        f"rank {self.owner_rank} timed out after {timeout}s "
-                        f"waiting for a message from rank {source} "
-                        f"(context={context!r}, tag={tag!r}); likely deadlock "
-                        "or peer failure"
+                        f"rank {self.owner_rank}: receive abandoned "
+                        "because a peer rank failed"
                     )
+                raise DeadlockError(
+                    f"rank {self.owner_rank} timed out after {timeout}s "
+                    f"waiting for a message from rank {source} "
+                    f"(context={context!r}, tag={tag!r}); likely deadlock "
+                    "or peer failure"
+                )
 
     def _try_pop(self, source: int, context: Hashable, tag: Hashable) -> Any:
         key = (source, context)
@@ -171,7 +212,7 @@ class Mailbox:
     def try_get(self, source: int, context: Hashable, tag: Hashable):
         """Non-blocking receive: the payload, or the module-level
         ``NOTHING`` sentinel when no matching message is queued."""
-        with self._ready:
+        with self._lock:
             return self._try_pop(source, context, tag)
 
     def pending(self) -> int:
@@ -180,9 +221,10 @@ class Mailbox:
             return self._pending
 
     def interrupt(self) -> None:
-        """Wake all blocked receivers (engine uses this on rank failure)."""
-        with self._ready:
-            self._ready.notify_all()
+        """Wake the owner if it is parked in :meth:`get`, so it re-checks
+        its abort condition (a standalone mailbox's abort signal; worlds
+        wake every parked rank through the baton instead)."""
+        self._baton.ready(self._slot)
 
     def close(self) -> None:
         """Prune the channel index and refuse further deposits.
@@ -192,11 +234,10 @@ class Mailbox:
         unreachable (the owner will never call ``get`` again) and any
         in-flight or future sends to it are dropped. Idempotent.
         """
-        with self._ready:
+        with self._lock:
             self._boxes.clear()
             self._pending = 0
             self._closed = True
-            self._ready.notify_all()
 
 
 class _Nothing:

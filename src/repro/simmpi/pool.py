@@ -6,9 +6,12 @@ wall-clock time for sweeps and benchmarks that execute hundreds of
 small simulations (a validation sweep at p = 256 pays 256 spawns+joins
 *per data point*). :class:`SpmdPool` keeps a set of daemon worker
 threads alive across runs: each :meth:`SpmdPool.run` call dispatches
-the program to the first ``size`` workers through per-worker queues and
-waits on a countdown latch, so steady-state cost per run is one queue
-put/get per rank instead of a thread spawn/join.
+the program to the first ``size`` workers through per-worker queues,
+so steady-state cost per run is one queue put/get per rank instead of
+a thread spawn/join. As in ``run_spmd``, one rank runs at a time: rank
+r's job is put on worker r's queue when the world's
+:class:`~repro.simmpi.baton.Baton` first reaches it, and the run ends
+when every rank has handed the baton on for good.
 
 Semantics are identical to ``run_spmd`` — same ``World`` construction,
 same failure handling (shared via :func:`~repro.simmpi.engine._finalize`),
@@ -45,36 +48,6 @@ from repro.simmpi.engine import SpmdResult, _finalize
 from repro.simmpi.world import World
 
 __all__ = ["SpmdPool", "shared_pool"]
-
-
-class _Latch:
-    """Countdown latch: ``wait()`` returns once ``count_down()`` has been
-    called ``n`` times."""
-
-    __slots__ = ("_remaining", "_cond")
-
-    def __init__(self, n: int):
-        self._remaining = n
-        self._cond = threading.Condition()
-
-    def count_down(self) -> None:
-        with self._cond:
-            self._remaining -= 1
-            if self._remaining <= 0:
-                self._cond.notify_all()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the count reaches zero; with a ``timeout``, give
-        up after that many seconds and return False (absolute deadline —
-        spurious wake-ups do not extend it)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._remaining > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(timeout=remaining)
-            return True
 
 
 class SpmdPool:
@@ -213,7 +186,9 @@ class SpmdPool:
         tracing and the run metrics folded from it, ``faults=``
         injection, the ``fastpath=`` analytic-collective toggle and the
         ``record=`` run-ledger hook) —
-        minus the per-call thread spawn/join. Like ``run_spmd``'s join
+        minus the per-call thread spawn/join. Ranks run one at a time
+        in FIFO hand-off order, rank r's job reaching worker r when the
+        baton first does. Like ``run_spmd``'s join
         watchdog, a rank wedged outside a receive raises
         :class:`~repro.exceptions.DeadlockError` naming the stuck ranks
         after ``2*timeout + 1`` seconds; the wedged workers are replaced
@@ -240,7 +215,6 @@ class SpmdPool:
 
         with self._run_lock:
             self._grow(size)
-            latch = _Latch(size)
             job = _Job(
                 world=world,
                 program=program,
@@ -250,18 +224,15 @@ class SpmdPool:
                 failures=failures,
                 crashes=crashes,
                 failures_lock=failures_lock,
-                latch=latch,
-                done=[False] * size,
             )
-            for rank in range(size):
-                self._queues[rank].put((rank, job))
+            queues = self._queues
             budget = 2.0 * world.timeout + 1.0
-            if not latch.wait(budget):
+            if not world.baton.run(lambda r: queues[r].put((r, job)), budget):
                 world.abort()  # unblock anything waiting on the stuck ranks
                 # Give aborted ranks a moment to unwind, then replace the
                 # workers still wedged in user code so the pool survives.
-                latch.wait(1.0)
-                stuck = [r for r in range(size) if not job.done[r]]
+                world.baton.wait(1.0)
+                stuck = world.baton.unfinished()
                 self._replace_workers(stuck)
                 raise DeadlockError(
                     f"rank thread(s) {stuck} failed to finish within "
@@ -325,8 +296,6 @@ class _Job:
         "failures",
         "crashes",
         "failures_lock",
-        "latch",
-        "done",
     )
 
     def __init__(self, **fields: Any):
@@ -344,8 +313,8 @@ def _worker_loop(q: queue.SimpleQueue, usage=None) -> None:
             return
         rank, job = item
         start = time.perf_counter() if usage is not None else 0.0
-        comm = Comm(job.world, group=range(job.world.size), rank=rank)
         try:
+            comm = Comm(job.world, group=range(job.world.size), rank=rank)
             job.results[rank] = job.program(comm, *job.args, **job.kwargs)
         except RankCrashedError as exc:
             # Injected crash: isolate the rank instead of failing the
@@ -358,11 +327,10 @@ def _worker_loop(q: queue.SimpleQueue, usage=None) -> None:
                 job.failures[rank] = exc
             job.world.abort()
         finally:
-            job.done[rank] = True
             if usage is not None:
                 usage[0].value += 1.0
                 usage[1].value += time.perf_counter() - start
-            job.latch.count_down()
+            job.world.baton.exit(rank)
 
 
 _shared_pool: SpmdPool | None = None

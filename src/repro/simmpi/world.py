@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 
+from repro.simmpi.baton import Baton
 from repro.simmpi.counters import CostCounter
 from repro.simmpi.events import DEFAULT_TRACE_CAPACITY, EventLog
 from repro.simmpi.mailbox import Mailbox
@@ -133,7 +134,10 @@ class World:
         self.payload_mode = payload_mode
         #: True when sends freeze payloads instead of deep-copying them
         self.copy_on_write = payload_mode == "cow"
-        self.mailboxes = [Mailbox(r) for r in range(size)]
+        #: the single-runner scheduler: at most one rank executes at a
+        #: time, and blocked ranks park on it (see repro.simmpi.baton)
+        self.baton = Baton(size)
+        self.mailboxes = [Mailbox(r, self.baton) for r in range(size)]
         self.counters = [CostCounter(rank=r) for r in range(size)]
         self.trace = bool(trace)
         #: per-rank EventLogs when traced, else None (zero-overhead path)
@@ -160,7 +164,8 @@ class World:
         #: ranks whose thread raised RankCrashedError (injected faults);
         #: mutated only by the engine's runner threads via mark_dead()
         self.dead: set[int] = set()
-        #: set once any rank raises; receivers poll it via interrupt()
+        #: set once any rank raises; parked ranks re-check it when
+        #: abort() wakes them
         self.failed = threading.Event()
         #: True when eligible collectives resolve analytically — any
         #: per-message observer (tracing, faults) forces the faithful
@@ -188,18 +193,17 @@ class World:
         """Record an isolated (injected) rank crash.
 
         Unlike :meth:`abort`, this does *not* fail the world: survivors
-        keep running, but blocked receivers are woken so waits on the
-        dead rank can convert into
-        :class:`~repro.exceptions.PeerDeadError` via their abort checks.
-        The dead rank's own mailbox is closed — its channel index is
-        pruned and later sends to it are dropped — so long-lived
-        :class:`~repro.simmpi.pool.SpmdPool` reuse under fault plans
-        doesn't accrete channels nobody will ever drain.
+        keep running, but every parked rank is made ready so waits on
+        the dead rank can convert into
+        :class:`~repro.exceptions.PeerDeadError` via their abort checks
+        (the others park again). The dead rank's own mailbox is closed —
+        its channel index is pruned and later sends to it are dropped —
+        so long-lived :class:`~repro.simmpi.pool.SpmdPool` reuse under
+        fault plans doesn't accrete channels nobody will ever drain.
         """
         self.dead.add(rank)
         self.mailboxes[rank].close()
-        for box in self.mailboxes:
-            box.interrupt()
+        self.baton.wake_all()
 
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         """True when two world ranks share a node (trivially true for a
@@ -209,18 +213,17 @@ class World:
         return rank_a // self.node_size == rank_b // self.node_size
 
     def abort(self) -> None:
-        """Mark the run failed and wake every blocked receiver.
+        """Mark the run failed and make every parked rank ready, so its
+        abort check abandons the wait.
 
-        Idempotent: concurrent failures pay the mailbox notification
-        sweep only once (the first caller wins; later calls see the
-        flag already set and return immediately).
+        Idempotent: only the first call pays the sweep (later calls see
+        the flag already set and return immediately).
         """
         if self.failed.is_set():
             return
         self.failed.set()
-        for box in self.mailboxes:
-            box.interrupt()
         with self._gates_lock:
             gates = list(self._gates.values())
         for gate in gates:
             gate.interrupt()
+        self.baton.wake_all()

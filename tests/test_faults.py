@@ -489,3 +489,48 @@ def test_chaos_matrix_message_faults(seed):
     base = run_spmd(p, prog)
     assert out1.results == base.results  # payloads recovered exactly
     assert out1.report.counts_signature() == out2.report.counts_signature()
+
+
+def _chaos_ring(comm, errors):
+    """Non-resilient ring shifts plus an allreduce: every injected fault
+    surfaces as a typed error on some rank, recorded before re-raising."""
+    try:
+        x = np.full(2, float(comm.rank))
+        for step in range(3):
+            x = comm.shift(x, 1, tag=step)
+        comm.add_flops(4)
+        return float(comm.allreduce(x).sum())
+    except Exception as exc:
+        errors[comm.rank] = (type(exc).__name__, str(exc))
+        raise
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", _chaos_seeds())
+def test_chaos_at_scale_fails_identically_on_both_substrates(seed):
+    """Seeded random plans at p=1024: run_spmd and SpmdPool hand the
+    baton over in the same FIFO order, so every failing rank raises the
+    same typed error with the same message on both substrates, and the
+    run as a whole fails (or survives) the same way."""
+    from repro.simmpi.pool import SpmdPool
+
+    p = 1024
+    plan = FaultPlan.random(
+        seed=seed, size=p, crashes=2, drops=2, duplicates=1, delays=1, max_op=8
+    )
+    outcomes = []
+    with SpmdPool() as pool:
+        for run in (run_spmd, pool.run):
+            errors = {}
+            try:
+                out = run(p, _chaos_ring, errors, faults=plan, timeout=60.0)
+                whole = ("ok", out.results, out.crashed)
+            except RankFailedError as exc:
+                whole = ("failed", {r: type(e) for r, e in exc.failures.items()})
+            outcomes.append((whole, errors))
+    assert outcomes[0] == outcomes[1]
+    (whole, errors) = outcomes[0]
+    victims = {f.rank for f in plan.faults if isinstance(f, CrashFault)}
+    crashed = {r for r, (kind, _msg) in errors.items() if kind == "RankCrashedError"}
+    assert crashed == victims
+    assert whole[0] == "failed"
