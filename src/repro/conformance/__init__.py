@@ -3,7 +3,10 @@ simmpi execution mode.
 
 :mod:`repro.conformance.oracles` predicts per-rank F/W/S/M counts and
 virtual clocks from each collective's documented cost contract and each
-registry scenario's closed form — independently of the simulator.
+registry scenario's closed form. The collective oracles are the ones
+the analytic fast path meters through (:mod:`repro.simmpi.closedform`);
+the message path shares no metering code with them and is the
+independent witness both are checked against.
 :mod:`repro.conformance.battery` pairs every collective family's rank
 program with its oracle call, once, for the grids here and the sweep
 engine's ``coll:*`` cells.

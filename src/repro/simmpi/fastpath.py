@@ -1,4 +1,4 @@
-"""Analytic fast path for collectives — O(1) rendezvous, closed-form meters.
+"""Analytic fast path for collectives — O(1) rendezvous, oracle-metered.
 
 The message path in :mod:`repro.simmpi.collectives` simulates every
 collective faithfully: a p-rank broadcast moves p-1 envelopes through
@@ -7,9 +7,12 @@ threads and per-hop metering. Those envelopes exist only to produce
 three observable effects — per-rank counter increments, per-rank
 virtual-clock advances, and delivered payloads. When nothing is
 watching the individual messages (no tracing, no fault plan, no
-custom reduce op), all three can be computed *analytically*
-from the same recurrences the binomial/ring/Bruck algorithms induce,
-without any envelope ever crossing a mailbox.
+custom reduce op), the fast path routes the payloads directly and
+takes the costs from the collective's closed form, without any
+envelope ever crossing a mailbox. It has no cost arithmetic of its
+own: it computes each rank's word counts from the real payloads and
+calls the oracle in :mod:`repro.simmpi.closedform` with the ranks'
+entry clocks (:meth:`_Ctx.meter`).
 
 Mechanics: all ranks of the communicator meet at a
 :class:`CollectiveGate` (one per communicator context, owned by the
@@ -17,33 +20,35 @@ Mechanics: all ranks of the communicator meet at a
 world's :class:`~repro.simmpi.baton.Baton`, which passes the one
 runnable slot to the next ready rank. The last rank to arrive becomes
 the *leader*: it resolves the whole collective once — validates the
-call, walks the algorithm's communication pattern in closed form,
-bulk-applies every rank's counter increments and final virtual-clock
-value (safe because all other ranks are parked in the gate), publishes
-the per-rank results and makes the parked ranks ready in ring order
-from its successor. They resume one at a time, in that order, as the
+call, routes the payloads, bulk-applies every rank's counter
+increments and final virtual-clock value from the oracle (safe
+because all other ranks are parked in the gate), publishes the
+per-rank results and makes the parked ranks ready in ring order from
+its successor. They resume one at a time, in that order, as the
 baton reaches them. Cost per collective: one rendezvous plus the
-pattern's arithmetic in a single thread, instead of O(edges)
+routing and the oracle in a single thread, instead of O(edges)
 cross-thread envelope deliveries.
 
-The arithmetic is vectorised over ranks where it can be. Ring steps
-(barrier, allgather, reduce_scatter, each Bruck round) meter all p
-ranks with one numpy update (:meth:`_Meter.ring`). The O(p²)
-resolvers have batched forms chosen from the input's own types: a CoW
-all-to-all whose blocks are all plain ndarrays of one shape
-(``ndim >= 1``) and one numeric dtype freezes the whole block table
-once as a (p, p, *shape) buffer and hands each receiver row views of
-it; a reduce_scatter whose inputs share one size and dtype runs every
-ring step as one fancy-indexed ``op`` call over a (p x n) matrix. Any
-other input takes the per-block / per-rank form.
+The O(p²) routing has batched forms chosen from the input's own
+types: a CoW all-to-all whose blocks are all plain ndarrays of one
+shape (``ndim >= 1``) and one numeric dtype freezes the whole block
+table once as a (p, p, *shape) buffer and hands each receiver row
+views of it; a reduce_scatter whose inputs share one size and dtype
+runs every ring step as one fancy-indexed ``op`` call over a (p x n)
+matrix. Any other input takes the per-block / per-rank form.
 
-Equivalence contract (enforced by ``benchmarks/bench_regress.py``'s
-``regress_fastpath`` gate and ``tests/test_fastpath.py``): for every
-supported collective the fast path is **bit-identical** to the message
-path in ``TraceReport.counts_signature()``, in every rank's virtual
-clock, and in delivered payload contents — including copy-on-write
-read-only-view semantics, two-level internode sub-tallies, and the
-exact float association order of built-in reductions.
+Equivalence contract: for every supported collective the fast path is
+**bit-identical** to the message path in
+``TraceReport.counts_signature()``, in every rank's virtual clock, and
+in delivered payload contents — including copy-on-write read-only-view
+semantics, two-level internode sub-tallies, and the exact float
+association order of built-in reductions. The message path is the
+independent witness: ``tests/test_fastpath.py`` and the conformance
+grid (:mod:`repro.conformance`) compare the two, so a wrong closed form
+shows up as a fast-path divergence
+(``tests/test_fastpath.py::TestSingleClosedForm``).
+``benchmarks/bench_regress.py``'s ``regress_fastpath`` gate checks the
+same on a timed workload.
 
 Semantics note: the fast path gives every collective *synchronizing*
 semantics (all ranks must arrive before any proceeds), which MPI
@@ -65,7 +70,6 @@ message path, unchanged.
 
 from __future__ import annotations
 
-import math
 import threading
 from time import monotonic
 from typing import Any, Sequence
@@ -73,12 +77,19 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.exceptions import CommunicatorError, DeadlockError, SimulationError
-from repro.simmpi.payload import (
-    copy_payload,
-    freeze_payload,
-    message_count,
-    payload_words,
+from repro.simmpi.closedform import (
+    OracleSpec,
+    oracle_allgather,
+    oracle_alltoall,
+    oracle_alltoall_bruck,
+    oracle_barrier,
+    oracle_bcast,
+    oracle_gather,
+    oracle_reduce,
+    oracle_reduce_scatter,
+    oracle_scatter,
 )
+from repro.simmpi.payload import copy_payload, freeze_payload, payload_words
 
 __all__ = ["CollectiveGate", "run_collective", "resolve"]
 
@@ -212,101 +223,38 @@ def run_collective(comm, name: str, args: tuple) -> Any:
 class _Ctx:
     """Per-resolution view of the world restricted to one rank group."""
 
-    __slots__ = ("group", "p", "machine", "mmw", "cow", "counters", "two_level", "nodes")
+    __slots__ = ("group", "p", "cow", "counters", "spec")
 
     def __init__(self, world, group: tuple):
         self.group = group
         self.p = len(group)
-        self.machine = world.machine
-        self.mmw = world.max_message_words
         self.cow = world.copy_on_write
         self.counters = [world.counters[w] for w in group]
-        self.two_level = world.node_size is not None
-        #: node id of each local rank (two-level worlds only)
-        self.nodes = (
-            np.array(group, dtype=np.int64) // world.node_size
-            if self.two_level
-            else None
+        self.spec = OracleSpec(
+            self.p,
+            max_message_words=world.max_message_words,
+            machine=world.machine,
+            node_size=world.node_size,
+            ranks=group,
         )
 
-    def internode(self, a_local: int, b_local: int) -> bool:
-        return self.two_level and self.nodes[a_local] != self.nodes[b_local]
-
-    def ring_internode(self, shift: int) -> np.ndarray | None:
-        """Mask of local ranks whose message to ``(r + shift) % p``
-        crosses nodes (None in flat worlds)."""
-        if not self.two_level:
-            return None
-        return self.nodes != np.roll(self.nodes, -shift)
-
-    def entry_vtimes(self) -> np.ndarray | None:
-        if self.machine is None:
-            return None
-        return np.array([c.vtime for c in self.counters], dtype=np.float64)
-
-
-class _Meter:
-    """Accumulates per-rank tallies, then bulk-applies them."""
-
-    __slots__ = ("ctx", "ws", "ms", "wr", "mr", "wsi", "msi", "wri", "mri")
-
-    def __init__(self, ctx: _Ctx):
-        p = ctx.p
-        self.ctx = ctx
-        self.ws = np.zeros(p, dtype=np.int64)
-        self.ms = np.zeros(p, dtype=np.int64)
-        self.wr = np.zeros(p, dtype=np.int64)
-        self.mr = np.zeros(p, dtype=np.int64)
-        self.wsi = np.zeros(p, dtype=np.int64)
-        self.msi = np.zeros(p, dtype=np.int64)
-        self.wri = np.zeros(p, dtype=np.int64)
-        self.mri = np.zeros(p, dtype=np.int64)
-
-    def edge(self, src: int, dst: int, words: int, msgs: int) -> None:
-        """Meter one logical message src -> dst (local ranks)."""
-        self.ws[src] += words
-        self.ms[src] += msgs
-        self.wr[dst] += words
-        self.mr[dst] += msgs
-        if self.ctx.internode(src, dst):
-            self.wsi[src] += words
-            self.msi[src] += msgs
-            self.wri[dst] += words
-            self.mri[dst] += msgs
-
-    def ring(self, words, msgs, shift: int) -> None:
-        """Meter one ring step in bulk: every local rank r sends
-        ``words[r]`` words in ``msgs[r]`` messages to ``(r + shift) % p``
-        (scalars apply to every rank)."""
-        p = self.ctx.p
-        words = np.broadcast_to(np.asarray(words, dtype=np.int64), (p,))
-        msgs = np.broadcast_to(np.asarray(msgs, dtype=np.int64), (p,))
-        self.ws += words
-        self.ms += msgs
-        self.wr += np.roll(words, shift)
-        self.mr += np.roll(msgs, shift)
-        cross = self.ctx.ring_internode(shift)
-        if cross is not None:
-            wi = np.where(cross, words, 0)
-            mi = np.where(cross, msgs, 0)
-            self.wsi += wi
-            self.msi += mi
-            self.wri += np.roll(wi, shift)
-            self.mri += np.roll(mi, shift)
-
-    def apply(self, vtimes: np.ndarray | Sequence[float] | None) -> None:
-        counters = self.ctx.counters
-        for i in range(self.ctx.p):
-            counters[i].apply_bulk(
-                words_sent=int(self.ws[i]),
-                messages_sent=int(self.ms[i]),
-                words_received=int(self.wr[i]),
-                messages_received=int(self.mr[i]),
-                words_sent_internode=int(self.wsi[i]),
-                messages_sent_internode=int(self.msi[i]),
-                words_received_internode=int(self.wri[i]),
-                messages_received_internode=int(self.mri[i]),
-                vtime=None if vtimes is None else float(vtimes[i]),
+    def meter(self, oracle, *args, **kwargs) -> None:
+        """Land the collective's costs: its oracle, evaluated from the
+        ranks' entry clocks, gives every rank's tallies and exit clock,
+        applied in one bulk call per rank."""
+        counters = self.counters
+        costs = oracle(self.spec, *args, entry=[c.vtime for c in counters], **kwargs)
+        for counter, rc in zip(counters, costs.ranks):
+            counter.apply_bulk(
+                words_sent=rc.words_sent,
+                messages_sent=rc.messages_sent,
+                words_received=rc.words_received,
+                messages_received=rc.messages_received,
+                words_sent_internode=rc.words_sent_internode,
+                messages_sent_internode=rc.messages_sent_internode,
+                words_received_internode=rc.words_received_internode,
+                messages_received_internode=rc.messages_received_internode,
+                vtime=rc.vtime,
             )
 
 
@@ -325,31 +273,6 @@ def _deliver(ctx: _Ctx, fp, obj: Any) -> Any:
     if ctx.cow:
         return fp.view()
     return copy_payload(obj)
-
-
-def _cost(machine, words: int, msgs: int) -> float:
-    # Mirrors Comm.send exactly: alpha_t * msgs + beta_t * words, in
-    # this operand order, so float rounding matches bit for bit.
-    return machine.alpha_t * msgs + machine.beta_t * words
-
-
-def _cost_vec(machine, words: np.ndarray, msgs: np.ndarray) -> np.ndarray:
-    return machine.alpha_t * msgs + machine.beta_t * words
-
-
-def _ring_clock(ctx: _Ctx, t, words, msgs, shift: int = 1):
-    """Virtual clocks after one ring step in which every rank r sends
-    to ``(r + shift) % p`` and receives from ``(r - shift) % p``."""
-    if ctx.machine is None:
-        return t
-    dep = t + _cost_vec(ctx.machine, words, msgs)
-    return np.maximum(dep, np.roll(dep, shift))
-
-
-def _mc_vec(words: np.ndarray, mmw: float) -> np.ndarray:
-    if math.isinf(mmw):
-        return np.ones_like(words)
-    return np.maximum(np.ceil(words / mmw).astype(np.int64), 1)
 
 
 def _numeric(dtype: np.dtype) -> bool:
@@ -407,17 +330,8 @@ def _check_common_root(ctx: _Ctx, argslist: list, root_index: int):
 
 
 def _resolve_barrier(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
-    meter = _Meter(ctx)
-    t = ctx.entry_vtimes()
-    m = message_count(0, ctx.mmw)
-    step = 1
-    while step < p:
-        meter.ring(0, m, step)
-        t = _ring_clock(ctx, t, 0, m, step)
-        step <<= 1
-    meter.apply(t)
-    return [None] * p
+    ctx.meter(oracle_barrier)
+    return [None] * ctx.p
 
 
 def _resolve_bcast(ctx: _Ctx, argslist: list) -> list:
@@ -427,30 +341,7 @@ def _resolve_bcast(ctx: _Ctx, argslist: list) -> list:
         return err
     obj = argslist[root][0]
     fp, w = _pack(ctx, obj)
-    m = message_count(w, ctx.mmw)
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    # t indexed by vrank (local rank of vrank v is (v + root) % p).
-    t = None
-    if machine is not None:
-        t = [ctx.counters[(v + root) % p].vtime for v in range(p)]
-        cost = _cost(machine, w, m)
-    mask = 1
-    while mask < p:
-        for me in range(min(mask, p - mask)):
-            peer = me + mask
-            meter.edge((me + root) % p, (peer + root) % p, w, m)
-            if machine is not None:
-                t[me] += cost
-                if t[me] > t[peer]:
-                    t[peer] = t[me]
-        mask <<= 1
-    vt = None
-    if machine is not None:
-        vt = [0.0] * p
-        for v in range(p):
-            vt[(v + root) % p] = t[v]
-    meter.apply(vt)
+    ctx.meter(oracle_bcast, w, root=root)
     return [_deliver(ctx, fp, obj) for _ in range(p)]
 
 
@@ -462,34 +353,19 @@ def _resolve_reduce(ctx: _Ctx, argslist: list) -> list:
     op = argslist[root][1]
     # Accumulators in vrank order, starting from each rank's private copy.
     accs: list = [copy_payload(argslist[(v + root) % p][0]) for v in range(p)]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = None
-    if machine is not None:
-        t = [ctx.counters[(v + root) % p].vtime for v in range(p)]
+    sent = [0] * p  # words of the accumulator each rank sends
     mask = 1
     while mask < p:
         for me in range(0, p - mask, mask << 1):
             s = me + mask
-            w = payload_words(accs[s])
-            m = message_count(w, ctx.mmw)
-            meter.edge((s + root) % p, (me + root) % p, w, m)
-            if machine is not None:
-                t[s] += _cost(machine, w, m)
-                if t[s] > t[me]:
-                    t[me] = t[s]
+            sent[(s + root) % p] = payload_words(accs[s])
             try:
                 accs[me] = op(accs[me], accs[s])
             except Exception as exc:
                 return _partial_err(ctx, {(me + root) % p: exc})
             accs[s] = None  # that rank has exited the tree
         mask <<= 1
-    vt = None
-    if machine is not None:
-        vt = [0.0] * p
-        for v in range(p):
-            vt[(v + root) % p] = t[v]
-    meter.apply(vt)
+    ctx.meter(oracle_reduce, sent, root=root)
     out: list = [None] * p
     out[root] = accs[0]
     return out
@@ -511,8 +387,12 @@ def _resolve_reduce_scatter(ctx: _Ctx, argslist: list) -> list:
     if _numeric(first.dtype) and all(
         a.size == first.size and a.dtype == first.dtype for a in arrays
     ):
-        return _reduce_scatter_stacked(ctx, arrays, op)
-    return _reduce_scatter_per_rank(ctx, arrays, op)
+        out = _reduce_scatter_stacked(ctx, arrays, op)
+    else:
+        out = _reduce_scatter_per_rank(ctx, arrays, op)
+    if type(out[0]) is not _Err:
+        ctx.meter(oracle_reduce_scatter, [a.size for a in arrays])
+    return out
 
 
 def _reduce_scatter_stacked(ctx: _Ctx, arrays: list, op) -> list:
@@ -534,22 +414,12 @@ def _reduce_scatter_stacked(ctx: _Ctx, arrays: list, op) -> list:
     starts = np.cumsum(sizes) - sizes
     chunk = np.repeat(idx, sizes)  # column -> chunk index
     cols = np.arange(n)
-    meter = _Meter(ctx)
-    t = ctx.entry_vtimes()
     for s in range(1, p):
         dst = (chunk + s) % p * n + cols
         src = (chunk + s - 1) % p * n + cols
         flat[dst] = op(flat[dst], flat[src])
-        w = sizes[(idx - s + 1) % p]  # rank r ships chunk (r - s + 1) % p
-        m = _mc_vec(w, ctx.mmw)
-        meter.ring(w, m, 1)
-        t = _ring_clock(ctx, t, w, m)
     # Ownership rotation: rank r ships its reduced chunk (r+1)%p right,
     # so rank r ends with chunk r, reduced on rank r - 1.
-    w = sizes[(idx + 1) % p]
-    m = _mc_vec(w, ctx.mmw)
-    meter.ring(w, m, 1)
-    meter.apply(_ring_clock(ctx, t, w, m))
     result = flat[(chunk - 1) % p * n + cols]
     if ctx.cow:
         result = freeze_payload(result).view()
@@ -568,16 +438,10 @@ def _reduce_scatter_per_rank(ctx: _Ctx, arrays: list, op) -> list:
     """
     p = ctx.p
     accs = [[np.array(c, copy=True) for c in np.array_split(a.ravel(), p)] for a in arrays]
-    meter = _Meter(ctx)
-    t = ctx.entry_vtimes()
     live = [True] * p
     errs: dict[int, BaseException] = {}
     for s in range(1, p):
         sent = [accs[r][(r - s + 1) % p] for r in range(p)]
-        w = np.array([a.size for a in sent], dtype=np.int64)
-        m = _mc_vec(w, ctx.mmw)
-        meter.ring(w, m, 1)
-        t = _ring_clock(ctx, t, w, m)
         senders = list(live)
         for r in range(p):
             if not (senders[r] and senders[(r - 1) % p]):
@@ -592,14 +456,9 @@ def _reduce_scatter_per_rank(ctx: _Ctx, arrays: list, op) -> list:
     if errs:
         return _partial_err(ctx, errs)
     # Ownership rotation: rank r ships its reduced chunk (r+1)%p right.
-    owned = [accs[r][(r + 1) % p] for r in range(p)]
-    w = np.array([a.size for a in owned], dtype=np.int64)
-    m = _mc_vec(w, ctx.mmw)
-    meter.ring(w, m, 1)
-    meter.apply(_ring_clock(ctx, t, w, m))
     out: list = []
     for r in range(p):
-        chunk = owned[(r - 1) % p]
+        chunk = accs[(r - 1) % p][r]
         fp = freeze_payload(chunk) if ctx.cow else None
         out.append(_deliver(ctx, fp, chunk))
     return out
@@ -608,18 +467,7 @@ def _reduce_scatter_per_rank(ctx: _Ctx, arrays: list, op) -> list:
 def _resolve_allgather(ctx: _Ctx, argslist: list) -> list:
     p = ctx.p
     packs = [_pack(ctx, args[0]) for args in argslist]
-    w = np.array([words for _fp, words in packs], dtype=np.int64)
-    m = _mc_vec(w, ctx.mmw)
-    meter = _Meter(ctx)
-    # Rank r forwards every block except origin (r+1)%p to its right
-    # neighbor, and receives every block except its own from the left.
-    meter.ring(w.sum() - np.roll(w, -1), m.sum() - np.roll(m, -1), 1)
-    t = ctx.entry_vtimes()
-    if ctx.machine is not None:
-        for s in range(p - 1):
-            w_send = np.roll(w, s)  # rank r ships origin (r-s)%p at step s
-            t = _ring_clock(ctx, t, w_send, np.roll(m, s))
-    meter.apply(t)
+    ctx.meter(oracle_allgather, [words for _fp, words in packs])
     return [
         [_deliver(ctx, fp, argslist[o][0]) for o, (fp, _w) in enumerate(packs)]
         for _ in range(p)
@@ -632,20 +480,7 @@ def _resolve_gather(ctx: _Ctx, argslist: list) -> list:
     if err is not None:
         return err
     packs = [_pack(ctx, args[0]) for args in argslist]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = ctx.entry_vtimes()
-    for r in range(p):
-        if r == root:
-            continue
-        _fp, w = packs[r]
-        m = message_count(w, ctx.mmw)
-        meter.edge(r, root, w, m)
-        if machine is not None:
-            t[r] += _cost(machine, w, m)
-            if t[r] > t[root]:
-                t[root] = t[r]
-    meter.apply(t)
+    ctx.meter(oracle_gather, [words for _fp, words in packs], root=root)
     out: list = [None] * p
     out[root] = [_deliver(ctx, fp, argslist[r][0]) for r, (fp, _w) in enumerate(packs)]
     return out
@@ -668,39 +503,8 @@ def _resolve_scatter(ctx: _Ctx, argslist: list) -> list:
             },
         )
     packs = [_pack(ctx, objs[r]) for r in range(p)]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = ctx.entry_vtimes()
-    for r in range(p):
-        if r == root:
-            continue
-        _fp, w = packs[r]
-        m = message_count(w, ctx.mmw)
-        meter.edge(root, r, w, m)
-        if machine is not None:
-            # Root's sends are sequential in ascending r; each receiver
-            # syncs to the departure time of its own message.
-            t[root] += _cost(machine, w, m)
-            if t[root] > t[r]:
-                t[r] = t[root]
-    meter.apply(t)
+    ctx.meter(oracle_scatter, [words for _fp, words in packs], root=root)
     return [_deliver(ctx, packs[r][0], objs[r]) for r in range(p)]
-
-
-def _blocks_checked(ctx: _Ctx, argslist: list, name: str):
-    """The (src, dst) block table, or per-rank errors for ranks that did
-    not pass one block per destination."""
-    p = ctx.p
-    bad = {
-        i: CommunicatorError(
-            f"{name} needs one block per rank ({p}), got {len(args[0])}"
-        )
-        for i, args in enumerate(argslist)
-        if len(args[0]) != p
-    }
-    if bad:
-        return None, _partial_err(ctx, bad)
-    return [args[0] for args in argslist], None
 
 
 def _uniform_blocks(table: list) -> bool:
@@ -743,66 +547,39 @@ def _pack_table(ctx: _Ctx, table: list):
     return W, received
 
 
-def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
+def _exchange(ctx: _Ctx, argslist: list, name: str, oracle) -> list:
+    """An all-to-all: per-rank errors for ranks that did not pass one
+    block per destination, else the routed blocks, metered by
+    ``oracle`` from the block-words table."""
     p = ctx.p
-    table, err = _blocks_checked(ctx, argslist, "alltoall")
-    if err is not None:
-        return err
-    w, received = _pack_table(ctx, table)
-    m = _mc_vec(w, ctx.mmw)
-    meter = _Meter(ctx)
-    idx = np.arange(p)
-    off = np.eye(p, dtype=bool)  # own block never crosses the network
-    meter.ws += np.where(off, 0, w).sum(axis=1)
-    meter.ms += np.where(off, 0, m).sum(axis=1)
-    meter.wr += np.where(off, 0, w).sum(axis=0)
-    meter.mr += np.where(off, 0, m).sum(axis=0)
-    if ctx.two_level:
-        inter = ctx.nodes[:, None] != ctx.nodes[None, :]
-        meter.wsi += np.where(inter, w, 0).sum(axis=1)
-        meter.msi += np.where(inter, m, 0).sum(axis=1)
-        meter.wri += np.where(inter, w, 0).sum(axis=0)
-        meter.mri += np.where(inter, m, 0).sum(axis=0)
-    t = ctx.entry_vtimes()
-    if ctx.machine is not None:
-        for k in range(1, p):
-            dest = (idx + k) % p
-            t = _ring_clock(ctx, t, w[idx, dest], m[idx, dest], k)
-    meter.apply(t)
+    bad = {
+        i: CommunicatorError(
+            f"{name} needs one block per rank ({p}), got {len(args[0])}"
+        )
+        for i, args in enumerate(argslist)
+        if len(args[0]) != p
+    }
+    if bad:
+        return _partial_err(ctx, bad)
+    w, received = _pack_table(ctx, [args[0] for args in argslist])
+    ctx.meter(oracle, w)
     return received
+
+
+def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
+    return _exchange(ctx, argslist, "alltoall", oracle_alltoall)
 
 
 def _resolve_alltoall_bruck(ctx: _Ctx, argslist: list) -> list:
     p = ctx.p
     if p & (p - 1):
         return _all_err(
-            ctx.p,
+            p,
             CommunicatorError(
                 f"alltoall_bruck requires a power-of-two size, got {p}"
             ),
         )
-    table, err = _blocks_checked(ctx, argslist, "alltoall_bruck")
-    if err is not None:
-        return err
-    w, received = _pack_table(ctx, table)
-    # Phase-1 rotation: slot j on rank r holds the block for relative
-    # destination j, i.e. W[r, j] = w[r, (r + j) % p].
-    idx = np.arange(p)
-    W = w[idx[:, None], (idx[:, None] + idx[None, :]) % p]
-    meter = _Meter(ctx)
-    t = ctx.entry_vtimes()
-    mask = 1
-    while mask < p:
-        ship = (idx & mask) != 0
-        sent_w = W[:, ship].sum(axis=1)
-        sent_m = _mc_vec(sent_w, ctx.mmw)
-        meter.ring(sent_w, sent_m, mask)
-        t = _ring_clock(ctx, t, sent_w, sent_m, mask)
-        # Shipped slots now hold whatever the left-by-mask rank had.
-        W[:, ship] = np.roll(W[:, ship], mask, axis=0)
-        mask <<= 1
-    meter.apply(t)
-    return received
+    return _exchange(ctx, argslist, "alltoall_bruck", oracle_alltoall_bruck)
 
 
 _RESOLVERS = {
