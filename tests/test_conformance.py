@@ -172,6 +172,18 @@ class TestDiffer:
         assert len(VARIANTS) * len(cases) >= 200
         non_pow2 = {c.size for c in cases if c.size & (c.size - 1)}
         assert len(non_pow2) >= 5
+        # Every collective family, the Bruck error cells and every
+        # registry scenario: the grid cannot silently lose a family.
+        from repro.conformance import BATTERY
+        from repro.scenarios import SCENARIOS
+
+        families = {c.name.split("/", 1)[0] for c in cases}
+        expected = (
+            set(BATTERY)
+            | {"bruck_non_pow2"}
+            | {f"scenario:{w}" for w in SCENARIOS}
+        )
+        assert expected <= families, sorted(expected - families)
 
     def test_registries_agree(self):
         from repro import sweep

@@ -351,6 +351,9 @@ class TestRecordHookEquivalence:
             rec.last_record.counts_signature()
             == hooked.report.counts_signature()
         )
+        # ...and the ledger on disk round-trips that exact signature
+        (stored,) = ledger.records()
+        assert stored.counts_signature() == hooked.report.counts_signature()
 
     def test_callable_hook(self):
         from repro.algorithms.cannon import cannon_matmul
