@@ -131,6 +131,44 @@ def _finalize(
     return result
 
 
+#: Seconds an aborted world's ranks get to unwind before the join
+#: watchdog names the ones still unfinished.
+_UNWIND_GRACE = 1.0
+
+
+def _run_watched(
+    world: World,
+    start: Callable[[int], None],
+    on_wedged: Callable[[list[int]], None] | None = None,
+) -> None:
+    """Run ``world``'s ranks under the join watchdog both substrates share.
+
+    ``start(r)`` launches rank r when the baton first reaches it. The
+    baton reports a deadlock among blocked ranks at once, but a rank
+    wedged *outside* the simulator (a user-code infinite loop) never
+    gives the baton up, so the run is bounded consistently with
+    ``timeout=``: one full receive timeout for the slowest rank to
+    unblock, another for its own cleanup cascade, plus scheduling slack
+    (``2*timeout + 1``). When that runs out, the world is aborted, its
+    ranks get :data:`_UNWIND_GRACE` seconds to unwind, ``on_wedged``
+    receives the ranks still unfinished (the pool replaces their
+    workers), and a :class:`~repro.exceptions.DeadlockError` names them.
+    """
+    budget = 2.0 * world.timeout + 1.0
+    if world.baton.run(start, budget):
+        return
+    world.abort()  # unblock anything still waiting on the stuck ranks
+    world.baton.wait(_UNWIND_GRACE)
+    stuck = world.baton.unfinished()
+    if on_wedged is not None:
+        on_wedged(stuck)
+    raise DeadlockError(
+        f"rank thread(s) {stuck} failed to finish within {budget:.1f}s "
+        "(2*timeout+1); the rank(s) are wedged outside a receive — likely "
+        "an infinite loop in the SPMD program"
+    )
+
+
 def run_spmd(
     size: int,
     program: Callable[..., Any],
@@ -228,7 +266,8 @@ def run_spmd(
     DeadlockError
         If the ranks fail to finish within the ``2*timeout + 1`` budget
         (a rank wedged outside a receive, e.g. a user-code infinite
-        loop, never gives the baton up).
+        loop, never gives the baton up); raised after a further
+        :data:`_UNWIND_GRACE` seconds for the aborted ranks to unwind.
     """
     world = World(
         size,
@@ -270,21 +309,7 @@ def run_spmd(
         threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
         for r in range(size)
     ]
-    # Join watchdog: the baton reports a deadlock among blocked ranks at
-    # once, but a rank wedged *outside* the simulator (user-code infinite
-    # loop) never gives the baton up, so bound the total run time
-    # consistently with ``timeout=``: one full receive timeout for the
-    # slowest rank to unblock, another for its own cleanup cascade,
-    # plus scheduling slack.
-    if not world.baton.run(lambda r: threads[r].start(), 2.0 * world.timeout + 1.0):
-        world.abort()  # unblock anything still waiting on the stuck ranks
-        stuck = world.baton.unfinished()
-        raise DeadlockError(
-            f"rank thread(s) {stuck} failed to join within "
-            f"{2.0 * world.timeout + 1.0:.1f}s (2*timeout+1); the rank(s) "
-            "are wedged outside a receive — likely an infinite loop in "
-            "the SPMD program"
-        )
+    _run_watched(world, lambda r: threads[r].start())
     for t in threads:
         t.join()  # every rank has exited the baton; only teardown is left
 

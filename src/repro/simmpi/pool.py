@@ -42,9 +42,9 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.exceptions import DeadlockError, RankCrashedError
+from repro.exceptions import RankCrashedError
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import SpmdResult, _finalize
+from repro.simmpi.engine import SpmdResult, _finalize, _run_watched
 from repro.simmpi.world import World
 
 __all__ = ["SpmdPool", "shared_pool"]
@@ -130,34 +130,40 @@ class SpmdPool:
             if self._closed:
                 raise RuntimeError("SpmdPool is shut down")
             while len(self._threads) < target:
-                idx = len(self._threads)
-                q: queue.SimpleQueue = queue.SimpleQueue()
-                usage = None
-                if self._metrics is not None:
-                    labels = {"worker": str(idx)}
-                    usage = (
-                        self._metrics.counter(
-                            "simmpi_pool_jobs_total",
-                            labels=labels,
-                            help="Rank jobs executed per pool worker.",
-                        ),
-                        self._metrics.counter(
-                            "simmpi_pool_busy_seconds_total",
-                            labels=labels,
-                            help="Wall-clock seconds per worker spent running rank jobs.",
-                        ),
-                    )
-                t = threading.Thread(
-                    target=_worker_loop,
-                    args=(q, usage),
-                    name=f"simmpi-pool-{idx}",
-                    daemon=True,
-                )
+                q, t = self._start_worker(len(self._threads))
                 self._queues.append(q)
                 self._threads.append(t)
-                t.start()
             if self._workers_gauge is not None:
                 self._workers_gauge.set(len(self._threads))
+
+    def _start_worker(
+        self, idx: int
+    ) -> tuple[queue.SimpleQueue, threading.Thread]:
+        """Start the worker for slot ``idx``; returns its queue and thread."""
+        q: queue.SimpleQueue = queue.SimpleQueue()
+        usage = None
+        if self._metrics is not None:
+            labels = {"worker": str(idx)}
+            usage = (
+                self._metrics.counter(
+                    "simmpi_pool_jobs_total",
+                    labels=labels,
+                    help="Rank jobs executed per pool worker.",
+                ),
+                self._metrics.counter(
+                    "simmpi_pool_busy_seconds_total",
+                    labels=labels,
+                    help="Wall-clock seconds per worker spent running rank jobs.",
+                ),
+            )
+        t = threading.Thread(
+            target=_worker_loop,
+            args=(q, usage),
+            name=f"simmpi-pool-{idx}",
+            daemon=True,
+        )
+        t.start()
+        return q, t
 
     # -- execution -------------------------------------------------------
 
@@ -188,11 +194,11 @@ class SpmdPool:
         ``record=`` run-ledger hook) —
         minus the per-call thread spawn/join. Ranks run one at a time
         in FIFO hand-off order, rank r's job reaching worker r when the
-        baton first does. Like ``run_spmd``'s join
-        watchdog, a rank wedged outside a receive raises
-        :class:`~repro.exceptions.DeadlockError` naming the stuck ranks
-        after ``2*timeout + 1`` seconds; the wedged workers are replaced
-        so the pool stays usable.
+        baton first does. A rank wedged outside a receive raises the
+        same :class:`~repro.exceptions.DeadlockError` as ``run_spmd``
+        (one join watchdog,
+        :func:`~repro.simmpi.engine._run_watched`); the wedged workers
+        are then replaced so the pool stays usable.
         """
         world = World(
             size,
@@ -226,20 +232,9 @@ class SpmdPool:
                 failures_lock=failures_lock,
             )
             queues = self._queues
-            budget = 2.0 * world.timeout + 1.0
-            if not world.baton.run(lambda r: queues[r].put((r, job)), budget):
-                world.abort()  # unblock anything waiting on the stuck ranks
-                # Give aborted ranks a moment to unwind, then replace the
-                # workers still wedged in user code so the pool survives.
-                world.baton.wait(1.0)
-                stuck = world.baton.unfinished()
-                self._replace_workers(stuck)
-                raise DeadlockError(
-                    f"rank thread(s) {stuck} failed to finish within "
-                    f"{budget:.1f}s (2*timeout+1); the rank(s) are wedged "
-                    "outside a receive — likely an infinite loop in the "
-                    "SPMD program (wedged pool workers were replaced)"
-                )
+            _run_watched(
+                world, lambda r: queues[r].put((r, job)), self._replace_workers
+            )
 
         return _finalize(
             world,
@@ -257,31 +252,7 @@ class SpmdPool:
             if self._closed:
                 return
             for idx in indices:
-                q: queue.SimpleQueue = queue.SimpleQueue()
-                usage = None
-                if self._metrics is not None:
-                    labels = {"worker": str(idx)}
-                    usage = (
-                        self._metrics.counter(
-                            "simmpi_pool_jobs_total",
-                            labels=labels,
-                            help="Rank jobs executed per pool worker.",
-                        ),
-                        self._metrics.counter(
-                            "simmpi_pool_busy_seconds_total",
-                            labels=labels,
-                            help="Wall-clock seconds per worker spent running rank jobs.",
-                        ),
-                    )
-                t = threading.Thread(
-                    target=_worker_loop,
-                    args=(q, usage),
-                    name=f"simmpi-pool-{idx}",
-                    daemon=True,
-                )
-                self._queues[idx] = q
-                self._threads[idx] = t
-                t.start()
+                self._queues[idx], self._threads[idx] = self._start_worker(idx)
 
 
 class _Job:
