@@ -10,8 +10,8 @@ paper-sized experiment.
 
 :func:`check_sweep` takes a fixed-tile p-sweep of ledger records (one
 workload key, p varying) and classifies each cost term against the
-tolerance table :data:`DRIFT_TOLERANCES` (same spirit as
-``bench_regress.py``'s table — loose enough for the constant-factor
+tolerance table :data:`DRIFT_TOLERANCES` (same spirit as the bounds
+in ``benchmarks/bench_regress.py`` — loose enough for the constant-factor
 wobble real measured counts carry, tight enough that a 2x term
 inflation can never pass):
 

@@ -25,7 +25,8 @@ Two record kinds share the schema:
 The ``record=None`` default path costs the engine a single ``is None``
 test *after* the run has joined — counts and per-rank virtual clocks
 are bit-identical with the hook on or off
-(``benchmarks/bench_regress.py`` gates this exactly).
+(``tests/test_observatory.py::TestRecordHookEquivalence`` holds this
+exactly).
 """
 
 from __future__ import annotations

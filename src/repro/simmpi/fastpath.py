@@ -47,8 +47,6 @@ independent witness: ``tests/test_fastpath.py`` and the conformance
 grid (:mod:`repro.conformance`) compare the two, so a wrong closed form
 shows up as a fast-path divergence
 (``tests/test_fastpath.py::TestSingleClosedForm``).
-``benchmarks/bench_regress.py``'s ``regress_fastpath`` gate checks the
-same on a timed workload.
 
 Semantics note: the fast path gives every collective *synchronizing*
 semantics (all ranks must arrive before any proceeds), which MPI

@@ -38,7 +38,7 @@ where), not a distributed agreement protocol.
 With ``faults=None`` (the default everywhere) no :class:`FaultState` is
 created and every hook is a single ``is None`` test: counts and per-rank
 virtual clocks are bit-identical to a build without fault support
-(enforced by ``benchmarks/bench_regress.py``).
+(held by ``tests/test_faults.py::TestDisabledPathIdentity``).
 """
 
 from __future__ import annotations
