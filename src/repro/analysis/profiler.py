@@ -144,11 +144,14 @@ class ModelProfile:
         if memory_words is None:
             measured = report.max_mem_peak
             memory_words = measured if measured > 0 else machine.memory_words
-        time = report.estimate_time(machine)
-        energy = report.estimate_energy(machine, memory_words=memory_words)
-        critical_rank = max(
-            range(report.size),
-            key=lambda r: report.rank_time(machine, r).total,
+        # One Eq. (1) pass: the first slowest rank is both the critical
+        # rank and estimate_time's pick, and its total is
+        # estimate_energy's default T.
+        per_rank = [report.rank_time(machine, r) for r in range(report.size)]
+        critical_rank = max(range(report.size), key=lambda r: per_rank[r].total)
+        time = per_rank[critical_rank]
+        energy = report.estimate_energy(
+            machine, memory_words=memory_words, runtime_seconds=time.total
         )
         phases = None
         dropped = 0

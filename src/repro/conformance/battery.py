@@ -102,6 +102,12 @@ class Collective:
     pow2_only: bool = False
 
 
+def _blocks(block: int, p: int) -> list:
+    """One all-to-all rank's p blocks, each ``np.arange(float(block))``:
+    the rows of one tiled array, built by one numpy call instead of p."""
+    return list(np.tile(np.arange(float(block)), (p, 1)))
+
+
 def _bcast(s: Shape):
     build, _words = payload(s.kind, s.words)
     return lambda comm: _c.bcast(
@@ -179,15 +185,11 @@ BATTERY: dict[str, Collective] = {
         rooted=True,
     ),
     "alltoall": Collective(
-        lambda s: lambda comm: _c.alltoall(
-            comm, [np.arange(float(s.block)) for _ in range(comm.size)]
-        ),
+        lambda s: lambda comm: _c.alltoall(comm, _blocks(s.block, comm.size)),
         lambda spec, s: _o.oracle_alltoall(spec, s.block),
     ),
     "alltoall_bruck": Collective(
-        lambda s: lambda comm: _c.alltoall_bruck(
-            comm, [np.arange(float(s.block)) for _ in range(comm.size)]
-        ),
+        lambda s: lambda comm: _c.alltoall_bruck(comm, _blocks(s.block, comm.size)),
         lambda spec, s: _o.oracle_alltoall_bruck(spec, s.block),
         pow2_only=True,
     ),

@@ -131,6 +131,12 @@ class Baton:
         """Wait up to ``timeout`` seconds for every rank to finish."""
         return self._finished.wait(timeout)
 
+    @property
+    def holder(self) -> int | None:
+        """The rank holding the baton, or None while nobody does."""
+        with self._mu:
+            return self._holder
+
     def unfinished(self) -> list[int]:
         """Ranks that started but have not finished, in rank order."""
         with self._mu:

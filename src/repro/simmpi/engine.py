@@ -20,7 +20,8 @@ this: it comes from the algorithms' fixed communication patterns.
 
 ``run_spmd`` spawns fresh threads per call; for repeated runs (sweeps,
 benchmarks) use :class:`~repro.simmpi.pool.SpmdPool`, which keeps the
-worker threads alive and shares this module's failure handling.
+worker threads alive and runs this module's per-rank body and failure
+handling (:class:`_Run`).
 """
 
 from __future__ import annotations
@@ -79,6 +80,60 @@ class SpmdResult:
         from repro.analysis.timeline import Timeline
 
         return Timeline.from_result(self)
+
+
+class _Run:
+    """One SPMD run's shared state and the per-rank body both substrates
+    execute: :func:`run_spmd`'s rank threads and the
+    :class:`~repro.simmpi.pool.SpmdPool` workers each call
+    :meth:`rank`, and :func:`_finalize` reads the joined state."""
+
+    __slots__ = (
+        "world",
+        "program",
+        "args",
+        "kwargs",
+        "results",
+        "failures",
+        "crashes",
+        "_lock",
+    )
+
+    def __init__(self, world: World, program: Callable[..., Any], args, kwargs):
+        self.world = world
+        self.program = program
+        self.args = args
+        self.kwargs = kwargs
+        self.results: list[Any] = [None] * world.size
+        self.failures: dict[int, BaseException] = {}
+        #: injected RankCrashedError unwinds (see :func:`_finalize`)
+        self.crashes: dict[int, BaseException] = {}
+        self._lock = threading.Lock()
+
+    def rank(self, rank: int, on_exit: Callable[[], None] | None = None) -> None:
+        """Run ``rank``'s program on the world communicator.
+
+        An injected crash isolates the rank (survivors may recover); any
+        other exception is recorded and aborts the world. Either way the
+        rank then hands the baton on for good, after ``on_exit`` (the
+        pool's utilization counters) has run.
+        """
+        world = self.world
+        try:
+            comm = Comm(world, group=world.group, rank=rank)
+            self.results[rank] = self.program(comm, *self.args, **self.kwargs)
+        except RankCrashedError as exc:
+            with self._lock:
+                self.crashes[rank] = exc
+            world.mark_dead(rank)
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
+            with self._lock:
+                self.failures[rank] = exc
+            world.abort()
+        finally:
+            if on_exit is not None:
+                on_exit()
+            world.baton.exit(rank)
 
 
 def _finalize(
@@ -149,17 +204,24 @@ def _run_watched(
     gives the baton up, so the run is bounded consistently with
     ``timeout=``: one full receive timeout for the slowest rank to
     unblock, another for its own cleanup cascade, plus scheduling slack
-    (``2*timeout + 1``). When that runs out, the world is aborted, its
-    ranks get :data:`_UNWIND_GRACE` seconds to unwind, ``on_wedged``
-    receives the ranks still unfinished (the pool replaces their
-    workers), and a :class:`~repro.exceptions.DeadlockError` names them.
+    (``2*timeout + 1``). When that runs out, the world is aborted; if
+    the baton has moved off the rank that held it, the ranks get
+    :data:`_UNWIND_GRACE` seconds to unwind (a holder that keeps it
+    leaves none able to). Then ``on_wedged`` receives the ranks still
+    unfinished (the pool replaces their workers), and a
+    :class:`~repro.exceptions.DeadlockError` names them.
     """
     budget = 2.0 * world.timeout + 1.0
-    if world.baton.run(start, budget):
+    baton = world.baton
+    if baton.run(start, budget):
         return
+    holder = baton.holder
     world.abort()  # unblock anything still waiting on the stuck ranks
-    world.baton.wait(_UNWIND_GRACE)
-    stuck = world.baton.unfinished()
+    if holder is None or baton.holder != holder:
+        # The baton can still move, so aborted ranks can unwind. While
+        # the rank that held it at abort still does, none can.
+        baton.wait(_UNWIND_GRACE)
+    stuck = baton.unfinished()
     if on_wedged is not None:
         on_wedged(stuck)
     raise DeadlockError(
@@ -266,7 +328,8 @@ def run_spmd(
     DeadlockError
         If the ranks fail to finish within the ``2*timeout + 1`` budget
         (a rank wedged outside a receive, e.g. a user-code infinite
-        loop, never gives the baton up); raised after a further
+        loop, never gives the baton up); raised at once while the
+        wedged rank keeps the baton, else after a further
         :data:`_UNWIND_GRACE` seconds for the aborted ranks to unwind.
     """
     world = World(
@@ -283,30 +346,9 @@ def run_spmd(
         record=record,
     )
     wall_start = _monotonic()
-    results: list[Any] = [None] * size
-    failures: dict[int, BaseException] = {}
-    crashes: dict[int, BaseException] = {}
-    failures_lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        try:
-            comm = Comm(world, group=range(size), rank=rank)
-            results[rank] = program(comm, *args, **kwargs)
-        except RankCrashedError as exc:
-            # Injected crash: isolate the rank instead of failing the
-            # world, so resilient survivors can detect it and recover.
-            with failures_lock:
-                crashes[rank] = exc
-            world.mark_dead(rank)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with failures_lock:
-                failures[rank] = exc
-            world.abort()
-        finally:
-            world.baton.exit(rank)
-
+    run = _Run(world, program, args, kwargs)
     threads = [
-        threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
+        threading.Thread(target=run.rank, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
         for r in range(size)
     ]
     _run_watched(world, lambda r: threads[r].start())
@@ -314,5 +356,5 @@ def run_spmd(
         t.join()  # every rank has exited the baton; only teardown is left
 
     return _finalize(
-        world, results, failures, crashes, wall_seconds=_monotonic() - wall_start
+        world, run.results, run.failures, run.crashes, _monotonic() - wall_start
     )

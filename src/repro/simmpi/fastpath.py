@@ -33,9 +33,11 @@ The O(p²) routing has batched forms chosen from the input's own
 types: a CoW all-to-all whose blocks are all plain ndarrays of one
 shape (``ndim >= 1``) and one numeric dtype freezes the whole block
 table once as a (p, p, *shape) buffer and hands each receiver row
-views of it; a reduce_scatter whose inputs share one size and dtype
-runs every ring step as one fancy-indexed ``op`` call over a (p x n)
-matrix. Any other input takes the per-block / per-rank form.
+views of it; a CoW allgather of plain ndarrays builds each sender's
+view once and hands every receiver its own list of fresh views of
+them, made in C; a reduce_scatter whose inputs share one size and
+dtype runs every ring step as one fancy-indexed ``op`` call over a
+(p x n) matrix. Any other input takes the per-block / per-rank form.
 
 Equivalence contract: for every supported collective the fast path is
 **bit-identical** to the message path in
@@ -69,6 +71,8 @@ message path, unchanged.
 from __future__ import annotations
 
 import threading
+from itertools import chain
+from operator import attrgetter
 from time import monotonic
 from typing import Any, Sequence
 
@@ -463,11 +467,22 @@ def _reduce_scatter_per_rank(ctx: _Ctx, arrays: list, op) -> list:
 
 
 def _resolve_allgather(ctx: _Ctx, argslist: list) -> list:
+    """Every rank receives every rank's payload.
+
+    In a CoW world where every payload is a plain ndarray, each
+    sender's read-only view is built once and every receiver gets its
+    own list of fresh views of them, made in C: p view calls from
+    Python instead of p². Any other input is delivered block by block.
+    """
     p = ctx.p
-    packs = [_pack(ctx, args[0]) for args in argslist]
+    objs = [args[0] for args in argslist]
+    packs = [_pack(ctx, obj) for obj in objs]
     ctx.meter(oracle_allgather, [words for _fp, words in packs])
+    if ctx.cow and set(map(type, objs)) == {np.ndarray}:
+        views = [fp.view() for fp, _w in packs]
+        return [list(map(np.ndarray.view, views)) for _ in range(p)]
     return [
-        [_deliver(ctx, fp, argslist[o][0]) for o, (fp, _w) in enumerate(packs)]
+        [_deliver(ctx, fp, obj) for obj, (fp, _w) in zip(objs, packs)]
         for _ in range(p)
     ]
 
@@ -505,19 +520,24 @@ def _resolve_scatter(ctx: _Ctx, argslist: list) -> list:
     return [_deliver(ctx, packs[r][0], objs[r]) for r in range(p)]
 
 
-def _uniform_blocks(table: list) -> bool:
-    """True when every block is a plain ndarray of one shape (ndim >= 1)
-    and one numeric dtype, so the table stacks into one array whose
-    rows index back into blocks (0-d blocks would come back as numpy
-    scalars)."""
-    first = table[0][0]
-    if type(first) is not np.ndarray or first.ndim == 0 or not _numeric(first.dtype):
+_SHAPE = attrgetter("shape")
+_DTYPE = attrgetter("dtype")
+
+
+def _uniform_blocks(blocks: list) -> bool:
+    """True when every block of the flattened table is a plain ndarray
+    of one shape (ndim >= 1) and one numeric dtype, so the table stacks
+    into one array whose rows index back into blocks (0-d blocks would
+    come back as numpy scalars). Each scan runs in C, with no Python
+    frame per block."""
+    if set(map(type, blocks)) != {np.ndarray}:
         return False
-    shape, dtype = first.shape, first.dtype
-    return all(
-        type(b) is np.ndarray and b.shape == shape and b.dtype == dtype
-        for row in table
-        for b in row
+    first = blocks[0]
+    if first.ndim == 0 or not _numeric(first.dtype):
+        return False
+    return (
+        set(map(_SHAPE, blocks)) == {first.shape}
+        and set(map(_DTYPE, blocks)) == {first.dtype}
     )
 
 
@@ -526,15 +546,18 @@ def _pack_table(ctx: _Ctx, table: list):
     rank receives, indexed ``[dst][src]``.
 
     In a CoW world a uniform table (see :func:`_uniform_blocks`) is
-    frozen once as a single (p, p, *shape) buffer, and every receiver
-    gets read-only views of its column: one copy for the whole
-    collective instead of p² freezes. Any other table is packed block
-    by block.
+    stacked by one ``np.concatenate`` and frozen once as a single
+    (p, p, *shape) buffer, and every receiver gets read-only views of
+    its column: one copy for the whole collective instead of p²
+    freezes. Any other table is packed block by block.
     """
     p = ctx.p
-    if ctx.cow and _uniform_blocks(table):
-        frozen = freeze_payload(np.array(table)).view()
-        W = np.full((p, p), frozen[0, 0].size, dtype=np.int64)
+    blocks = list(chain.from_iterable(table))
+    if ctx.cow and _uniform_blocks(blocks):
+        shape = blocks[0].shape
+        stacked = np.concatenate(blocks).reshape(p, p, *shape)
+        frozen = freeze_payload(stacked).view()
+        W = np.full((p, p), stacked[0, 0].size, dtype=np.int64)
         return W, [list(frozen[:, dst]) for dst in range(p)]
     packs = [[_pack(ctx, block) for block in row] for row in table]
     W = np.array([[words for _fp, words in row] for row in packs], dtype=np.int64)

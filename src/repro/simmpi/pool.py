@@ -14,7 +14,9 @@ r's job is put on worker r's queue when the world's
 when every rank has handed the baton on for good.
 
 Semantics are identical to ``run_spmd`` — same ``World`` construction,
-same failure handling (shared via :func:`~repro.simmpi.engine._finalize`),
+same per-rank body and failure handling (shared via
+:class:`~repro.simmpi.engine._Run` and
+:func:`~repro.simmpi.engine._finalize`),
 same :class:`~repro.simmpi.engine.SpmdResult` — and the counts are
 bit-identical because the substrate never touches metering.
 
@@ -42,9 +44,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.exceptions import RankCrashedError
-from repro.simmpi.comm import Comm
-from repro.simmpi.engine import SpmdResult, _finalize, _run_watched
+from repro.simmpi.engine import SpmdResult, _finalize, _Run, _run_watched
 from repro.simmpi.world import World
 
 __all__ = ["SpmdPool", "shared_pool"]
@@ -214,34 +214,15 @@ class SpmdPool:
             record=record,
         )
         wall_start = time.monotonic()
-        results: list[Any] = [None] * size
-        failures: dict[int, BaseException] = {}
-        crashes: dict[int, BaseException] = {}
-        failures_lock = threading.Lock()
-
+        run = _Run(world, program, args, kwargs)
         with self._run_lock:
             self._grow(size)
-            job = _Job(
-                world=world,
-                program=program,
-                args=args,
-                kwargs=kwargs,
-                results=results,
-                failures=failures,
-                crashes=crashes,
-                failures_lock=failures_lock,
-            )
             queues = self._queues
             _run_watched(
-                world, lambda r: queues[r].put((r, job)), self._replace_workers
+                world, lambda r: queues[r].put((r, run)), self._replace_workers
             )
-
         return _finalize(
-            world,
-            results,
-            failures,
-            crashes,
-            wall_seconds=time.monotonic() - wall_start,
+            world, run.results, run.failures, run.crashes, time.monotonic() - wall_start
         )
 
     def _replace_workers(self, indices: list[int]) -> None:
@@ -255,25 +236,6 @@ class SpmdPool:
                 self._queues[idx], self._threads[idx] = self._start_worker(idx)
 
 
-class _Job:
-    """One SPMD run's shared state, handed to each participating worker."""
-
-    __slots__ = (
-        "world",
-        "program",
-        "args",
-        "kwargs",
-        "results",
-        "failures",
-        "crashes",
-        "failures_lock",
-    )
-
-    def __init__(self, **fields: Any):
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
 def _worker_loop(q: queue.SimpleQueue, usage=None) -> None:
     # ``usage`` is this worker's (jobs counter, busy-seconds counter)
     # pair when the pool meters utilization, else None. Both instruments
@@ -282,26 +244,20 @@ def _worker_loop(q: queue.SimpleQueue, usage=None) -> None:
         item = q.get()
         if item is None:
             return
-        rank, job = item
-        start = time.perf_counter() if usage is not None else 0.0
-        try:
-            comm = Comm(job.world, group=range(job.world.size), rank=rank)
-            job.results[rank] = job.program(comm, *job.args, **job.kwargs)
-        except RankCrashedError as exc:
-            # Injected crash: isolate the rank instead of failing the
-            # world (mirrors run_spmd's runner).
-            with job.failures_lock:
-                job.crashes[rank] = exc
-            job.world.mark_dead(rank)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with job.failures_lock:
-                job.failures[rank] = exc
-            job.world.abort()
-        finally:
-            if usage is not None:
-                usage[0].value += 1.0
-                usage[1].value += time.perf_counter() - start
-            job.world.baton.exit(rank)
+        rank, run = item
+        run.rank(rank, None if usage is None else _job_meter(usage))
+
+
+def _job_meter(usage: tuple) -> Callable[[], None]:
+    """A callback adding one job, and the seconds from now until it
+    runs, to a worker's (jobs, busy-seconds) counters."""
+    start = time.perf_counter()
+
+    def count() -> None:
+        usage[0].value += 1.0
+        usage[1].value += time.perf_counter() - start
+
+    return count
 
 
 _shared_pool: SpmdPool | None = None

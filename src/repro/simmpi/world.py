@@ -119,6 +119,10 @@ class World:
                 f"payload_mode must be one of {PAYLOAD_MODES}, got {payload_mode!r}"
             )
         self.size = size
+        #: the world communicator's rank group, built once and shared by
+        #: every rank's world Comm (a per-rank tuple would be O(p²)
+        #: objects per run)
+        self.group = tuple(range(size))
         self.max_message_words = float(max_message_words)
         self.timeout = float(timeout)
         #: optional MachineParameters enabling the per-rank virtual clock

@@ -282,6 +282,28 @@ class TestDiffer:
         assert len(report.non_pow2_sizes) >= 8
 
 
+class TestBatteryInputs:
+    @pytest.mark.parametrize("op", ["alltoall", "alltoall_bruck"])
+    @pytest.mark.parametrize("p,block", [(2, 3), (8, 3), (16, 1), (4, 7)])
+    def test_exchange_blocks_equal_per_block_aranges(self, monkeypatch, op, p, block):
+        """The all-to-all programs build their blocks as rows of one
+        tiled array; each must equal the ``np.arange(float(block))``
+        it replaced: same type, dtype, shape and values."""
+        from types import SimpleNamespace
+
+        from repro.conformance import BATTERY, Shape
+
+        monkeypatch.setattr(coll, op, lambda comm, blocks: blocks)
+        program = BATTERY[op].program(Shape(p, block=block))
+        blocks = program(SimpleNamespace(rank=p - 1, size=p))
+        old = [np.arange(float(block)) for _ in range(p)]
+        assert type(blocks) is list and len(blocks) == p
+        for new, ref in zip(blocks, old):
+            assert type(new) is np.ndarray
+            assert (new.dtype, new.shape) == (ref.dtype, ref.shape)
+            assert new.tobytes() == ref.tobytes()
+
+
 class TestBruckErrorConformance:
     """alltoall_bruck at non-power-of-two p: both paths raise the same
     CommunicatorError with the same message on all ranks (pinned)."""

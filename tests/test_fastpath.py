@@ -204,6 +204,8 @@ def _flatten(value):
         )
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, tuple(_flatten(v) for v in value))
+    if isinstance(value, dict):
+        return ("dict", tuple((k, _flatten(v)) for k, v in value.items()))
     return value
 
 
@@ -611,3 +613,114 @@ class TestDeadRankMailboxPruning:
         # Survivors' boxes are untouched and still accept traffic.
         world.mailboxes[1].put(0, "ctx", 0, "fine")
         assert world.mailboxes[1].pending() == 1
+
+
+def _frozen_owner(block: np.ndarray) -> np.ndarray:
+    """The simulator-frozen buffer at the end of a view's base chain."""
+    from repro.simmpi.payload import _FrozenBase
+
+    node = block
+    while not isinstance(node, _FrozenBase):
+        node = node.base
+    return node
+
+
+class TestBatchedDelivery:
+    """The uniform-input forms of allgather and all-to-all hand every
+    receiver its own list of its own read-only blocks, each backed by a
+    simulator-frozen buffer (so a relay forwards it without copying)."""
+
+    P = 8
+
+    @staticmethod
+    def _check_private(results, p):
+        from repro.simmpi.payload import _is_frozen_view
+
+        assert len({id(lst) for lst in results}) == p
+        blocks = [b for lst in results for b in lst]
+        assert len({id(b) for b in blocks}) == p * p  # none shared
+        for b in blocks:
+            assert type(b) is np.ndarray
+            assert not b.flags.writeable
+            assert _is_frozen_view(b)
+        return blocks
+
+    @pytest.mark.parametrize("collective", ["alltoall", "alltoall_bruck"])
+    def test_uniform_exchange_blocks_are_private_frozen_views(self, collective):
+        fast, _slow = _compare_runs(
+            self.P, _uniform_program(collective, _block_f64)
+        )
+        blocks = self._check_private(fast.results, self.P)
+        # The batched form engaged: one frozen buffer backs every block.
+        assert len({id(_frozen_owner(b)) for b in blocks}) == 1
+
+    @pytest.mark.parametrize(
+        "program",
+        [_prog_allgather, lambda comm: comm.allgather(_payload(comm.rank, n=4))],
+        ids=["ragged", "equal"],
+    )
+    def test_allgather_blocks_are_private_frozen_views(self, program):
+        fast, _slow = _compare_runs(self.P, program)
+        blocks = self._check_private(fast.results, self.P)
+        # One freeze per sender: receivers' views of a sender share it.
+        assert len({id(_frozen_owner(b)) for b in blocks}) == self.P
+
+    def test_allgather_of_relayed_blocks_gives_fresh_views(self):
+        """A payload that is already a frozen view (received earlier) is
+        adopted without a copy, yet each receiver still gets its own
+        view object of it."""
+
+        def prog(comm):
+            mine = comm.bcast(
+                _payload(comm.rank) if comm.rank == 0 else None, root=0
+            )
+            return comm.allgather(mine)
+
+        fast, _slow = _compare_runs(self.P, prog)
+        blocks = self._check_private(fast.results, self.P)
+        assert len({id(_frozen_owner(b)) for b in blocks}) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda r: (np.arange(3.0) * r, float(r)),
+            lambda r: {"a": np.arange(2.0) + r, "s": "tag"},
+            lambda r: np.arange(3, dtype=np.int64 if r % 2 else np.float64),
+            lambda r: np.array(float(r)),
+            lambda r: r + 0.5,
+        ],
+        ids=["tuple", "dict", "mixed-dtype", "0d", "scalar"],
+    )
+    @pytest.mark.parametrize("mode", MODES)
+    def test_allgather_fallback_inputs_route(self, payload, mode):
+        _compare_runs(
+            6, lambda comm: comm.allgather(payload(comm.rank)), payload_mode=mode
+        )
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            lambda k: (np.arange(2.0) * k, k),
+            lambda k: {"x": np.arange(3.0) + k},
+            lambda k: np.arange(3, dtype=np.int64 if k % 2 else np.float64),
+        ],
+        ids=["tuple", "dict", "mixed-dtype"],
+    )
+    @pytest.mark.parametrize("collective", ["alltoall", "alltoall_bruck"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exchange_fallback_inputs_route(self, block, collective, mode):
+        _compare_runs(8, _uniform_program(collective, block), payload_mode=mode)
+
+    def test_uniform_check_rejects_each_fallback_table(self):
+        ok = [np.arange(3.0) for _ in range(4)]
+        assert fastpath_mod._uniform_blocks(ok)
+        for odd in (
+            np.arange(3, dtype=np.int64),  # mixed dtype
+            np.arange(4.0),  # ragged shape
+            np.array(1.0),  # 0-d
+            np.arange(3.0).view(np.recarray),  # ndarray subclass
+            (1.0, 2.0, 3.0),  # container
+        ):
+            assert not fastpath_mod._uniform_blocks(ok[:3] + [odd])
+        assert not fastpath_mod._uniform_blocks([np.array(1.0)] * 4)
+        assert not fastpath_mod._uniform_blocks([np.array(["a"])] * 4)

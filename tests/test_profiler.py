@@ -66,6 +66,50 @@ class TestBitExactness:
         assert 0 <= prof.critical_rank < prof.size
 
 
+def _three_pass(report, machine, memory_words=None):
+    """The profile's pricing as three separate Eq. (1) evaluations:
+    estimate_time, estimate_energy's default T, and the critical rank."""
+    if memory_words is None:
+        measured = report.max_mem_peak
+        memory_words = measured if measured > 0 else machine.memory_words
+    return (
+        report.estimate_time(machine),
+        report.estimate_energy(machine, memory_words=memory_words),
+        max(range(report.size), key=lambda r: report.rank_time(machine, r).total),
+    )
+
+
+class TestSinglePassPricing:
+    """from_report prices every rank once; the result must equal the
+    three-pass evaluation bit for bit, ties included."""
+
+    @pytest.mark.parametrize("workload", sorted(SCENARIOS))
+    @pytest.mark.parametrize("memory_words", [None, 12345.0])
+    def test_equals_three_pass_on_every_scenario(
+        self, workload, memory_words, machine
+    ):
+        p, n, _ = SCENARIOS[workload]
+        program, prog_args, _label = build_scenario(workload, p, n)
+        report = run_spmd(p, program, *prog_args).report
+        prof = ModelProfile.from_report(report, machine, memory_words=memory_words)
+        time, energy, critical = _three_pass(report, machine, memory_words)
+        assert prof.time == time
+        assert prof.energy == energy
+        assert prof.critical_rank == critical
+
+    def test_ties_pick_the_first_slowest_rank(self, machine):
+        def prog(comm):
+            if comm.rank in (1, 3):
+                comm.add_flops(1000.0)
+
+        report = run_spmd(4, prog).report
+        prof = ModelProfile.from_report(report, machine)
+        assert prof.critical_rank == 1
+        assert (prof.time, prof.energy, prof.critical_rank) == _three_pass(
+            report, machine
+        )
+
+
 class TestPhases:
     def test_phase_rows_present_and_priced(self, machine):
         out = run_spmd(4, ring_prog, trace=True)

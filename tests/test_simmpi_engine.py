@@ -12,6 +12,7 @@ from repro.exceptions import (
     DeadlockError,
     RankFailedError,
 )
+from repro.simmpi import engine
 from repro.simmpi.engine import run_spmd
 from repro.simmpi.mailbox import ANY_TAG, Mailbox
 from repro.simmpi.pool import SpmdPool
@@ -45,6 +46,18 @@ class TestRunSpmd:
     def test_report_attached(self):
         out = run_spmd(2, lambda comm: comm.add_flops(5))
         assert out.report.total_flops == 10
+
+
+class TestWorldGroup:
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_world_comms_share_one_group(self, substrate):
+        """Every rank's world Comm holds the world's one group tuple,
+        not a copy of its own (O(p) objects per run, not O(p²))."""
+        with SpmdPool() as pool:
+            run = pool.run if substrate == "pool" else run_spmd
+            groups = run(6, lambda comm: comm._group).results
+        assert groups[0] == tuple(range(6))
+        assert all(g is groups[0] for g in groups)
 
 
 class TestPointToPoint:
@@ -370,6 +383,28 @@ class TestJoinWatchdog:
                 run(2, _wedged_on_rank_1(release), timeout=0.2)
             # Bounded by 2*timeout+1 plus the unwind grace, not the
             # default 60s join.
+            assert time.monotonic() - t0 < 10.0
+            assert str(exc.value) == WEDGED_MESSAGE
+        finally:
+            release.set()
+            if pool is not None:
+                pool.shutdown()
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_wedged_baton_holder_spends_no_unwind_grace(
+        self, substrate, monkeypatch
+    ):
+        """While the wedged rank keeps the baton no aborted rank can
+        unwind, so the watchdog names it without waiting out the grace
+        (set absurdly long here: reaching it would time the test out)."""
+        monkeypatch.setattr(engine, "_UNWIND_GRACE", 60.0)
+        release = threading.Event()
+        pool = SpmdPool() if substrate == "pool" else None
+        run = pool.run if pool is not None else run_spmd
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(DeadlockError) as exc:
+                run(2, _wedged_on_rank_1(release), timeout=0.2)
             assert time.monotonic() - t0 < 10.0
             assert str(exc.value) == WEDGED_MESSAGE
         finally:
