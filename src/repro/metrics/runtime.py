@@ -43,10 +43,6 @@ Under ring drops (``trace_capacity`` too small) the send and collective
 families count only the retained events; the dropped counter says how
 many are missing. The mailbox depth also counts the deposits of
 communicator set-up traffic, which is not metered as sends.
-
-Pool-level worker instruments (``simmpi_pool_*``) are registered by
-:class:`~repro.simmpi.pool.SpmdPool` when constructed with
-``metrics=True``; see that module.
 """
 
 from __future__ import annotations

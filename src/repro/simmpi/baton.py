@@ -5,24 +5,29 @@ Every simulated rank is an OS thread, but at most one rank of a
 the world's :class:`Baton`. A rank gives the baton up only where it
 would block: a receive with no matching message, a collective gate it
 is not the last to reach, a missed ``Request.test()`` or liveness poll,
-a ``recv_reliable`` retry wait, or its return. The baton then goes to
-the rank that has waited longest in the ready queue (FIFO, so a rank
-polling in a loop cannot starve the others).
+or its return. The baton then goes to the rank that has waited longest
+in the ready queue (FIFO, so a rank polling in a loop cannot starve the
+others).
 
 Why: with every rank thread runnable at once, each GIL release (numpy
 calls, lock waits) wakes a convoy of hundreds of threads fighting for
 the interpreter. With one runnable thread per world there is nobody to
 fight, every hand-off is one lock release to one parked thread, and a
-fault-free run is a single fixed interleaving — so host-side
-observations such as mailbox depth are reproducible.
+run is a single fixed interleaving — so host-side observations such as
+mailbox depth are reproducible.
 
-It also makes deadlock detection exact. When the holder gives the
-baton up and no rank is ready, no timed ``recv_reliable`` waiter is
-pending and some rank is still parked, nothing can ever wake the parked
-ranks: every one of them raises :class:`~repro.exceptions.DeadlockError`
-naming the blocked ranks and what each waits on, at once instead of
-after the watchdog timeout. The watchdogs stay as backstops for ranks
-wedged outside the simulator (a holder that never blocks).
+It also makes the world's *quiescence* exact, and quiescence is the
+only thing besides a matching deposit or an abort that ends a wait.
+When the holder gives the baton up and no rank is ready, the baton
+first resumes the longest-parked rank whose ``recoverable`` predicate
+holds (a ``recv_reliable`` whose dropped envelope can be
+retransmitted); a missed poll with nobody else ready does the same. If
+no predicate holds and some rank is still parked, nothing can ever
+wake the parked ranks: every one of them raises
+:class:`~repro.exceptions.DeadlockError` naming the blocked ranks and
+what each waits on. No wait carries a timer. The engine's progress
+watchdog stays as the backstop for a rank wedged outside the simulator
+(a holder that never hands the baton on).
 
 Ranks start lazily: rank r's thread (or pool job) is launched the first
 time the baton reaches it, in rank order.
@@ -39,7 +44,7 @@ from repro.exceptions import DeadlockError
 __all__ = ["Baton"]
 
 # Rank states. NEW ranks have not started; run() queues them all.
-_NEW, _READY, _RUN, _PARKED, _TIMED, _DONE = range(6)
+_NEW, _READY, _RUN, _PARKED, _DONE = range(5)
 
 #: Blocked ranks listed by name in a deadlock message before the rest
 #: are summarized as a count (the message is repeated on every rank).
@@ -53,18 +58,22 @@ class Baton:
     ``acquire()``, handing the baton over is ``release()`` by the
     previous holder. All queue and state changes happen under one
     mutex, so :meth:`ready` and :meth:`wake_all` are safe from any
-    thread (the engine's join watchdog aborts from outside the world).
+    thread (the engine's progress watchdog aborts from outside the
+    world). :attr:`handoffs` counts the times the baton changed hands;
+    the watchdog reads it to tell a slow run from a wedged one.
     """
 
     __slots__ = (
         "size",
+        "handoffs",
         "_mu",
         "_ready",
         "_state",
         "_wakes",
         "_poked",
         "_waits",
-        "_timed",
+        "_recoverable",
+        "_rescued",
         "_holder",
         "_start",
         "_started",
@@ -76,6 +85,9 @@ class Baton:
 
     def __init__(self, size: int):
         self.size = size
+        #: times the baton was handed to a rank (monotone; read racily
+        #: by the watchdog, written under _mu)
+        self.handoffs = 0
         self._mu = threading.Lock()
         self._ready: deque[int] = deque()
         self._state = [_NEW] * size
@@ -86,8 +98,11 @@ class Baton:
         self._poked = [False] * size
         #: parked rank -> what it waits on (named in a deadlock)
         self._waits: dict[int, tuple] = {}
-        #: ranks in a timed wait; while any exists there is no deadlock
-        self._timed: set[int] = set()
+        #: parked rank -> its recoverable predicate, in park order
+        self._recoverable: dict[int, Callable[[], bool]] = {}
+        #: ranks resumed at quiescence by their predicate; their block
+        #: returns False
+        self._rescued = [False] * size
         self._holder: int | None = None
         self._start: Callable[[int], None] | None = None
         self._started = [False] * size
@@ -103,8 +118,8 @@ class Baton:
 
         Backs a :class:`~repro.simmpi.mailbox.Mailbox` used outside any
         world: its deposits come from arbitrary threads, so an empty
-        ready queue is no deadlock there and waits end only by a
-        :meth:`ready` or their timeout.
+        ready queue is no deadlock there and a wait ends only by a
+        :meth:`ready`.
         """
         baton = cls(1)
         baton._state[0] = _RUN
@@ -115,17 +130,15 @@ class Baton:
 
     # -- running a world -----------------------------------------------
 
-    def run(self, start: Callable[[int], None], budget: float) -> bool:
-        """Launch rank 0 and wait up to ``budget`` seconds for every rank
-        to finish. ``start(r)`` launches rank r; it is called once per
-        rank, when the baton first reaches it. Returns False when the
-        budget ran out first (some rank is wedged)."""
+    def run(self, start: Callable[[int], None]) -> None:
+        """Launch rank 0; :meth:`wait` for the world to finish.
+        ``start(r)`` launches rank r; it is called once per rank, when
+        the baton first reaches it."""
         self._start = start
         with self._mu:
             self._ready.extend(range(self.size))
             nxt = self._next()
         self._wake(nxt)
-        return self._finished.wait(budget)
 
     def wait(self, timeout: float) -> bool:
         """Wait up to ``timeout`` seconds for every rank to finish."""
@@ -164,58 +177,49 @@ class Baton:
     # -- giving the baton up ---------------------------------------------
 
     def block(
-        self, rank: int, waits_on: tuple, timeout: float, timed: bool = False
+        self,
+        rank: int,
+        waits_on: tuple,
+        recoverable: Callable[[], bool] | None = None,
     ) -> bool:
         """Give the baton up until :meth:`ready` is called for ``rank``.
 
         ``waits_on`` describes the wait for a deadlock message:
-        ``("recv", source, tag)`` or ``("collective", name)``. A
-        ``timed`` wait (``recv_reliable``'s retry) does not count as
-        blocked: while one is pending, an empty ready queue is no
-        deadlock. Returns True when woken by :meth:`ready`, False once
-        ``timeout`` seconds passed first; either way the caller holds
-        the baton again on return. Raises
-        :class:`~repro.exceptions.DeadlockError` when the world
-        deadlocked while the rank was parked.
+        ``("recv", source, tag)`` or ``("collective", name)``.
+        ``recoverable`` (called under the baton's mutex, so it must not
+        block) says whether the wait can end without a :meth:`ready`:
+        once no rank is ready, the longest-parked rank whose predicate
+        holds gets the baton instead of a deadlock being reported.
+        Returns True when woken by :meth:`ready`, False when resumed by
+        its predicate; either way the caller holds the baton again on
+        return. Raises :class:`~repro.exceptions.DeadlockError` when the
+        world deadlocked while the rank was parked.
         """
-        mu = self._mu
-        with mu:
+        with self._mu:
             if self._poked[rank]:
                 self._poked[rank] = False
                 return True
-            if timed:
-                self._state[rank] = _TIMED
-                self._timed.add(rank)
-            else:
-                self._state[rank] = _PARKED
-                self._waits[rank] = waits_on
+            self._state[rank] = _PARKED
+            self._waits[rank] = waits_on
+            if recoverable is not None:
+                self._recoverable[rank] = recoverable
             nxt = self._next()
         self._wake(nxt)
-        wake = self._wakes[rank]
-        woke = wake.acquire(timeout=timeout)
-        if not woke:
-            # Expired: re-queue for the baton unless a ready() raced us.
-            with mu:
-                if self._unpark(rank):
-                    if self._holder is None:
-                        self._holder = rank
-                        self._state[rank] = _RUN
-                        return False
-                    self._state[rank] = _READY
-                    self._ready.append(rank)
-                else:
-                    woke = True
-            wake.acquire()
+        self._wakes[rank].acquire()
         if self._deadlock is not None:
             raise DeadlockError(self._deadlock_message(rank))
-        return woke
+        if self._rescued[rank]:
+            self._rescued[rank] = False
+            return False
+        return True
 
     def yield_(self, rank: int) -> None:
         """Move the holder to the back of the ready queue (a missed
-        poll): every rank that was ready runs before it resumes. A no-op
-        when no other rank is ready."""
+        poll): every rank that was ready runs before it resumes. With no
+        other rank ready, a parked rank whose predicate holds is resumed
+        first (the poll may wait on it); a no-op when there is none."""
         with self._mu:
-            if not self._ready:
+            if not self._ready and not self._rescue():
                 return
             self._state[rank] = _READY
             self._ready.append(rank)
@@ -226,10 +230,10 @@ class Baton:
     # -- making ranks ready ----------------------------------------------
 
     def ready(self, rank: int) -> None:
-        """Make a parked or timed-waiting ``rank`` runnable: it joins the
-        back of the ready queue, or takes the baton at once when nobody
-        holds it. Readying the running rank makes its next
-        :meth:`block` return immediately; other states are left alone."""
+        """Make a parked ``rank`` runnable: it joins the back of the
+        ready queue, or takes the baton at once when nobody holds it.
+        Readying the running rank makes its next :meth:`block` return
+        immediately; other states are left alone."""
         with self._mu:
             if self._state[rank] == _RUN:
                 self._poked[rank] = True
@@ -245,28 +249,24 @@ class Baton:
         self._wake(nxt)
 
     def wake_all(self) -> None:
-        """Make every parked or timed-waiting rank ready, in rank order
-        (abort and injected crashes: the woken ranks re-check their
-        abort conditions and park again if unaffected)."""
+        """Make every parked rank ready, in rank order (abort and
+        injected crashes: the woken ranks re-check their abort
+        conditions and park again if unaffected)."""
         with self._mu:
-            waiting = sorted([*self._waits, *self._timed])
-            nxt = self._ready_locked(waiting)
+            nxt = self._ready_locked(sorted(self._waits))
         self._wake(nxt)
 
     # -- internals (callers hold _mu unless noted) ------------------------
 
     def _unpark(self, rank: int) -> bool:
-        state = self._state[rank]
-        if state == _PARKED:
-            del self._waits[rank]
-            return True
-        if state == _TIMED:
-            self._timed.discard(rank)
-            return True
-        return False
+        if self._state[rank] != _PARKED:
+            return False
+        del self._waits[rank]
+        self._recoverable.pop(rank, None)
+        return True
 
     def _ready_locked(self, ranks) -> int | None:
-        """Queue the waiting ones of ``ranks``; when the baton is free,
+        """Queue the parked ones of ``ranks``; when the baton is free,
         hand it to the first of them and return that rank to wake."""
         for rank in ranks:
             if self._unpark(rank):
@@ -276,24 +276,40 @@ class Baton:
             return self._next()
         return None
 
+    def _rescue(self) -> bool:
+        """Queue the longest-parked rank whose predicate holds, marked
+        so that its :meth:`block` returns False; False if there is none."""
+        for rank, recoverable in self._recoverable.items():
+            if recoverable():
+                break
+        else:
+            return False
+        self._unpark(rank)
+        self._rescued[rank] = True
+        self._state[rank] = _READY
+        self._ready.append(rank)
+        return True
+
     def _next(self) -> int | None:
         """Hand the baton to the longest-waiting ready rank (returned,
         to be woken once _mu is released), or detect a deadlock."""
         ready = self._ready
-        if not ready and self._waits and not self._timed and self._detect:
-            # Nobody can run and nothing timed will come back: every
+        if not ready and self._waits and self._detect and not self._rescue():
+            # Nobody can run and no wait can end by itself: every
             # parked rank is waiting on another parked rank.
             self._deadlock = dict(self._waits)
             for rank in sorted(self._waits):
                 self._state[rank] = _READY
                 ready.append(rank)
             self._waits.clear()
+            self._recoverable.clear()
         if not ready:
             self._holder = None
             return None
         rank = ready.popleft()
         self._holder = rank
         self._state[rank] = _RUN
+        self.handoffs += 1
         return rank
 
     def _wake(self, rank: int | None) -> None:

@@ -24,10 +24,9 @@ unmetered gather/scatter of 2(p-1) mailbox deposits in two hops.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from time import monotonic as _monotonic
 from typing import Any, Callable, Hashable, Sequence
 
-from repro.exceptions import CommunicatorError, DeadlockError, PeerDeadError
+from repro.exceptions import CommunicatorError, PeerDeadError
 from repro.simmpi import collectives as _coll
 from repro.simmpi.envelope import Envelope
 from repro.simmpi.mailbox import NOTHING
@@ -250,7 +249,6 @@ class Comm:
             src_world,
             self._context,
             tag,
-            timeout=self._world.timeout,
             abort_check=self._abort_for(src_world),
         )
         return self._open_envelope(env, src_world, tag=tag)
@@ -279,7 +277,6 @@ class Comm:
                     src_world,
                     self._context,
                     tag,
-                    timeout=self._world.timeout,
                     abort_check=self._abort_for(src_world),
                 )
                 return True, env
@@ -331,26 +328,24 @@ class Comm:
 
     # -- fault tolerance ----------------------------------------------------
 
-    def recv_reliable(
-        self,
-        source: int,
-        tag: Hashable = 0,
-        retry_timeout: float = 0.05,
-        max_retries: int | None = None,
-    ) -> Any:
+    def recv_reliable(self, source: int, tag: Hashable = 0) -> Any:
         """A receive that survives injected message drops.
 
-        Waits ``retry_timeout`` seconds at a time without holding the
-        world's baton (other ranks run meanwhile); when a wait expires
-        without a delivery, the receiver asks the fault state for a
-        retransmission of a dropped envelope on this channel, metering
-        the re-send *and* the receive as recovery traffic (the
-        retransmitted words cross the network again; the charge lands on
-        this rank's counter to preserve the counters' thread-ownership
-        discipline). Gives up with :class:`~repro.exceptions.DeadlockError`
-        once the world timeout elapses or after ``max_retries``
-        retransmission-less expiries — a genuinely missing message (peer
-        never sent) still deadlocks like a plain ``recv``.
+        Parks like :meth:`recv`. When the world goes quiescent (no rank
+        can run) while a dropped envelope is pending on this channel,
+        the world's baton resumes this rank, which takes the envelope
+        from the fault state's retransmission buffer and meters the
+        re-send *and* the receive as recovery traffic (the retransmitted
+        words cross the network again; the charge lands on this rank's
+        counter to preserve the counters' thread-ownership discipline).
+        So recovery is a function of the fault plan alone, never of the
+        host's speed. A genuinely missing message (peer never sent)
+        deadlocks at once, like a plain ``recv``.
+
+        The mailbox is always checked first, so a retransmitted envelope
+        arrives after any later envelope on the same channel that was
+        already delivered: drops may reorder a channel, unlike MPI's
+        non-overtaking rule.
 
         Identical to :meth:`recv` — same metering, same virtual-clock
         sync — for fault-free runs.
@@ -361,50 +356,29 @@ class Comm:
         self._check_peer(source, "source")
         fx.tick(self.world_rank)
         src_world = self._group[source]
-        mailbox = self._world.mailboxes[self.world_rank]
-        abort_check = self._abort_for(src_world)
-        deadline = _monotonic() + self._world.timeout
-        expiries = 0
-        while True:
-            remaining = deadline - _monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"rank {self.world_rank}: recv_reliable from rank "
-                    f"{src_world} (tag={tag!r}) exhausted the "
-                    f"{self._world.timeout}s world timeout"
-                )
-            try:
-                env = mailbox.get(
-                    src_world,
-                    self._context,
-                    tag,
-                    timeout=min(retry_timeout, remaining),
-                    abort_check=abort_check,
-                    timed=True,
-                )
-            except PeerDeadError:
-                raise
-            except DeadlockError:
-                env = fx.retransmit(src_world, self.world_rank, self._context, tag)
-                if env is None:
-                    expiries += 1
-                    if max_retries is not None and expiries > max_retries:
-                        raise
-                    continue
-                # Recovered from the retransmission buffer: charge the
-                # re-send (proxy, on this rank) and the receive as
-                # recovery traffic.
-                with self.recovery():
-                    payload = env.payload
-                    if type(payload) is FrozenPayload:
-                        words = payload.words
-                    else:
-                        words = payload_words(payload)
-                    msgs = message_count(words, self._world.max_message_words)
-                    self.counter.add_send(words, msgs)
-                    return self._open_envelope(env, src_world, tag=tag)
+        me = self.world_rank
+        context = self._context
+        env = self._world.mailboxes[me].get(
+            src_world,
+            context,
+            tag,
+            abort_check=self._abort_for(src_world),
+            recoverable=lambda: fx.has_dropped(src_world, me, context, tag),
+        )
+        if env is not NOTHING:
+            return self._open_envelope(env, src_world, tag=tag)
+        env = fx.retransmit(src_world, me, context, tag)
+        # Recovered from the retransmission buffer: charge the re-send
+        # (proxy, on this rank) and the receive as recovery traffic.
+        with self.recovery():
+            payload = env.payload
+            if type(payload) is FrozenPayload:
+                words = payload.words
             else:
-                return self._open_envelope(env, src_world, tag=tag)
+                words = payload_words(payload)
+            msgs = message_count(words, self._world.max_message_words)
+            self.counter.add_send(words, msgs)
+            return self._open_envelope(env, src_world, tag=tag)
 
     @contextmanager
     def recovery(self):
@@ -635,7 +609,6 @@ class Comm:
                 root,
                 self._context,
                 _SPLIT_TAG,
-                timeout=world.timeout,
                 abort_check=self._abort_for(root),
             ).payload
         members: dict[Hashable, list] = {color: [(key, 0)]}
@@ -645,7 +618,6 @@ class Comm:
                 src,
                 self._context,
                 _SPLIT_TAG,
-                timeout=world.timeout,
                 abort_check=self._abort_for(src),
             ).payload
             members.setdefault(c, []).append((k, r))

@@ -13,10 +13,13 @@ Only one rank of a run executes at a time: the one holding the world's
 :class:`~repro.simmpi.baton.Baton`. A rank hands it on only where it
 would block (or when it returns), to the longest-waiting ready rank,
 and rank r's thread starts the first time the baton reaches it. So a
-fault-free run is one fixed interleaving, a deadlock is reported the
-moment no rank can proceed, and hundreds of rank threads never contend
-for the interpreter lock. Determinism of the *counts* never depended on
-this: it comes from the algorithms' fixed communication patterns.
+run is one fixed interleaving, a deadlock is reported the moment no
+rank can proceed, and hundreds of rank threads never contend for the
+interpreter lock. Determinism of the *counts* never depended on this:
+it comes from the algorithms' fixed communication patterns. No wait
+inside a world carries a timer; the one wall-clock bound is the
+progress watchdog (:func:`_run_watched`), which catches a rank that
+holds the baton too long without handing it on.
 
 ``run_spmd`` spawns fresh threads per call; for repeated runs (sweeps,
 benchmarks) use :class:`~repro.simmpi.pool.SpmdPool`, which keeps the
@@ -110,13 +113,12 @@ class _Run:
         self.crashes: dict[int, BaseException] = {}
         self._lock = threading.Lock()
 
-    def rank(self, rank: int, on_exit: Callable[[], None] | None = None) -> None:
+    def rank(self, rank: int) -> None:
         """Run ``rank``'s program on the world communicator.
 
         An injected crash isolates the rank (survivors may recover); any
         other exception is recorded and aborts the world. Either way the
-        rank then hands the baton on for good, after ``on_exit`` (the
-        pool's utilization counters) has run.
+        rank then hands the baton on for good.
         """
         world = self.world
         try:
@@ -131,8 +133,6 @@ class _Run:
                 self.failures[rank] = exc
             world.abort()
         finally:
-            if on_exit is not None:
-                on_exit()
             world.baton.exit(rank)
 
 
@@ -186,7 +186,7 @@ def _finalize(
     return result
 
 
-#: Seconds an aborted world's ranks get to unwind before the join
+#: Seconds an aborted world's ranks get to unwind before the
 #: watchdog names the ones still unfinished.
 _UNWIND_GRACE = 1.0
 
@@ -196,16 +196,19 @@ def _run_watched(
     start: Callable[[int], None],
     on_wedged: Callable[[list[int]], None] | None = None,
 ) -> None:
-    """Run ``world``'s ranks under the join watchdog both substrates share.
+    """Run ``world``'s ranks under the progress watchdog both substrates
+    share.
 
-    ``start(r)`` launches rank r when the baton first reaches it. The
-    baton reports a deadlock among blocked ranks at once, but a rank
-    wedged *outside* the simulator (a user-code infinite loop) never
-    gives the baton up, so the run is bounded consistently with
-    ``timeout=``: one full receive timeout for the slowest rank to
-    unblock, another for its own cleanup cascade, plus scheduling slack
-    (``2*timeout + 1``). When that runs out, the world is aborted; if
-    the baton has moved off the rank that held it, the ranks get
+    ``start(r)`` launches rank r when the baton first reaches it. Every
+    wait inside the world ends by the baton (a deposit, a collective's
+    resolution, an abort, a retransmission or a deadlock report), so a
+    run can only stall on a rank wedged *outside* the simulator (a
+    user-code infinite loop): it keeps the baton and never hands it on.
+    The watchdog checks for a hand-off once every ``2*timeout + 1``
+    seconds and reports a wedge at the first check that finds none, so
+    the holder kept the baton for at least that long; a live run of
+    any length finishes. On a wedge the world is aborted; if the baton
+    has moved off the rank that held it, the ranks get
     :data:`_UNWIND_GRACE` seconds to unwind (a holder that keeps it
     leaves none able to). Then ``on_wedged`` receives the ranks still
     unfinished (the pool replaces their workers), and a
@@ -213,8 +216,15 @@ def _run_watched(
     """
     budget = 2.0 * world.timeout + 1.0
     baton = world.baton
-    if baton.run(start, budget):
-        return
+    baton.run(start)
+    seen = -1
+    while not baton.wait(budget):
+        handoffs = baton.handoffs
+        if handoffs == seen:
+            break  # a whole budget without a hand-off: wedged
+        seen = handoffs
+    else:
+        return  # every rank finished
     holder = baton.holder
     world.abort()  # unblock anything still waiting on the stuck ranks
     if holder is None or baton.holder != holder:
@@ -225,9 +235,9 @@ def _run_watched(
     if on_wedged is not None:
         on_wedged(stuck)
     raise DeadlockError(
-        f"rank thread(s) {stuck} failed to finish within {budget:.1f}s "
-        "(2*timeout+1); the rank(s) are wedged outside a receive — likely "
-        "an infinite loop in the SPMD program"
+        f"no baton hand-off for {budget:.1f}s (2*timeout+1): rank "
+        f"thread(s) {stuck} are wedged outside a receive — likely an "
+        "infinite loop in the SPMD program"
     )
 
 
@@ -265,8 +275,11 @@ def run_spmd(
     max_message_words:
         The model's m: payloads are metered as ceil(words/m) messages.
     timeout:
-        Backstop watchdog — seconds a receive or collective may stay
-        blocked (a deadlock among ranks is reported without waiting).
+        Bounds how long one rank may hold the baton: the progress
+        watchdog reports a wedge once no hand-off happened for
+        ``2*timeout + 1`` seconds. Waits have no timer — a deadlock
+        among ranks is reported the moment it happens — and a live run
+        may take any time.
     machine:
         Optional :class:`~repro.core.parameters.MachineParameters`; when
         given, per-rank virtual clocks advance by the Eq. (1) cost of
@@ -326,11 +339,11 @@ def run_spmd(
     RankFailedError
         If any rank raises; carries the per-rank exceptions.
     DeadlockError
-        If the ranks fail to finish within the ``2*timeout + 1`` budget
-        (a rank wedged outside a receive, e.g. a user-code infinite
-        loop, never gives the baton up); raised at once while the
-        wedged rank keeps the baton, else after a further
-        :data:`_UNWIND_GRACE` seconds for the aborted ranks to unwind.
+        If one rank keeps the baton for ``2*timeout + 1`` seconds
+        without a hand-off (a rank wedged outside a receive, e.g. a
+        user-code infinite loop); raised at once while the wedged rank
+        keeps the baton, else after a further :data:`_UNWIND_GRACE`
+        seconds for the aborted ranks to unwind.
     """
     world = World(
         size,

@@ -60,7 +60,7 @@ naming the collective — and should run with ``fastpath=False``.
 Mismatched arguments across ranks (different roots, different
 collectives on the same communicator) are reported as
 :class:`~repro.exceptions.CommunicatorError` instead of the message
-path's eventual timeout — a deliberate diagnostic upgrade.
+path's eventual deadlock report — a deliberate diagnostic upgrade.
 
 The fall-back rules live at the dispatch sites in
 :mod:`repro.simmpi.collectives`: tracing, fault plans,
@@ -73,7 +73,6 @@ from __future__ import annotations
 import threading
 from itertools import chain
 from operator import attrgetter
-from time import monotonic
 from typing import Any, Sequence
 
 import numpy as np
@@ -167,30 +166,19 @@ class CollectiveGate:
                     )
                 return self._pick(cycle, local_rank)
             aborted = cycle.aborted  # World.abort() already swept this cycle
-        # Parked path: world.abort() wakes every parked rank; a genuine
-        # never-arriving peer is a deadlock the baton reports at once,
-        # and the watchdog budget a blocking receive gets stays as the
-        # backstop.
+        # Parked path: world.abort() wakes every parked rank, and a
+        # genuine never-arriving peer is a deadlock the baton reports
+        # at once.
         baton = self.world.baton
         me = self.group[local_rank]
         waits_on = ("collective", item[0])
-        deadline = monotonic() + self.world.timeout
         while not aborted:
-            woke = baton.block(me, waits_on, max(0.0, deadline - monotonic()))
+            baton.block(me, waits_on)
             if cycle.outcomes is not None:
                 return self._pick(cycle, local_rank)
-            if cycle.aborted:
-                break
-            if not woke:
-                if self.world.failed.is_set():
-                    break
-                raise DeadlockError(
-                    f"rank {me} timed out after "
-                    f"{self.world.timeout}s waiting for peers to enter a "
-                    "collective; likely deadlock (some rank never made the "
-                    "matching call)"
-                )
-            # Woken by a crash elsewhere (mark_dead): park again.
+            # Woken by an abort (give up) or by a crash elsewhere
+            # (mark_dead: park again).
+            aborted = cycle.aborted
         raise DeadlockError(
             f"rank {me}: collective abandoned because a peer rank failed"
         )

@@ -93,8 +93,9 @@ class DropFault:
     The sender meters the send normally — the words left its NIC — but
     the envelope is diverted into the fault state's retransmission
     buffer instead of the destination mailbox. A plain ``recv`` on the
-    channel times out; ``recv_reliable`` recovers the envelope and
-    meters the retransmission as recovery traffic.
+    channel deadlocks; ``recv_reliable`` recovers the envelope once the
+    world goes quiescent and meters the retransmission as recovery
+    traffic.
     """
 
     src: int
@@ -372,6 +373,12 @@ class FaultState:
             departure=envelope.departure + fault.delay,
             trace_ref=envelope.trace_ref,
         )
+
+    def has_dropped(self, src: int, dst: int, context, tag) -> bool:
+        """True while a dropped envelope waits for retransmission on
+        this channel (the predicate ``recv_reliable`` parks with)."""
+        with self._lock:
+            return (src, dst, context, tag) in self._dropped
 
     def retransmit(self, src: int, dst: int, context, tag):
         """Pop a dropped envelope for this channel (None when empty) —

@@ -13,8 +13,8 @@ deposit wakes it, so there are no spurious wake-ups.
 A wait that can never be satisfied is detected by the baton at once
 (every other rank is blocked too) and raises
 :class:`~repro.exceptions.DeadlockError` naming the blocked ranks. A
-watchdog with an *absolute* deadline stays as a backstop: a receive
-still unmatched after ``timeout`` seconds raises ``DeadlockError``.
+wait has no timer: it ends by a matching deposit, an abort, or the
+world's quiescence (a retransmittable drop, or that deadlock).
 
 Matching is FIFO per (source, communicator context, tag) channel, like
 MPI's non-overtaking guarantee for point-to-point traffic on one
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from time import monotonic as _monotonic
 from typing import Any, Hashable
 
 from repro.exceptions import DeadlockError
@@ -48,8 +47,8 @@ class Mailbox:
     ``baton`` is the owning world's scheduler (the owner parks on it
     as rank ``owner_rank``). Without one, the mailbox stands alone: its
     owner is whichever thread calls :meth:`get`, deposits may come from
-    any thread, and a wait ends only by a matching deposit, an
-    :meth:`interrupt` or its timeout.
+    any thread, and a wait ends only by a matching deposit or an
+    :meth:`interrupt`.
     """
 
     __slots__ = (
@@ -131,24 +130,22 @@ class Mailbox:
         source: int,
         context: Hashable,
         tag: Hashable,
-        timeout: float,
         abort_check=None,
-        timed: bool = False,
+        recoverable=None,
     ) -> Any:
         """Block until a matching message is available, then return it.
 
         The owner parks on the baton until the matching deposit (or an
         abort) makes it ready. Raises :class:`DeadlockError` when the
-        baton finds every rank blocked, or once ``timeout`` seconds have
-        elapsed without a match — the backstop watchdog; its deadline
-        is absolute. If ``abort_check`` (a zero-argument callable)
-        returns True after a wake-up, the wait is abandoned immediately
-        with :class:`DeadlockError` — the engine uses this to cancel
-        waits when a peer rank fails. A ``timed`` wait (the retry wait
-        of ``recv_reliable``) expects its timeout: it is not counted as
-        blocked by the baton's deadlock detection.
+        baton finds every rank blocked. If ``abort_check`` (a
+        zero-argument callable) returns True after a wake-up, the wait
+        is abandoned immediately with :class:`DeadlockError` — the
+        engine uses this to cancel waits when a peer rank fails.
+        ``recoverable`` is passed to :meth:`Baton.block`: when the
+        world goes quiescent while it holds, the wait ends without a
+        message and ``NOTHING`` is returned (``recv_reliable`` then
+        retransmits a dropped envelope).
         """
-        deadline = _monotonic() + timeout
         waits_on = ("recv", source, tag)
         while True:
             with self._lock:
@@ -161,33 +158,11 @@ class Mailbox:
                         f"rank {self.owner_rank}: receive abandoned because a "
                         "peer rank failed"
                     )
-                remaining = deadline - _monotonic()
-                if remaining > 0:
-                    self._want = (source, context, tag)
-            if remaining <= 0 or not self._baton.block(
-                self._slot, waits_on, remaining, timed
-            ):
+                self._want = (source, context, tag)
+            if not self._baton.block(self._slot, waits_on, recoverable):
                 with self._lock:
                     self._want = None
-                    # One final look: the message may have landed between
-                    # the timeout expiring and the baton coming back.
-                    payload = self._try_pop(source, context, tag)
-                if payload is not _NOTHING:
-                    return payload
-                # An abort may equally have raced the timeout: if a
-                # peer failed while we slept, blame the failure, not
-                # a spurious "timed out after {timeout}s" deadlock.
-                if abort_check is not None and abort_check():
-                    raise DeadlockError(
-                        f"rank {self.owner_rank}: receive abandoned "
-                        "because a peer rank failed"
-                    )
-                raise DeadlockError(
-                    f"rank {self.owner_rank} timed out after {timeout}s "
-                    f"waiting for a message from rank {source} "
-                    f"(context={context!r}, tag={tag!r}); likely deadlock "
-                    "or peer failure"
-                )
+                return _NOTHING
 
     def _try_pop(self, source: int, context: Hashable, tag: Hashable) -> Any:
         key = (source, context)

@@ -57,14 +57,6 @@ class SpmdPool:
     ----------
     initial_workers:
         Workers to start eagerly (the pool still grows on demand).
-    metrics:
-        When True, the pool keeps a :class:`~repro.metrics.registry.MetricsRegistry`
-        of worker utilization — ``simmpi_pool_jobs_total`` and
-        ``simmpi_pool_busy_seconds_total`` per worker (labeled
-        ``worker=<index>``) plus a ``simmpi_pool_workers`` gauge —
-        exposed via :attr:`metrics`. Off by default; the disabled worker
-        loop is unchanged. Per-run metrics are separate: a traced run's
-        ``SpmdResult.metrics`` is folded from its event logs.
 
     The pool is a context manager; leaving the ``with`` block shuts the
     workers down. A pool survives failed runs — a program raising in
@@ -73,7 +65,7 @@ class SpmdPool:
     usable for the next :meth:`run`.
     """
 
-    def __init__(self, initial_workers: int = 0, metrics: bool = False):
+    def __init__(self, initial_workers: int = 0):
         if initial_workers < 0:
             raise ValueError(
                 f"initial_workers must be >= 0, got {initial_workers}"
@@ -83,15 +75,6 @@ class SpmdPool:
         self._run_lock = threading.Lock()  # serializes run()s
         self._state_lock = threading.Lock()  # guards grow/shutdown
         self._closed = False
-        self._metrics = None
-        self._workers_gauge = None
-        if metrics:
-            from repro.metrics.registry import MetricsRegistry
-
-            self._metrics = MetricsRegistry()
-            self._workers_gauge = self._metrics.gauge(
-                "simmpi_pool_workers", help="Live pool worker threads."
-            )
         if initial_workers:
             self._grow(initial_workers)
 
@@ -101,12 +84,6 @@ class SpmdPool:
     def workers(self) -> int:
         """Number of live worker threads."""
         return len(self._threads)
-
-    @property
-    def metrics(self):
-        """The pool's worker-utilization registry (None unless the pool
-        was built with ``metrics=True``)."""
-        return self._metrics
 
     def __enter__(self) -> "SpmdPool":
         return self
@@ -133,32 +110,15 @@ class SpmdPool:
                 q, t = self._start_worker(len(self._threads))
                 self._queues.append(q)
                 self._threads.append(t)
-            if self._workers_gauge is not None:
-                self._workers_gauge.set(len(self._threads))
 
     def _start_worker(
         self, idx: int
     ) -> tuple[queue.SimpleQueue, threading.Thread]:
         """Start the worker for slot ``idx``; returns its queue and thread."""
         q: queue.SimpleQueue = queue.SimpleQueue()
-        usage = None
-        if self._metrics is not None:
-            labels = {"worker": str(idx)}
-            usage = (
-                self._metrics.counter(
-                    "simmpi_pool_jobs_total",
-                    labels=labels,
-                    help="Rank jobs executed per pool worker.",
-                ),
-                self._metrics.counter(
-                    "simmpi_pool_busy_seconds_total",
-                    labels=labels,
-                    help="Wall-clock seconds per worker spent running rank jobs.",
-                ),
-            )
         t = threading.Thread(
             target=_worker_loop,
-            args=(q, usage),
+            args=(q,),
             name=f"simmpi-pool-{idx}",
             daemon=True,
         )
@@ -196,7 +156,7 @@ class SpmdPool:
         in FIFO hand-off order, rank r's job reaching worker r when the
         baton first does. A rank wedged outside a receive raises the
         same :class:`~repro.exceptions.DeadlockError` as ``run_spmd``
-        (one join watchdog,
+        (one progress watchdog,
         :func:`~repro.simmpi.engine._run_watched`); the wedged workers
         are then replaced so the pool stays usable.
         """
@@ -236,28 +196,13 @@ class SpmdPool:
                 self._queues[idx], self._threads[idx] = self._start_worker(idx)
 
 
-def _worker_loop(q: queue.SimpleQueue, usage=None) -> None:
-    # ``usage`` is this worker's (jobs counter, busy-seconds counter)
-    # pair when the pool meters utilization, else None. Both instruments
-    # are private to this thread, so bare attribute adds are safe.
+def _worker_loop(q: queue.SimpleQueue) -> None:
     while True:
         item = q.get()
         if item is None:
             return
         rank, run = item
-        run.rank(rank, None if usage is None else _job_meter(usage))
-
-
-def _job_meter(usage: tuple) -> Callable[[], None]:
-    """A callback adding one job, and the seconds from now until it
-    runs, to a worker's (jobs, busy-seconds) counters."""
-    start = time.perf_counter()
-
-    def count() -> None:
-        usage[0].value += 1.0
-        usage[1].value += time.perf_counter() - start
-
-    return count
+        run.rank(rank)
 
 
 _shared_pool: SpmdPool | None = None

@@ -34,8 +34,10 @@ class World:
         The model's m — a k-word payload is metered as ceil(k/m)
         messages. Defaults to unbounded (every send is one message).
     timeout:
-        Seconds a blocking receive may wait before the deadlock watchdog
-        fires.
+        Bounds how long one rank may hold the baton: the engine's
+        progress watchdog reports a wedged rank once no hand-off
+        happened for ``2*timeout + 1`` seconds. No wait inside the
+        world has a timer of its own.
     machine:
         Optional :class:`~repro.core.parameters.MachineParameters`. When
         given, each rank carries a virtual clock advanced by the Eq. (1)

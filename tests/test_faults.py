@@ -1,6 +1,7 @@
 """Tests for deterministic fault injection and replication-based recovery."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ class TestMessageFaults:
             if comm.rank == 0:
                 comm.send(np.arange(8.0), 1, tag="x")
                 return None
-            return comm.recv_reliable(0, tag="x", retry_timeout=0.02).sum()
+            return comm.recv_reliable(0, tag="x").sum()
 
         plan = FaultPlan([DropFault(src=0, dst=1, nth=0)])
         out = run_spmd(2, prog, faults=plan, timeout=5.0)
@@ -199,14 +200,86 @@ class TestMessageFaults:
         assert any(isinstance(e, DeadlockError) for e in ei.value.failures.values())
 
     def test_recv_reliable_gives_up_on_missing_message(self):
+        """No dropped envelope is pending, so the quiescent world is a
+        deadlock, reported at once rather than after the timeout."""
+
         def prog(comm):
             if comm.rank == 1:
-                comm.recv_reliable(0, retry_timeout=0.02, max_retries=2)
+                comm.recv_reliable(0)
 
         plan = FaultPlan([DelayFault(src=1, dst=0, nth=99)])  # inert, activates state
+        t0 = time.monotonic()
         with pytest.raises(RankFailedError) as ei:
-            run_spmd(2, prog, faults=plan, timeout=0.5)
-        assert any(isinstance(e, DeadlockError) for e in ei.value.failures.values())
+            run_spmd(2, prog, faults=plan, timeout=60.0)
+        assert time.monotonic() - t0 < 5.0
+        assert set(ei.value.failures) == {1}
+        assert str(ei.value.failures[1]) == (
+            "rank 1: deadlock — no rank can proceed while 1 rank(s) are "
+            "blocked: rank 1 waits for a message from rank 0 (tag=0)"
+        )
+
+    def test_twenty_drops_recover_whatever_the_host_speed(self):
+        """Rank 0 sends rank 1 twenty pairs of messages and the first of
+        each pair is dropped; between the two it waits on rank 2. Each
+        drop is retransmitted only when the world goes quiescent, so a
+        kernel on rank 2 that outlasts any retry interval changes
+        neither the delivered order nor the counts, on either
+        substrate."""
+        from repro.simmpi.pool import SpmdPool
+
+        def relay(comm, slow):
+            got = []
+            for step in range(20):
+                if comm.rank == 0:
+                    comm.send((step, "first"), 1)
+                    comm.recv(2)
+                    comm.send((step, "second"), 1)
+                elif comm.rank == 1:
+                    got.append(comm.recv_reliable(0))
+                    got.append(comm.recv_reliable(0))
+                else:
+                    if step == 0:
+                        time.sleep(slow)  # a slow host's kernel
+                    comm.send(step, 0)
+            return got
+
+        plan = FaultPlan([DropFault(src=0, dst=1, nth=n) for n in range(0, 40, 2)])
+        with SpmdPool() as pool:
+            outs = [
+                run(3, relay, slow, faults=plan, timeout=60.0)
+                for run in (run_spmd, pool.run)
+                for slow in (0.0, 0.0, 0.1)
+            ]
+        first = outs[0]
+        assert first.report.ranks[1].recovery_messages_received == 20
+        assert first.results[1][:2] == [(0, "second"), (1, "second")]
+        assert sorted(first.results[1]) == sorted(
+            (step, which) for step in range(20) for which in ("first", "second")
+        )
+        for out in outs[1:]:
+            assert out.results == first.results
+            assert out.report.counts_signature() == first.report.counts_signature()
+
+    def test_polling_rank_lets_a_recovery_run(self):
+        """A missed poll with no other rank ready resumes a receiver
+        whose dropped envelope can be retransmitted: the poll waits on
+        that receiver."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send([1.0], 1)
+            elif comm.rank == 1:
+                comm.send(comm.recv_reliable(0), 2)
+            else:
+                req = comm.irecv(1)
+                while not req.test():
+                    pass
+                return req.result()
+
+        plan = FaultPlan([DropFault(src=0, dst=1, nth=0)])
+        out = run_spmd(3, prog, faults=plan, timeout=60.0)
+        assert list(out.results[2]) == [1.0]
+        assert out.report.ranks[1].recovery_messages_received == 1
 
     def test_recv_reliable_without_faults_is_plain_recv(self):
         def prog(comm):
@@ -477,7 +550,7 @@ def test_chaos_matrix_message_faults(seed):
         total = 0.0
         for step in range(3):
             comm.send(np.full(4, float(comm.rank + step)), right, tag=step)
-            total += comm.recv_reliable(left, tag=step, retry_timeout=0.02).sum()
+            total += comm.recv_reliable(left, tag=step).sum()
         return total
 
     p = 4

@@ -287,24 +287,6 @@ class TestPoolReuse:
             == again.metrics.get("simmpi_sent_words_total").value
         )
 
-    def test_pool_worker_utilization_metrics(self):
-        with SpmdPool(metrics=True) as pool:
-            pool.run(4, ring_prog)
-            pool.run(2, ring_prog)
-            reg = pool.metrics
-            assert reg.get("simmpi_pool_workers").value == 4.0
-            jobs = {
-                m.labels[0][1]: m.value
-                for m in reg.metrics()
-                if m.name == "simmpi_pool_jobs_total"
-            }
-        assert jobs == {"0": 2.0, "1": 2.0, "2": 1.0, "3": 1.0}
-
-    def test_pool_metrics_off_by_default(self):
-        with SpmdPool() as pool:
-            pool.run(2, ring_prog)
-            assert pool.metrics is None
-
 
 class TestExport:
     @pytest.fixture
