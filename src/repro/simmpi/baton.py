@@ -150,6 +150,12 @@ class Baton:
         with self._mu:
             return self._holder
 
+    def parked(self) -> str:
+        """What each parked rank waits on, as a deadlock message lists
+        it; empty when no rank is parked."""
+        with self._mu:
+            return _listing(self._waits)
+
     def unfinished(self) -> list[int]:
         """Ranks that started but have not finished, in rank order."""
         with self._mu:
@@ -324,16 +330,20 @@ class Baton:
 
     def _deadlock_message(self, rank: int) -> str:
         blocked = self._deadlock
-        named = sorted(blocked)[:_NAMED_BLOCKED]
-        listing = "; ".join(
-            f"rank {r} waits {_describe(blocked[r])}" for r in named
-        )
-        if len(blocked) > len(named):
-            listing += f"; and {len(blocked) - len(named)} more"
         return (
             f"rank {rank}: deadlock — no rank can proceed while "
-            f"{len(blocked)} rank(s) are blocked: {listing}"
+            f"{len(blocked)} rank(s) are blocked: {_listing(blocked)}"
         )
+
+
+def _listing(waits: dict[int, tuple]) -> str:
+    """``rank r waits ...`` for each of ``waits`` in rank order, the
+    ones past :data:`_NAMED_BLOCKED` summarized as a count."""
+    named = sorted(waits)[:_NAMED_BLOCKED]
+    listing = "; ".join(f"rank {r} waits {_describe(waits[r])}" for r in named)
+    if len(waits) > len(named):
+        listing += f"; and {len(waits) - len(named)} more"
+    return listing
 
 
 def _describe(waits_on: tuple) -> str:

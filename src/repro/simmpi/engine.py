@@ -21,6 +21,17 @@ inside a world carries a timer; the one wall-clock bound is the
 progress watchdog (:func:`_run_watched`), which catches a rank that
 holds the baton too long without handing it on.
 
+Since only one rank runs at a time, every rank thread of a run is
+pinned to one *home CPU* (:func:`_home_cpu`): the CPU the launching
+thread runs on when ``run_spmd`` is called or the
+:class:`~repro.simmpi.pool.SpmdPool` is built. A hand-off then wakes the
+next rank on the CPU the previous one just left, instead of sending an
+interrupt to an idle CPU whose thread would only wait there for the
+interpreter lock the waker still holds. The world loses no parallelism
+it had. Nothing is pinned where ``os.sched_setaffinity`` is missing,
+where the process may use one CPU only, or where the call fails; the
+caller's own thread is never pinned.
+
 ``run_spmd`` spawns fresh threads per call; for repeated runs (sweeps,
 benchmarks) use :class:`~repro.simmpi.pool.SpmdPool`, which keeps the
 worker threads alive and runs this module's per-rank body and failure
@@ -30,6 +41,7 @@ handling (:class:`_Run`).
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,14 +97,37 @@ class SpmdResult:
         return Timeline.from_result(self)
 
 
+def _home_cpu() -> int | None:
+    """The CPU a world's rank threads are pinned to: the one the calling
+    thread runs on now (field 39 of ``/proc/thread-self/stat``), or
+    None to pin nothing — without ``os.sched_setaffinity``, when the
+    caller may use one CPU only, or when the field cannot be read."""
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            stat = fh.read()
+        # The command name (field 2) may hold spaces: count from its ')'.
+        return int(stat.rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+#: ``cpu``: the CPU this thread last pinned itself to (a pool worker
+#: keeps it across runs, so it pins again only when its CPU changes)
+_pinned = threading.local()
+
+
 class _Run:
     """One SPMD run's shared state and the per-rank body both substrates
     execute: :func:`run_spmd`'s rank threads and the
     :class:`~repro.simmpi.pool.SpmdPool` workers each call
-    :meth:`rank`, and :func:`_finalize` reads the joined state."""
+    :meth:`rank`, and :func:`_finalize` reads the joined state.
+    ``cpu`` is the run's home CPU (:func:`_home_cpu`), or None."""
 
     __slots__ = (
         "world",
+        "cpu",
         "program",
         "args",
         "kwargs",
@@ -102,8 +137,11 @@ class _Run:
         "_lock",
     )
 
-    def __init__(self, world: World, program: Callable[..., Any], args, kwargs):
+    def __init__(
+        self, world: World, program: Callable[..., Any], args, kwargs, cpu: int | None
+    ):
         self.world = world
+        self.cpu = cpu
         self.program = program
         self.args = args
         self.kwargs = kwargs
@@ -118,9 +156,17 @@ class _Run:
 
         An injected crash isolates the rank (survivors may recover); any
         other exception is recorded and aborts the world. Either way the
-        rank then hands the baton on for good.
+        rank then hands the baton on for good. The rank's thread first
+        pins itself to the run's home CPU.
         """
         world = self.world
+        cpu = self.cpu
+        if cpu is not None and getattr(_pinned, "cpu", None) != cpu:
+            _pinned.cpu = cpu  # a refused call is not retried
+            try:
+                os.sched_setaffinity(0, (cpu,))
+            except OSError:
+                pass
         try:
             comm = Comm(world, group=world.group, rank=rank)
             self.results[rank] = self.program(comm, *self.args, **self.kwargs)
@@ -212,7 +258,10 @@ def _run_watched(
     :data:`_UNWIND_GRACE` seconds to unwind (a holder that keeps it
     leaves none able to). Then ``on_wedged`` receives the ranks still
     unfinished (the pool replaces their workers), and a
-    :class:`~repro.exceptions.DeadlockError` names them.
+    :class:`~repro.exceptions.DeadlockError` names the holder as wedged
+    and lists what each rank parked at that moment waits on (a rank
+    polling ``Request.test()`` for a message that never comes keeps the
+    baton while its peer is parked in a receive).
     """
     budget = 2.0 * world.timeout + 1.0
     baton = world.baton
@@ -226,6 +275,7 @@ def _run_watched(
     else:
         return  # every rank finished
     holder = baton.holder
+    parked = baton.parked()  # before the abort wakes the parked ranks
     world.abort()  # unblock anything still waiting on the stuck ranks
     if holder is None or baton.holder != holder:
         # The baton can still move, so aborted ranks can unwind. While
@@ -234,11 +284,14 @@ def _run_watched(
     stuck = baton.unfinished()
     if on_wedged is not None:
         on_wedged(stuck)
-    raise DeadlockError(
+    message = (
         f"no baton hand-off for {budget:.1f}s (2*timeout+1): rank "
-        f"thread(s) {stuck} are wedged outside a receive — likely an "
-        "infinite loop in the SPMD program"
+        f"thread(s) {stuck if holder is None else [holder]} are wedged "
+        "outside a receive — likely an infinite loop in the SPMD program"
     )
+    if parked:
+        message += f"; parked meanwhile: {parked}"
+    raise DeadlockError(message)
 
 
 def run_spmd(
@@ -359,7 +412,7 @@ def run_spmd(
         record=record,
     )
     wall_start = _monotonic()
-    run = _Run(world, program, args, kwargs)
+    run = _Run(world, program, args, kwargs, _home_cpu())
     threads = [
         threading.Thread(target=run.rank, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
         for r in range(size)

@@ -44,7 +44,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.simmpi.engine import SpmdResult, _finalize, _Run, _run_watched
+from repro.simmpi.engine import SpmdResult, _finalize, _home_cpu, _Run, _run_watched
 from repro.simmpi.world import World
 
 __all__ = ["SpmdPool", "shared_pool"]
@@ -57,6 +57,10 @@ class SpmdPool:
     ----------
     initial_workers:
         Workers to start eagerly (the pool still grows on demand).
+
+    The pool picks its runs' home CPU once, when it is built (see
+    :func:`~repro.simmpi.engine._home_cpu`), so its workers pin
+    themselves on their first run and stay put afterwards.
 
     The pool is a context manager; leaving the ``with`` block shuts the
     workers down. A pool survives failed runs — a program raising in
@@ -75,6 +79,7 @@ class SpmdPool:
         self._run_lock = threading.Lock()  # serializes run()s
         self._state_lock = threading.Lock()  # guards grow/shutdown
         self._closed = False
+        self._cpu = _home_cpu()
         if initial_workers:
             self._grow(initial_workers)
 
@@ -174,7 +179,7 @@ class SpmdPool:
             record=record,
         )
         wall_start = time.monotonic()
-        run = _Run(world, program, args, kwargs)
+        run = _Run(world, program, args, kwargs, self._cpu)
         with self._run_lock:
             self._grow(size)
             queues = self._queues
@@ -224,7 +229,8 @@ def _reset_after_fork() -> None:
     singleton would enqueue jobs onto worker threads that do not exist
     there and hang forever. Dropping the reference (and replacing the
     lock, which may have been held mid-fork) makes the child's first
-    shared_pool() call build a fresh pool. The sweep executor's worker
+    shared_pool() call build a fresh pool, which picks the child's own
+    home CPU rather than the parent's. The sweep executor's worker
     processes rely on this."""
     global _shared_pool, _shared_pool_lock
     _shared_pool = None

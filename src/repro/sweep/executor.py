@@ -12,7 +12,9 @@ before committing the finished record. Big cells therefore start first
 and the small ones at the tail fill whichever slot frees up, so no
 worker is left with the round's whole heavy end. Workers simulate their
 cells serially (reusing their process-local rank-thread pool) and
-stream finished records back over a queue.
+stream finished records back over a queue. Each worker is pinned to one
+CPU of the process's allowed set, a different one per slot while there
+are enough, so the slots never share a core.
 
 Three invariants the tests pin:
 
@@ -67,10 +69,24 @@ __all__ = [
 _POLL_SECONDS = 0.2
 
 
+def _allowed_cpus() -> list[int]:
+    """The CPUs this process may run on, ascending (all of them where
+    the platform has no affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def default_workers() -> int:
-    """Worker-count default: one per core, capped — sweeps are compute
-    bound, more processes than cores just thrash."""
-    return max(1, min(8, os.cpu_count() or 1))
+    """Worker-count default: one per CPU the process may use, capped —
+    sweeps are compute bound, more processes than CPUs just thrash."""
+    return max(1, min(8, len(_allowed_cpus())))
+
+
+def _slot_cpu(slot_id: int, cpus: list[int]) -> int:
+    """The CPU worker slot ``slot_id`` runs on: slots take the allowed
+    ``cpus`` in order, round-robin once there are more slots than CPUs."""
+    return cpus[slot_id % len(cpus)]
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,16 @@ def _slot_worker(
     is the fault-injection hook: once k cells are finished the worker
     flushes the queue feeder and dies with ``os._exit`` — no cleanup,
     no sentinel — exactly like a segfault.
+
+    The worker first pins itself to its slot's CPU (:func:`_slot_cpu`),
+    so two slots never share a core and every thread it starts later
+    (its rank threads, BLAS threads) inherits that one CPU.
     """
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, (_slot_cpu(slot_id, _allowed_cpus()),))
+        except OSError:
+            pass
     done = 0
     while True:
         if crash_after is not None and done >= crash_after:

@@ -1,12 +1,15 @@
 """Tests for the SPMD engine, mailboxes, point-to-point messaging and
 failure handling."""
 
+import multiprocessing
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.analysis.validation import default_machine
 from repro.exceptions import (
     CommunicatorError,
     DeadlockError,
@@ -15,7 +18,7 @@ from repro.exceptions import (
 from repro.simmpi import engine
 from repro.simmpi.engine import run_spmd
 from repro.simmpi.mailbox import ANY_TAG, NOTHING, Mailbox
-from repro.simmpi.pool import SpmdPool
+from repro.simmpi.pool import SpmdPool, shared_pool
 
 
 class TestRunSpmd:
@@ -408,6 +411,45 @@ class TestJoinWatchdog:
                 pool.shutdown()
         assert out.results == (0, 1)
 
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_polling_holder_is_named_and_its_parked_peer_listed(self, substrate):
+        """Rank 0 polls ``irecv(1).test()`` for a message rank 1 never
+        sends, while rank 1 is parked in ``recv(0)``: only the baton
+        holder is wedged, and the report says what the parked rank waits
+        on. The wedge handler still gets every unfinished rank."""
+        release = threading.Event()
+
+        def prog(comm):
+            if comm.rank == 0:
+                req = comm.irecv(1)
+                while not req.test() and not release.is_set():
+                    pass
+            else:
+                comm.recv(0)
+            return comm.rank
+
+        pool = SpmdPool() if substrate == "pool" else None
+        replaced: list[int] = []
+        if pool is not None:
+            replace = pool._replace_workers
+            pool._replace_workers = lambda idx: (replaced.extend(idx), replace(idx))
+        run = pool.run if pool is not None else run_spmd
+        try:
+            with pytest.raises(DeadlockError) as exc:
+                run(2, prog, timeout=0.2)
+            assert str(exc.value) == (
+                "no baton hand-off for 1.4s (2*timeout+1): rank thread(s) [0] "
+                "are wedged outside a receive — likely an infinite loop in the "
+                "SPMD program; parked meanwhile: rank 1 waits for a message "
+                "from rank 0 (tag=0)"
+            )
+            if pool is not None:
+                assert 0 in replaced
+        finally:
+            release.set()
+            if pool is not None:
+                pool.shutdown()
+
     def test_pool_runs_the_next_program_after_a_wedge(self):
         """The wedged worker is replaced: the same pool runs the next
         program on every rank while the old worker is still spinning."""
@@ -456,3 +498,88 @@ class TestFinalizeCascade:
         assert all(
             isinstance(e, RuntimeError) for e in exc.value.failures.values()
         )
+
+
+def _allowed_cpus() -> set[int]:
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+def _affinity(comm):
+    return frozenset(os.sched_getaffinity(0))
+
+
+def _ring_and_reduce(comm):
+    comm.add_flops(1000 * (comm.rank + 1))
+    x = comm.shift(np.full(8 + comm.rank, float(comm.rank)), 1)
+    total = comm.allreduce(float(x.sum()))
+    return total, frozenset(os.sched_getaffinity(0))
+
+
+def _home_in_forked_child(cpu: int, conn) -> None:
+    """Forked child: move this thread onto ``cpu`` and release it again,
+    then report the affinity of each rank of a shared-pool run."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, (cpu,))
+    os.sched_setaffinity(0, allowed)
+    conn.send(shared_pool().run(3, _affinity).results)
+
+
+@pytest.mark.skipif(len(_allowed_cpus()) < 2, reason="fewer than 2 CPUs allowed")
+class TestOneCpuPerWorld:
+    """Only one rank of a world runs at a time, so all of its rank
+    threads are pinned to one home CPU; the caller never is."""
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_every_rank_runs_on_one_cpu_and_the_caller_on_any(self, substrate):
+        allowed = _allowed_cpus()
+        with SpmdPool() as pool:
+            run = pool.run if substrate == "pool" else run_spmd
+            runs = [run(6, _affinity).results for _ in range(2)]
+        for masks in runs:
+            (mask,) = set(masks)
+            assert len(mask) == 1 and mask <= allowed
+        if substrate == "pool":
+            assert runs[0] == runs[1]  # chosen once per pool
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_unpinned_run_is_bit_identical(self, substrate, monkeypatch):
+        """Without ``os.sched_setaffinity`` nothing is pinned, and the
+        counts and virtual clocks equal a pinned run's."""
+
+        def run_once():
+            with SpmdPool() as pool:
+                run = pool.run if substrate == "pool" else run_spmd
+                return run(5, _ring_and_reduce, machine=default_machine())
+
+        pinned = run_once()
+        monkeypatch.delattr(os, "sched_setaffinity")
+        unpinned = run_once()
+        assert {len(r[1]) for r in pinned.results} == {1}
+        assert {r[1] for r in unpinned.results} == {frozenset(_allowed_cpus())}
+        assert [r[0] for r in unpinned.results] == [r[0] for r in pinned.results]
+        assert (
+            unpinned.report.counts_signature() == pinned.report.counts_signature()
+        )
+        assert [r.vtime for r in unpinned.report.ranks] == [
+            r.vtime for r in pinned.report.ranks
+        ]
+
+    def test_forked_child_picks_its_own_home_cpu(self):
+        """A forked child's shared pool pins its ranks to the CPU the
+        child runs on, not to the parent's home CPU."""
+        (parent_mask,) = set(shared_pool().run(2, _affinity).results)
+        other = min((_allowed_cpus() - parent_mask) or _allowed_cpus())
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_home_in_forked_child, args=(other, writer))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(30.0), "forked child reported nothing"
+            assert reader.recv() == (frozenset({other}),) * 3
+        finally:
+            child.join(timeout=30.0)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0

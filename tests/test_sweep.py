@@ -3,9 +3,11 @@ sharded executor, crash-requeue, and the single-writer ledger funnel."""
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from repro.sweep import (
     run_sweep,
     smoke_spec,
 )
+from repro.sweep import executor
 from repro.sweep.cache import FINGERPRINT_ENV
 
 
@@ -311,6 +314,60 @@ class TestExecutor:
         assert payload["schema"] == "repro_sweep_outcome/v1"
         assert payload["cells"] == 1
         assert payload["outcomes"][0]["status"] == "simulated"
+
+
+class TestWorkerCpus:
+    """Sweep workers count and use the CPUs the process may run on."""
+
+    def test_slots_take_distinct_cpus_then_wrap(self):
+        cpus = [2, 5, 7]
+        assert [executor._slot_cpu(s, cpus) for s in range(3)] == [2, 5, 7]
+        assert [executor._slot_cpu(s, cpus) for s in range(7)] == [
+            2, 5, 7, 2, 5, 7, 2,
+        ]
+
+    def test_default_workers_counts_the_allowed_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert executor._allowed_cpus() == [3]
+        assert executor.default_workers() == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {1, 4, 6}, raising=False
+        )
+        assert executor.default_workers() == 3
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="fewer than 2 CPUs allowed",
+    )
+    def test_each_worker_is_pinned_to_its_slot_cpu(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        ctx = multiprocessing.get_context("fork")
+        out = ctx.Queue()
+        workers = []
+        for slot in range(len(cpus) + 1):  # one past the CPUs: it wraps
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=executor._slot_worker, args=(slot, 0, reader, out), daemon=True
+            )
+            proc.start()
+            reader.close()
+            workers.append((proc, writer))
+        try:
+            masks = []
+            for proc, _ in workers:
+                deadline = time.monotonic() + 30.0
+                while len(os.sched_getaffinity(proc.pid)) > 1:
+                    assert time.monotonic() < deadline, "worker never pinned itself"
+                    time.sleep(0.01)
+                masks.append(os.sched_getaffinity(proc.pid))
+            assert masks == [{c} for c in cpus] + [{cpus[0]}]
+        finally:
+            for proc, writer in workers:
+                writer.send(None)
+                writer.close()
+                proc.join(timeout=10.0)
+        assert os.sched_getaffinity(0) == set(cpus)
 
 
 class TestCollectiveCells:
