@@ -151,6 +151,31 @@ class TestCommands:
         assert "matmul25d c=1" in out and "nbody c=1" in out
 
 
+class TestMeasuredGoldens:
+    """The measured experiments' stdout equals the committed files byte
+    for byte: counts and virtual clocks are deterministic, so a change
+    to how a measurement is planned or run must not move one digit."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["validate"], "validate.txt"),
+            (["report", "--quick"], "report_quick.md"),
+            (["report"], "report.md"),
+            (["profile", "matmul25d", "--sweep"], "profile_sweep_matmul25d.txt"),
+            (
+                ["profile", "matmul25d", "--sweep", "--json"],
+                "profile_sweep_matmul25d.json",
+            ),
+        ],
+    )
+    def test_stdout_matches_golden(self, argv, golden, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / golden).read_text(
+            encoding="utf-8"
+        )
+
+
 class TestTraceCommand:
     def test_trace_matmul25d_writes_perfetto_json(self, capsys, tmp_path):
         import json
