@@ -14,8 +14,18 @@ import pytest
 from repro.algorithms.driver import choose_replication, matmul
 from repro.algorithms.matmul25d import matmul_25d
 from repro.analysis.tables import render_scaling_points
-from repro.analysis.validation import measure_matmul_comparison
+from repro.analysis.validation import scaling_points
 from repro.simmpi.engine import run_spmd
+from repro.sweep import SweepSpec
+
+#: The cross-algorithm comparison at n = 28 on comparable processor
+#: counts: one spec and one row label per implementation.
+COMPARISON = (
+    (SweepSpec("summa", n=28, p_values=(4,)), "summa p={p}"),
+    (SweepSpec("cannon", n=28, p_values=(4,)), "cannon p={p}"),
+    (SweepSpec("matmul25d", n=28, p_values=(8,), params={"c": 2}), "2.5d p={p} c={c}"),
+    (SweepSpec("caps", n=28, p_values=(7,)), "caps p={p}"),
+)
 
 
 def test_driver_policy(benchmark, emit):
@@ -55,7 +65,12 @@ def test_driver_policy(benchmark, emit):
 
 
 def test_matmul_comparison(benchmark, emit):
-    points = benchmark(measure_matmul_comparison, 28)
+    def run_comparison():
+        return [
+            pt for spec, label in COMPARISON for pt in scaling_points(spec, label)
+        ]
+
+    points = benchmark(run_comparison)
     emit(
         "matmul_comparison",
         render_scaling_points(

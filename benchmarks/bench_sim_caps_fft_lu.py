@@ -16,18 +16,16 @@ import pytest
 
 from repro.algorithms.caps import caps_matmul
 from repro.analysis.tables import render_scaling_points
-from repro.analysis.validation import (
-    measure_caps_bandwidth,
-    measure_fft_tradeoff,
-    measure_lu_latency,
-)
+from repro.analysis.validation import scaling_points
 from repro.simmpi.engine import run_spmd
+from repro.sweep import SweepSpec
 
 OMEGA0 = math.log2(7.0)
 
 
 def test_sim_caps_bandwidth(benchmark, emit):
-    points = benchmark(measure_caps_bandwidth, (28,), (7, 49))
+    spec = SweepSpec("caps", n=28, p_values=(7, 49))
+    points = benchmark(scaling_points, spec, "caps n={n} p={p}")
     w = {pt.p: pt.max_words for pt in points}
     ratio = w[7] / w[49]
     ideal = 7.0 ** (2.0 / OMEGA0)
@@ -59,7 +57,21 @@ def test_sim_caps_dfs_pays_bandwidth(benchmark, emit):
 
 
 def test_sim_fft_tradeoff(benchmark, emit):
-    res = benchmark(measure_fft_tradeoff, 1024, (2, 4, 8, 16))
+    def run_both():
+        return {
+            mode: scaling_points(
+                SweepSpec(
+                    "fft",
+                    n=1024,
+                    p_values=(2, 4, 8, 16),
+                    params={"all_to_all": mode},
+                ),
+                "fft {all_to_all} p={p}",
+            )
+            for mode in ("naive", "bruck")
+        }
+
+    res = benchmark(run_both)
     text = (
         render_scaling_points(res["naive"], "FFT naive all-to-all (W=n/p, S=p-1)")
         + "\n\n"
@@ -82,7 +94,8 @@ def test_sim_fft_tradeoff(benchmark, emit):
 
 
 def test_sim_lu_latency(benchmark, emit):
-    points = benchmark(measure_lu_latency, 48, (4, 16))
+    spec = SweepSpec("lu2d", n=48, p_values=(4, 16))
+    points = benchmark(scaling_points, spec, "lu2d p={p}")
     text = render_scaling_points(points, "2D LU, n=48 (message count vs p)")
     s4, s16 = points[0].max_messages, points[1].max_messages
     text += f"\nS(p=4) = {s4}, S(p=16) = {s16}: latency grows with p (critical path)"

@@ -11,14 +11,16 @@ W = O(n^2 / sqrt(c p)).
 import pytest
 
 from repro.analysis.tables import render_scaling_points
-from repro.analysis.validation import measure_strong_scaling_matmul
+from repro.analysis.validation import scaling_points
+from repro.sweep import SweepSpec
 
 N, Q = 96, 6
 C_VALUES = (1, 2, 3)
 
 
 def test_sim_matmul_scaling(benchmark, emit):
-    points = benchmark(measure_strong_scaling_matmul, N, Q, C_VALUES)
+    spec = SweepSpec("matmul25d", n=N, q=Q, c_values=C_VALUES)
+    points = benchmark(scaling_points, spec, "matmul25d c={c}")
     lines = [render_scaling_points(points, f"2.5D matmul, n={N}, fixed {N//Q}x{N//Q} tiles")]
     t0, e0 = points[0].est_time, points[0].est_energy
     for pt in points:

@@ -8,14 +8,19 @@ T ~ 1/c, E ~ constant — the paper's title, executed.
 import pytest
 
 from repro.analysis.tables import render_scaling_points
-from repro.analysis.validation import measure_strong_scaling_nbody
+from repro.analysis.validation import scaling_points
+from repro.sweep import SweepSpec
 
 N, R = 96, 4
 C_VALUES = (1, 2, 4)
 
 
 def test_sim_nbody_scaling(benchmark, emit):
-    points = benchmark(measure_strong_scaling_nbody, N, R, C_VALUES)
+    specs = [
+        SweepSpec("nbody", n=N, p_values=(R * c,), params={"c": c})
+        for c in C_VALUES
+    ]
+    points = benchmark(scaling_points, specs, "nbody c={c}")
     lines = [
         render_scaling_points(
             points, f"replicated n-body, n={N}, fixed {N//R}-particle blocks"

@@ -19,16 +19,20 @@ Run:  python examples/fft_lu_limits.py
 import numpy as np
 
 from repro import LU25DCosts, MachineParameters
-from repro.analysis import (
-    measure_fft_tradeoff,
-    measure_lu_latency,
-    render_scaling_points,
-    render_series,
-)
+from repro.analysis import render_scaling_points, render_series, scaling_points
+from repro.sweep import SweepSpec
 
 
 def fft_tradeoff() -> None:
-    res = measure_fft_tradeoff(n=1024, p_values=(2, 4, 8, 16))
+    res = {
+        mode: scaling_points(
+            SweepSpec(
+                "fft", n=1024, p_values=(2, 4, 8, 16), params={"all_to_all": mode}
+            ),
+            "fft {all_to_all} p={p}",
+        )
+        for mode in ("naive", "bruck")
+    }
     print(render_scaling_points(res["naive"], "FFT, naive all-to-all (S = p-1):"))
     print()
     print(render_scaling_points(res["bruck"], "FFT, Bruck all-to-all (S = log2 p):"))
@@ -75,7 +79,7 @@ def lu_latency() -> None:
         )
     )
     print()
-    pts = measure_lu_latency(n=48, p_values=(4, 16))
+    pts = scaling_points(SweepSpec("lu2d", n=48, p_values=(4, 16)), "lu2d p={p}")
     print(render_scaling_points(pts, "Measured 2D LU (S per rank grows with p):"))
 
 

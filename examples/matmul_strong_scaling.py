@@ -21,11 +21,12 @@ import numpy as np
 from repro import ClassicalMatMulCosts, energy, perfect_scaling_range, runtime
 from repro.analysis import (
     figure3_series,
-    measure_strong_scaling_matmul,
     render_scaling_points,
     render_series,
+    scaling_points,
 )
 from repro.machines import JAKETOWN
+from repro.sweep import SweepSpec
 
 
 def analytic_fig3() -> None:
@@ -124,7 +125,8 @@ def tech_report_frontier() -> None:
 
 def measured_sweep() -> None:
     print()
-    points = measure_strong_scaling_matmul(n=96, q=6, c_values=(1, 2, 3))
+    spec = SweepSpec("matmul25d", n=96, q=6, c_values=(1, 2, 3))
+    points = scaling_points(spec, "matmul25d c={c}")
     print(
         render_scaling_points(
             points,

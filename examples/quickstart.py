@@ -19,8 +19,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro import MachineParameters, NBodyOptimizer
-from repro.analysis import measure_strong_scaling_nbody, render_scaling_points
+from repro.analysis import render_scaling_points, scaling_points
 from repro.machines import JAKETOWN
+from repro.sweep import SweepSpec
 
 
 def main() -> None:
@@ -88,7 +89,12 @@ def main() -> None:
     print("\n" + "=" * 72)
     print("Perfect strong scaling, measured (simulated SPMD n-body runs)")
     print("=" * 72)
-    points = measure_strong_scaling_nbody(n=96, r=4, c_values=(1, 2, 4))
+    # p = 4c ranks: c teams of 4 particle blocks, 24 particles per rank.
+    specs = [
+        SweepSpec("nbody", n=96, p_values=(4 * c,), params={"c": c})
+        for c in (1, 2, 4)
+    ]
+    points = scaling_points(specs, "nbody c={c}")
     print(render_scaling_points(points))
     t0, e0 = points[0].est_time, points[0].est_energy
     for pt in points:

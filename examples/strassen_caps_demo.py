@@ -27,8 +27,9 @@ from repro.algorithms import (
     strassen_flop_count,
     strassen_matmul,
 )
-from repro.analysis import measure_caps_bandwidth, render_scaling_points
+from repro.analysis import render_scaling_points, scaling_points
 from repro.simmpi import run_spmd
+from repro.sweep import SweepSpec
 
 
 def sequential_demo() -> None:
@@ -93,7 +94,7 @@ def scaling_knee_demo() -> None:
 
 def measured_bandwidth() -> None:
     print()
-    pts = measure_caps_bandwidth(n_values=(28,), p_values=(7, 49))
+    pts = scaling_points(SweepSpec("caps", n=28, p_values=(7, 49)), "caps n={n} p={p}")
     print(render_scaling_points(pts, "Measured CAPS bandwidth across p:"))
     w7 = next(pt for pt in pts if pt.p == 7).max_words
     w49 = next(pt for pt in pts if pt.p == 49).max_words

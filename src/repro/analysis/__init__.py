@@ -1,4 +1,9 @@
-"""Figure/table series generators and measured-vs-analytic validation."""
+"""Figure/table series generators and measured-vs-analytic validation.
+
+The measured side reads sweep records: :func:`scaling_points` runs
+:class:`~repro.sweep.spec.SweepSpec` s in process (``repro.sweep`` is
+imported only when it is called) and returns :class:`ScalingPoint` s.
+"""
 
 from repro.analysis.figures import (
     figure3_series,
@@ -24,16 +29,7 @@ from repro.analysis.tables import (
     render_table1,
     render_table2,
 )
-from repro.analysis.validation import (
-    ScalingPoint,
-    default_machine,
-    measure_matmul_comparison,
-    measure_caps_bandwidth,
-    measure_fft_tradeoff,
-    measure_lu_latency,
-    measure_strong_scaling_matmul,
-    measure_strong_scaling_nbody,
-)
+from repro.analysis.validation import ScalingPoint, default_machine, scaling_points
 
 __all__ = [
     "figure3_series",
@@ -44,11 +40,7 @@ __all__ = [
     "FrontierGrid",
     "ScalingPoint",
     "default_machine",
-    "measure_strong_scaling_matmul",
-    "measure_strong_scaling_nbody",
-    "measure_caps_bandwidth",
-    "measure_fft_tradeoff",
-    "measure_lu_latency",
+    "scaling_points",
     "render_table",
     "render_table1",
     "render_table2",
@@ -61,7 +53,6 @@ __all__ = [
     "dominance_boundary",
     "dominant_term_map",
     "energy_breakdown_fractions",
-    "measure_matmul_comparison",
     "region_plot",
     "gantt_chart",
     "Timeline",

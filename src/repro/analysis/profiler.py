@@ -494,43 +494,33 @@ def profile_strong_scaling_matmul(
     q: int,
     c_values: tuple[int, ...] = (1, 2, 4),
     machine: MachineParameters | None = None,
-    seed: int = 0,
 ) -> list[ModelProfile]:
     """Profile the fixed-tile 2.5D sweep (p = q^2 c, constant tiles).
 
     The per-term face of the paper's headline theorem: inside the
     perfect-strong-scaling range each Eq. (1) term falls like 1/p while
-    each Eq. (2) term stays flat. The memory charged per rank is the
-    resident-tile count (3 tiles of (n/q)^2 words), identical at every
-    c by construction — mirroring
-    :func:`repro.analysis.validation.measure_strong_scaling_matmul`.
+    each Eq. (2) term stays flat. The runs are the cells of the
+    ``matmul25d`` q/c :class:`~repro.sweep.spec.SweepSpec`, so the
+    program and the charged memory (3 tiles of (n/q)^2 words, identical
+    at every c by construction) are the ones ``repro validate``
+    measures.
     """
-    import numpy as np
-
-    from repro.algorithms.matmul25d import matmul_25d
     from repro.analysis.validation import default_machine
     from repro.simmpi.pool import shared_pool
+    from repro.sweep import SweepSpec, build_cell_program
 
     if machine is None:
         machine = default_machine()
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    tile_words = 3 * (n // q) ** 2
     profiles = []
-    for c in c_values:
-        if q % c:
-            raise ParameterError(
-                f"q={q} must be divisible by every c (got c={c})"
-            )
-        p = q * q * c
-        res = shared_pool().run(p, matmul_25d, a, b, c)
+    for cell in SweepSpec("matmul25d", n=n, q=q, c_values=c_values).cells():
+        program, args, _label = build_cell_program(cell)
+        res = shared_pool().run(cell.p, program, *args)
         profiles.append(
             ModelProfile.from_report(
                 res.report,
                 machine,
-                memory_words=tile_words,
-                label=f"matmul25d n={n} c={c}",
+                memory_words=cell.memory_words,
+                label=f"matmul25d n={n} c={cell.params['c']}",
             )
         )
     return profiles

@@ -13,12 +13,7 @@ import io
 
 from repro.analysis.figures import figure3_series
 from repro.analysis.tables import render_scaling_points
-from repro.analysis.validation import (
-    measure_fft_tradeoff,
-    measure_lu_latency,
-    measure_strong_scaling_matmul,
-    measure_strong_scaling_nbody,
-)
+from repro.analysis.validation import scaling_points
 from repro.machines.casestudy import (
     generations_to_target,
     scale_parameters_independently,
@@ -78,9 +73,17 @@ def generate_report(quick: bool = False) -> str:
     )
 
     # -- measured strong scaling -------------------------------------------------
+    from repro.sweep import SweepSpec
+
     w("## Perfect strong scaling, measured on the simulator\n\n")
-    mm = measure_strong_scaling_matmul(
-        n=48 if quick else 96, q=4 if quick else 6, c_values=(1, 2) if quick else (1, 2, 3)
+    mm = scaling_points(
+        SweepSpec(
+            "matmul25d",
+            n=48 if quick else 96,
+            q=4 if quick else 6,
+            c_values=(1, 2) if quick else (1, 2, 3),
+        ),
+        "matmul25d c={c}",
     )
     w("```\n" + render_scaling_points(mm, "2.5D matmul (fixed tiles)") + "\n```\n")
     t0, e0 = mm[0].est_time, mm[0].est_energy
@@ -89,8 +92,12 @@ def generate_report(quick: bool = False) -> str:
         f"(ideal {1 / mm[-1].c:.2f}); energy ratio {mm[-1].est_energy / e0:.2f} "
         "(ideal 1.00)\n\n"
     )
-    nb = measure_strong_scaling_nbody(
-        n=48 if quick else 96, r=4, c_values=(1, 2) if quick else (1, 2, 4)
+    nb = scaling_points(
+        [
+            SweepSpec("nbody", n=48 if quick else 96, p_values=(4 * c,), params={"c": c})
+            for c in ((1, 2) if quick else (1, 2, 4))
+        ],
+        "nbody c={c}",
     )
     w("```\n" + render_scaling_points(nb, "replicated n-body (fixed blocks)") + "\n```\n")
     t0, e0 = nb[0].est_time, nb[0].est_energy
@@ -102,16 +109,25 @@ def generate_report(quick: bool = False) -> str:
 
     # -- FFT / LU negatives ----------------------------------------------------------
     w("## Where perfect scaling fails\n\n")
-    fft = measure_fft_tradeoff(
-        n=256 if quick else 1024, p_values=(2, 4) if quick else (2, 4, 8, 16)
-    )
+    fft = {
+        mode: scaling_points(
+            SweepSpec(
+                "fft",
+                n=256 if quick else 1024,
+                p_values=(2, 4) if quick else (2, 4, 8, 16),
+                params={"all_to_all": mode},
+            ),
+            "fft {all_to_all} p={p}",
+        )
+        for mode in ("naive", "bruck")
+    }
     naive_s = [pt.max_messages for pt in fft["naive"]]
     bruck_s = [pt.max_messages for pt in fft["bruck"]]
     w(
         f"FFT: naive all-to-all S = {naive_s} (= p-1); Bruck S = {bruck_s} "
         "(= log2 p) at the price of more words.\n"
     )
-    lu = measure_lu_latency(n=48, p_values=(4, 16))
+    lu = scaling_points(SweepSpec("lu2d", n=48, p_values=(4, 16)), "lu2d p={p}")
     w(
         f"LU: per-rank messages grow {lu[0].max_messages} -> "
         f"{lu[1].max_messages} from p=4 to p=16 at fixed n "

@@ -174,28 +174,37 @@ def _cmd_fig7(args) -> None:
 
 def _cmd_validate(_args) -> None:
     from repro.analysis.tables import render_scaling_points
-    from repro.analysis.validation import (
-        measure_fft_tradeoff,
-        measure_strong_scaling_matmul,
-        measure_strong_scaling_nbody,
-    )
+    from repro.analysis.validation import scaling_points
+    from repro.sweep import SweepSpec
 
+    matmul = SweepSpec("matmul25d", n=96, q=6, c_values=(1, 2, 3))
     print(
         render_scaling_points(
-            measure_strong_scaling_matmul(96, 6, (1, 2, 3)),
+            scaling_points(matmul, "matmul25d c={c}"),
             "2.5D matmul, fixed tiles (perfect strong scaling, measured):",
         )
     )
     print()
+    nbody = [
+        SweepSpec("nbody", n=96, p_values=(4 * c,), params={"c": c})
+        for c in (1, 2, 4)
+    ]
     print(
         render_scaling_points(
-            measure_strong_scaling_nbody(96, 4, (1, 2, 4)),
+            scaling_points(nbody, "nbody c={c}"),
             "replicated n-body, fixed blocks:",
         )
     )
     print()
-    fft = measure_fft_tradeoff(1024, (2, 4, 8))
-    print(render_scaling_points(fft["naive"] + fft["bruck"], "FFT all-to-all trade:"))
+    fft = [
+        SweepSpec("fft", n=1024, p_values=(2, 4, 8), params={"all_to_all": mode})
+        for mode in ("naive", "bruck")
+    ]
+    print(
+        render_scaling_points(
+            scaling_points(fft, "fft {all_to_all} p={p}"), "FFT all-to-all trade:"
+        )
+    )
 
 
 def _cmd_report(args) -> None:

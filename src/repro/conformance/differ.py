@@ -613,7 +613,7 @@ def error_cases(sizes: Sequence[int]) -> list[Case]:
 
 def scenario_cases() -> list[Case]:
     """Every registry scenario at its default (p, n), oracle-checked for
-    exact per-rank flops (all six) and full per-rank counts (summa,
+    exact per-rank flops (all seven) and full per-rank counts (summa,
     cannon, caps, nbody, fft)."""
     out = []
     for name, (p, n, _) in sorted(SCENARIOS.items()):

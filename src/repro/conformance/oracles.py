@@ -199,6 +199,32 @@ def _fft_oracle(p: int, n: int, mc, all_to_all: str = "bruck") -> ScenarioOracle
     )
 
 
+def _lu2d_oracle(p: int, n: int, mc) -> ScenarioOracle:
+    """2D block LU on a q x q grid, tiles of order b = n/q: rank (i, j)
+    updates its tile (2 b^3 flops) at each of the min(i, j) steps before
+    its own panel step. At that step a diagonal rank factors its tile,
+    sum over m = 1..b of 2 m (m-1) flops, and an off-diagonal rank does
+    one triangular solve (b^3). Traffic is broadcast trees over
+    row/column sub-communicators whose active extent shrinks with the
+    step, so it is checked differentially."""
+    q = math.isqrt(p)
+    if q * q != p:
+        raise ParameterError(f"lu2d needs a square p, got {p}")
+    if n % q:
+        raise ParameterError(f"lu2d needs q | n, got n={n}, q={q}")
+    b = n // q
+    factor = float(sum(2 * m * (m - 1) for m in range(1, b + 1)))
+    flops = []
+    for r in range(p):
+        i, j = divmod(r, q)
+        own = factor if i == j else float(b) ** 3
+        flops.append(2.0 * float(b) ** 3 * min(i, j) + own)
+    return ScenarioOracle(
+        name="lu2d", size=p, rank_flops=tuple(flops), per_rank=None,
+        notes="flops-only: broadcast extents shrink with the step",
+    )
+
+
 #: Scenario-name -> oracle builder, covering the full
 #: :data:`repro.scenarios.SCENARIOS` registry.
 SCENARIO_ORACLES: dict[str, Callable[..., ScenarioOracle]] = {
@@ -208,6 +234,7 @@ SCENARIO_ORACLES: dict[str, Callable[..., ScenarioOracle]] = {
     "caps": _caps_oracle,
     "nbody": _nbody_oracle,
     "fft": _fft_oracle,
+    "lu2d": _lu2d_oracle,
 }
 
 

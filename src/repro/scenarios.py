@@ -1,13 +1,16 @@
-"""The scenario registry: the six workloads every face of the repo runs.
+"""The scenario registry: the seven workloads every face of the repo runs.
 
 One table names the scenarios (2.5D matmul, Cannon, SUMMA, CAPS, n-body,
-FFT) with their default sizes, and one builder turns a name and a size
+FFT, 2D LU) with their default sizes, and one builder turns a name and a size
 into the rank program the simulator runs. The CLI's ``trace``,
 ``profile``, ``power`` and ``observe`` commands, the sweep engine's
 scenario cells and the conformance grid's scenario cases all build
 through :func:`build_scenario` (same rng seed, same inputs), so a sweep
 cell prices exactly the run ``repro trace`` shows and the conformance
-oracle checks.
+oracle checks. The measured experiments (``repro validate``, ``repro
+report``, the ``bench_sim_*`` benches) are sweep specs over this table
+too: ``c`` walks the replication factor of ``matmul25d`` and ``nbody``,
+and ``all_to_all`` picks FFT's transpose.
 
 Adding a scenario means a :data:`SCENARIOS` row, a branch in
 :func:`build_scenario` and a closed form in
@@ -33,6 +36,7 @@ SCENARIOS = {
     "caps": (7, 14, "p = 7^k; n = 2^depth * 7 * t (e.g. n=14 at p=7)"),
     "nbody": (4, 64, "p | n"),
     "fft": (4, 1024, "p and n powers of two with p^2 | n"),
+    "lu2d": (4, 48, "p a perfect square; sqrt(p) | n"),
 }
 
 #: Scenarios with a replica-recovery variant ``repro faults`` can crash.
@@ -53,13 +57,20 @@ def pick_25d_c(p: int) -> int:
 
 
 def build_scenario(
-    workload: str, p: int, n: int, c: int | None = None
+    workload: str,
+    p: int,
+    n: int,
+    c: int | None = None,
+    all_to_all: str | None = None,
 ) -> tuple[Callable, tuple, str]:
     """Resolve a scenario name to ``(program, args, label)`` for run_spmd.
 
-    ``c`` is matmul25d's replication factor; ``None`` picks the largest
-    valid one (:func:`pick_25d_c`). Raises ParameterError for an
-    unknown name, a ``c`` given to another scenario, or a (p, n) that
+    ``c`` is a replication factor. For matmul25d ``None`` picks the
+    largest valid one (:func:`pick_25d_c`); for nbody a ``c`` runs the
+    c-team :func:`~repro.algorithms.nbody.nbody_replicated` instead of
+    the ring. ``all_to_all`` is FFT's transpose (``"naive"`` or
+    ``"bruck"``, the default). Raises ParameterError for an unknown
+    name, a knob given to a scenario that has none, or a (p, n) that
     violates the layout constraints (messages name the constraint,
     mirroring ``repro trace --help``).
     """
@@ -68,8 +79,10 @@ def build_scenario(
             f"unknown scenario {workload!r}; valid scenarios: "
             f"{', '.join(sorted(SCENARIOS))}"
         )
-    if c is not None and workload != "matmul25d":
+    if c is not None and workload not in ("matmul25d", "nbody"):
         raise ParameterError(f"scenario {workload!r} takes no replication factor")
+    if all_to_all is not None and workload != "fft":
+        raise ParameterError(f"scenario {workload!r} takes no all_to_all")
     rng = np.random.default_rng(0)
     if workload in ("matmul25d", "cannon", "summa", "caps"):
         a = rng.standard_normal((n, n))
@@ -92,12 +105,21 @@ def build_scenario(
 
         return caps_matmul, (a, b), f"caps(n={n})"
     if workload == "nbody":
-        from repro.algorithms.nbody import nbody_ring
+        from repro.algorithms.nbody import GRAVITY, nbody_replicated, nbody_ring
 
         pos = rng.standard_normal((n, 3))
         q = rng.uniform(0.5, 2.0, n)
-        return nbody_ring, (pos, q), f"nbody(n={n})"
+        if c is None:
+            return nbody_ring, (pos, q), f"nbody(n={n})"
+        c = int(c)
+        return nbody_replicated, (pos, q, c, GRAVITY), f"nbody(n={n}, c={c})"
+    if workload == "lu2d":
+        from repro.algorithms.lu import lu_2d
+
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        return lu_2d, (a,), f"lu2d(n={n})"
     from repro.algorithms.fft import fft_parallel
 
     x = rng.standard_normal(n)
-    return fft_parallel, (x,), f"fft(n={n})"
+    args = (x,) if all_to_all is None else (x, all_to_all)
+    return fft_parallel, args, f"fft(n={n})"

@@ -11,10 +11,13 @@ property tests catch is real.
 Scenario cells build through the scenario registry
 (:func:`repro.scenarios.build_scenario`, the builder ``repro trace``
 uses), so a sweep cell for ``matmul25d`` prices exactly the run
-``repro trace matmul25d`` would. Collective cells (``coll:*``) look
-their family up in the conformance battery
-(:data:`repro.conformance.battery.BATTERY`), which pairs each rank
-program with the closed-form
+``repro trace matmul25d`` would. The registry knobs ride in
+``Cell.params``: ``c`` (the matmul25d and nbody replication factor)
+and ``all_to_all`` (FFT's transpose). The measured experiments of
+:mod:`repro.analysis.validation` run through here too, in process.
+Collective cells (``coll:*``) look their family up in the conformance
+battery (:data:`repro.conformance.battery.BATTERY`), which pairs each
+rank program with the closed-form
 :class:`~repro.conformance.oracles.OracleCosts` that :func:`cell_oracle`
 hands the property suite.
 """
@@ -68,7 +71,13 @@ def build_cell_program(cell: Cell) -> tuple[Callable, tuple, str]:
         raise ParameterError(
             f"scenario cell {cell.cell_id} needs an 'n' param"
         )
-    return build_scenario(cell.workload, cell.p, n, c=cell.params.get("c"))
+    return build_scenario(
+        cell.workload,
+        cell.p,
+        n,
+        c=cell.params.get("c"),
+        all_to_all=cell.params.get("all_to_all"),
+    )
 
 
 def cell_oracle(cell: Cell) -> OracleCosts:

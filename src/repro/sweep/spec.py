@@ -20,7 +20,12 @@ Two workload families are plannable:
 
 * **scenario cells** — the workloads of the scenario registry
   :data:`repro.scenarios.SCENARIOS` (``matmul25d``, ``cannon``,
-  ``summa``, ``caps``, ``nbody``, ``fft``);
+  ``summa``, ``caps``, ``nbody``, ``fft``, ``lu2d``). A spec's
+  ``params`` carry the registry knobs into every cell: ``c`` for
+  nbody's replication walk (one spec per c, ``p_values=(r*c,)``) and
+  ``all_to_all`` for FFT. Cells without a knob keep the ids they had
+  before the knobs existed. The measured experiments of
+  :mod:`repro.analysis.validation` are specs of this kind;
 * **collective cells** — ``coll:<op>`` for each of the ten
   default-algorithm families of the conformance battery
   :data:`repro.conformance.battery.BATTERY`, used by the property-test

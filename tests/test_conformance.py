@@ -130,6 +130,31 @@ class TestOracleClosedForms:
         assert so.total_flops == 2.0 * 16**3
         assert so.rank_flops == tuple([2.0 * 16**3 / 4] * 4)
 
+    def test_lu2d_oracle_hand_derived(self):
+        # p=4, n=48: tiles of order b=24. The diagonal ranks factor a
+        # tile, sum_{m=1..24} 2m(m-1) = 2(24^3 - 24)/3 = 9200 flops; the
+        # off-diagonal ranks do one triangular solve, 24^3 = 13824; rank
+        # (1, 1) first updates once, 2 * 24^3, then factors.
+        so = oracle_scenario("lu2d", 4, 48)
+        assert so.rank_flops == (9200.0, 13824.0, 13824.0, 2 * 13824.0 + 9200.0)
+        assert so.per_rank is None
+
+    @pytest.mark.parametrize("p, n", [(4, 48), (9, 48), (16, 48), (16, 64)])
+    def test_lu2d_oracle_equals_measured_flops(self, p, n):
+        from repro.scenarios import build_scenario
+
+        program, args, _ = build_scenario("lu2d", p, n)
+        report = run_spmd(p, program, *args).report
+        assert tuple(r.flops for r in report.ranks) == oracle_scenario(
+            "lu2d", p, n
+        ).rank_flops
+
+    def test_lu2d_oracle_rejects_bad_layouts(self):
+        with pytest.raises(ParameterError):
+            oracle_scenario("lu2d", 8, 48)
+        with pytest.raises(ParameterError):
+            oracle_scenario("lu2d", 9, 50)
+
     def test_string_words_convention(self):
         assert string_words("") == 1
         assert string_words("x" * 8) == 1

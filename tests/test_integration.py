@@ -7,15 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.validation import (
-    measure_caps_bandwidth,
-    measure_fft_tradeoff,
-    measure_lu_latency,
-    measure_strong_scaling_matmul,
-    measure_strong_scaling_nbody,
-)
+from repro.analysis.validation import scaling_points
 from repro.core.costs import ClassicalMatMulCosts, NBodyCosts
+from repro.exceptions import SimulationError
 from repro.simmpi.engine import run_spmd
+from repro.sweep import SweepSpec
 
 
 class TestHeadlineNBody:
@@ -25,7 +21,11 @@ class TestHeadlineNBody:
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        return measure_strong_scaling_nbody(n=96, r=4, c_values=(1, 2, 4))
+        specs = [
+            SweepSpec("nbody", n=96, p_values=(4 * c,), params={"c": c})
+            for c in (1, 2, 4)
+        ]
+        return scaling_points(specs, "nbody c={c}")
 
     def test_time_scales_down(self, sweep):
         t = [pt.est_time for pt in sweep]
@@ -64,7 +64,8 @@ class TestHeadlineNBody:
 class TestHeadlineMatmul:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return measure_strong_scaling_matmul(n=96, q=6, c_values=(1, 2, 3))
+        spec = SweepSpec("matmul25d", n=96, q=6, c_values=(1, 2, 3))
+        return scaling_points(spec, "matmul25d c={c}")
 
     def test_time_scales_down(self, sweep):
         t = [pt.est_time for pt in sweep]
@@ -97,7 +98,9 @@ class TestHeadlineMatmul:
 
 class TestCapsShape:
     def test_bandwidth_power_law(self):
-        pts = measure_caps_bandwidth(n_values=(28,), p_values=(7, 49))
+        pts = scaling_points(
+            SweepSpec("caps", n=28, p_values=(7, 49)), "caps n={n} p={p}"
+        )
         w7 = next(pt for pt in pts if pt.p == 7).max_words
         w49 = next(pt for pt in pts if pt.p == 49).max_words
         ideal = 7.0 ** (2.0 / math.log2(7.0))  # ~3.99
@@ -108,7 +111,18 @@ class TestCapsShape:
 class TestFFTNoPerfectScaling:
     @pytest.fixture(scope="class")
     def res(self):
-        return measure_fft_tradeoff(n=1024, p_values=(2, 4, 8, 16))
+        return {
+            mode: scaling_points(
+                SweepSpec(
+                    "fft",
+                    n=1024,
+                    p_values=(2, 4, 8, 16),
+                    params={"all_to_all": mode},
+                ),
+                "fft {all_to_all} p={p}",
+            )
+            for mode in ("naive", "bruck")
+        }
 
     def test_naive_messages_grow_linearly(self, res):
         s = [pt.max_messages for pt in res["naive"]]
@@ -133,13 +147,25 @@ class TestFFTNoPerfectScaling:
 
 
 class TestLULatency:
-    def test_messages_grow_with_p(self):
-        pts = measure_lu_latency(n=48, p_values=(4, 16))
+    @pytest.fixture(scope="class")
+    def pts(self):
+        return scaling_points(
+            SweepSpec("lu2d", n=48, p_values=(4, 16)), "lu2d p={p}"
+        )
+
+    def test_messages_grow_with_p(self, pts):
         assert pts[1].max_messages > pts[0].max_messages
 
-    def test_flops_constant_across_p(self):
-        pts = measure_lu_latency(n=48, p_values=(4, 16))
+    def test_flops_constant_across_p(self, pts):
         assert pts[0].total_flops == pytest.approx(pts[1].total_flops, rel=1e-6)
+
+
+class TestScalingPoints:
+    def test_failed_cell_raises_naming_it(self):
+        # p = 12 ranks as c = 3 teams of r = 4: c must divide r.
+        spec = SweepSpec("nbody", n=96, p_values=(12,), params={"c": 3})
+        with pytest.raises(SimulationError, match="nbody/p12-c3-n96@"):
+            scaling_points(spec, "nbody c={c}")
 
 
 class TestCrossAlgorithmConsistency:

@@ -137,6 +137,53 @@ class TestPlanner:
             )
 
 
+class TestScenarioKnobs:
+    """The registry knobs a cell carries in its params: ``all_to_all``
+    for fft and ``c`` for nbody, next to matmul25d's ``c``."""
+
+    @pytest.mark.parametrize("mode", ["naive", "bruck"])
+    @pytest.mark.parametrize("p", [2, 4, 8, 16])
+    def test_fft_all_to_all_cells_equal_oracle(self, mode, p):
+        from repro.conformance import oracle_scenario
+
+        spec = SweepSpec("fft", n=1024, p_values=(p,), params={"all_to_all": mode})
+        record = execute_cell(spec.cells()[0])
+        oracle = oracle_scenario("fft", p, 1024, all_to_all=mode)
+        assert record.counts_signature() == oracle.per_rank
+
+    def test_nbody_c_cells_conserve_total_flops(self):
+        specs = [
+            SweepSpec("nbody", n=96, p_values=(4 * c,), params={"c": c})
+            for c in (1, 2, 4)
+        ]
+        outcome = run_sweep(plan_cells(specs), workers=0)
+        assert outcome.ok
+        flops = [rec.total_flops for rec in outcome.records.values()]
+        assert len(flops) == 3 and flops[1] == flops[0] and flops[2] == flops[0]
+
+    def test_cell_ids_without_new_params_are_unchanged(self):
+        # Literal ids: the perf digests and run caches are keyed by them.
+        (nbody,) = SweepSpec("nbody", n=64, p_values=(4,)).cells()
+        assert nbody.cell_id == "nbody/p4-n64@e2e2daad86ec"
+        assert [c.cell_id for c in smoke_spec(48).cells()] == [
+            "matmul25d/p36-c1-n48-q6@ff4058399566",
+            "matmul25d/p72-c2-n48-q6@8cbf4c4e541f",
+            "matmul25d/p108-c3-n48-q6@b3ae576a43c3",
+        ]
+
+    def test_knobs_are_part_of_the_cell_id(self):
+        (ring,) = SweepSpec("nbody", n=64, p_values=(4,)).cells()
+        (teams,) = SweepSpec("nbody", n=64, p_values=(4,), params={"c": 1}).cells()
+        assert teams.cell_id != ring.cell_id
+        assert teams.cell_id.startswith("nbody/p4-c1-n64@")
+
+    def test_knob_on_the_wrong_scenario_fails_the_cell(self):
+        spec = SweepSpec("cannon", n=16, p_values=(4,), params={"all_to_all": "naive"})
+        outcome = run_sweep(spec.cells(), workers=0)
+        assert outcome.failed == 1
+        assert "takes no all_to_all" in outcome.outcomes[0].error
+
+
 class TestCache:
     def test_key_depends_on_fingerprint(self):
         cell = collective_cell("barrier", 4, _machine_dict())
