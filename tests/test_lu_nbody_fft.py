@@ -207,6 +207,33 @@ class TestNBodyParallel:
         assert np.allclose(got, ref)
 
 
+def _fft_reference(x, flop_counter):
+    """The radix-2 FFT computed from scratch on every call, as
+    fft_serial did before it cached its per-length tables."""
+    x = np.asarray(x, dtype=complex)
+    n = x.size
+    count = flop_counter if flop_counter is not None else (lambda _: None)
+    stages = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=int)
+    for _ in range(stages):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    y = x[rev].copy()
+    half = 1
+    while half < n:
+        w = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
+        y = y.reshape(-1, 2 * half)
+        lo = y[:, :half]
+        hi = y[:, half:] * w
+        y[:, half:] = lo - hi
+        y[:, :half] = lo + hi
+        count(10.0 * (n // 2))
+        y = y.reshape(-1)
+        half *= 2
+    return y
+
+
 class TestFFTSerial:
     @pytest.mark.parametrize("n", [1, 2, 8, 64, 512])
     def test_matches_numpy(self, n, rng):
@@ -227,6 +254,26 @@ class TestFFTSerial:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ParameterError):
             fft_serial(np.zeros(12))
+
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+    def test_bitwise_equal_to_uncached_reference(self, n, rng):
+        """Cached bit-reversal and twiddles change no output bit and no
+        flop_counter call, on a first call and a repeated one."""
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want_flops: list = []
+        want = _fft_reference(x, want_flops.append)
+        for _ in range(2):
+            flops: list = []
+            got = fft_serial(x, flop_counter=flops.append)
+            assert got.tobytes() == want.tobytes()
+            assert flops == want_flops
+
+    def test_cached_tables_stay_private(self, rng):
+        """Writing into one output leaves later transforms untouched."""
+        x = rng.standard_normal(16) + 0j
+        first = fft_serial(x)
+        first[:] = 0
+        assert fft_serial(x).tobytes() == _fft_reference(x, None).tobytes()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
