@@ -65,6 +65,9 @@ class CartComm:
         self.comm = comm
         self.dims = dims
         self.periodic = periodic
+        #: (dim, displacement) -> (source, dest), filled on first use:
+        #: a shift loop recomputes no coordinates
+        self._shifts: dict[tuple[int, int], tuple[int, int]] = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -116,23 +119,24 @@ class CartComm:
 
     def shift_ranks(self, dim: int, displacement: int) -> tuple[int, int]:
         """(source, dest) ranks for a displacement along ``dim``
-        (MPI_Cart_shift)."""
-        self._check_dim(dim)
-        coords = list(self.coords)
-        coords[dim] += displacement
-        dest = self.coords_to_rank(coords)
-        coords = list(self.coords)
-        coords[dim] -= displacement
-        src = self.coords_to_rank(coords)
-        return src, dest
+        (MPI_Cart_shift); computed once per (dim, displacement)."""
+        pair = self._shifts.get((dim, displacement))
+        if pair is None:
+            self._check_dim(dim)
+            coords = list(self.coords)
+            coords[dim] += displacement
+            dest = self.coords_to_rank(coords)
+            coords[dim] -= 2 * displacement
+            src = self.coords_to_rank(coords)
+            pair = self._shifts[dim, displacement] = (src, dest)
+        return pair
 
     def shift(self, obj: Any, dim: int, displacement: int, tag: Hashable = 0) -> Any:
         """Send ``obj`` ``displacement`` steps along ``dim``; return what
         arrives from the opposite neighbour."""
         src, dest = self.shift_ranks(dim, displacement)
-        return self.comm.sendrecv(
-            obj, dest, src, sendtag=("_cshift", dim, tag), recvtag=("_cshift", dim, tag)
-        )
+        tag = ("_cshift", dim, tag)
+        return self.comm.sendrecv(obj, dest, src, sendtag=tag, recvtag=tag)
 
     # -- sub-communicators ----------------------------------------------------
 

@@ -19,6 +19,27 @@ exchange (SPMD programs call split in the same order everywhere).
 Only the membership travels: split gathers every rank's (color, key)
 at local rank 0, which sends each rank its new group and rank — an
 unmetered gather/scatter of 2(p-1) mailbox deposits in two hops.
+
+One message does only what its semantics need. A ``Comm`` binds its
+rank's identity once — world rank, group size, cost counter — so a send
+is: range check, :func:`~repro.simmpi.payload.freeze_message` (or the
+deep copy), the message count (1 whenever the payload fits one m-word
+message), the node test (skipped in a one-level world),
+``CostCounter.add_send``, the clock advance, one
+:class:`~repro.simmpi.envelope.Envelope` carrying the word count, and
+one :meth:`~repro.simmpi.mailbox.Mailbox.put`. A receive is the range
+check, one :meth:`~repro.simmpi.mailbox.Mailbox.get`,
+:func:`~repro.simmpi.payload.deliver`, ``CostCounter.add_recv`` and the
+clock sync. ``sendrecv`` checks both peers, then runs the send and
+receive halves (:meth:`Comm._post`, :meth:`Comm._collect`); ``shift``
+computes peers that are in range by construction and checks nothing.
+
+The counter's ``add_send``/``add_recv`` are looked up on every message,
+never bound at construction: they are the metering seam
+:func:`~repro.conformance.deliberately_perturbed` patches on the class.
+Tracing and fault injection hang off the same functions behind one
+``is None`` test each, so an observed message and an unobserved one
+take the same path.
 """
 
 from __future__ import annotations
@@ -31,8 +52,9 @@ from repro.simmpi import collectives as _coll
 from repro.simmpi.envelope import Envelope
 from repro.simmpi.mailbox import NOTHING
 from repro.simmpi.payload import (
-    FrozenPayload,
     copy_payload,
+    deliver,
+    freeze_message,
     message_count,
     payload_words,
 )
@@ -48,6 +70,20 @@ _SPLIT_TAG = ("_setup", "split")
 class Comm:
     """A group of ranks that can exchange metered messages."""
 
+    __slots__ = (
+        "_world",
+        "_group",
+        "_rank",
+        "_size",
+        "_me",
+        "_counter",
+        "_context",
+        "_split_seq",
+        "_elog",
+        "_fx",
+        "_gate",
+    )
+
     def __init__(
         self,
         world: World,
@@ -55,19 +91,26 @@ class Comm:
         rank: int,
         context: Hashable = ("world",),
     ):
-        if rank < 0 or rank >= len(group):
+        group = tuple(group)
+        size = len(group)
+        if rank < 0 or rank >= size:
             raise CommunicatorError(
-                f"local rank {rank} out of range for group of {len(group)}"
+                f"local rank {rank} out of range for group of {size}"
             )
         self._world = world
-        self._group = tuple(group)
+        self._group = group
         self._rank = rank
+        self._size = size
+        #: this rank's world rank and cost counter, bound once: every
+        #: message meters through them
+        self._me = me = group[rank]
+        self._counter = counter = world.counters[me]
         self._context = context
         self._split_seq = 0
         #: this rank's event log (None when the world is untraced); the
         #: metering hooks below test it once per operation, which is the
         #: entire overhead of the disabled tracing path
-        self._elog = world.counters[self._group[rank]].elog
+        self._elog = counter.elog
         #: the world's live FaultState (None for fault-free runs); same
         #: zero-overhead-when-off discipline as ``_elog``
         self._fx = world.faults
@@ -77,8 +120,8 @@ class Comm:
         #: (default algorithm, built-in op) are checked at the dispatch
         #: sites in :mod:`repro.simmpi.collectives`.
         self._gate = None
-        if world.fastpath and len(self._group) > 1:
-            self._gate = world.collective_gate(context, self._group)
+        if world.fastpath and size > 1:
+            self._gate = world.collective_gate(context, group)
 
     # -- identity -------------------------------------------------------
 
@@ -90,17 +133,17 @@ class Comm:
     @property
     def size(self) -> int:
         """Number of ranks in the communicator."""
-        return len(self._group)
+        return self._size
 
     @property
     def world_rank(self) -> int:
         """This process's rank in the global world."""
-        return self._group[self._rank]
+        return self._me
 
     @property
     def counter(self):
         """This rank's cost counter (flops, words, messages, memory)."""
-        return self._world.counters[self.world_rank]
+        return self._counter
 
     @property
     def copy_on_write(self) -> bool:
@@ -117,7 +160,7 @@ class Comm:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Comm(rank={self._rank}/{self.size}, world_rank={self.world_rank}, "
+            f"Comm(rank={self._rank}/{self._size}, world_rank={self._me}, "
             f"context={self._context!r})"
         )
 
@@ -132,8 +175,8 @@ class Comm:
         """
         slowdown = None
         if self._fx is not None:
-            slowdown = self._fx.tick(self.world_rank)
-        counter = self.counter
+            slowdown = self._fx.tick(self._me)
+        counter = self._counter
         t0 = counter.vtime
         counter.add_flops(count)
         machine = self._world.machine
@@ -150,7 +193,7 @@ class Comm:
 
     def allocate(self, words: int) -> None:
         """Meter acquiring a local buffer (memory high-water tracking)."""
-        counter = self.counter
+        counter = self._counter
         counter.allocate(words)
         if self._elog is not None:
             t = counter.vtime
@@ -158,7 +201,7 @@ class Comm:
 
     def release(self) -> None:
         """Release the most recent metered buffer."""
-        counter = self.counter
+        counter = self._counter
         freed = counter.release()
         if self._elog is not None:
             t = counter.vtime
@@ -179,58 +222,9 @@ class Comm:
         all — while legacy ``payload_mode="copy"`` deep-copies per hop.
         The metered word count is identical either way.
         """
-        self._check_peer(dest, "dest")
-        if self._fx is not None:
-            self._fx.tick(self.world_rank)
-        if self._world.copy_on_write:
-            payload = FrozenPayload.freeze(obj)
-            words = payload.words
-        else:
-            payload = copy_payload(obj)
-            words = payload_words(obj)
-        msgs = message_count(words, self._world.max_message_words)
-        dest_world_rank = self._group[dest]
-        internode = not self._world.same_node(self.world_rank, dest_world_rank)
-        counter = self.counter
-        counter.add_send(words, msgs, internode=internode)
-        machine = self._world.machine
-        t0 = counter.vtime
-        cost = 0.0
-        departure = None
-        if machine is not None:
-            cost = machine.alpha_t * msgs + machine.beta_t * words
-            counter.advance_clock(cost)
-            departure = counter.vtime
-        trace_ref = None
-        if self._elog is not None:
-            seq = self._elog.append(
-                "send",
-                t0,
-                counter.vtime,
-                cost=cost,
-                words=words,
-                messages=msgs,
-                peer=dest_world_rank,
-                tag=tag,
-            )
-            trace_ref = (self.world_rank, seq)
-        env = Envelope(payload, departure, trace_ref)
-        if self._fx is not None:
-            action, env = self._fx.outgoing(
-                self.world_rank, dest_world_rank, self._context, tag, env
-            )
-            if action == "drop":
-                # The sender paid for the send — the words left its NIC —
-                # but the network ate the envelope; recv_reliable on the
-                # receiver can recover it from the retransmission buffer.
-                return
-            if action == "duplicate":
-                self._world.mailboxes[dest_world_rank].put(
-                    self.world_rank, self._context, tag, env
-                )
-        self._world.mailboxes[dest_world_rank].put(
-            self.world_rank, self._context, tag, env
-        )
+        if not 0 <= dest < self._size:
+            raise self._out_of_range(dest, "dest")
+        self._post(obj, self._group[dest], tag)
 
     def recv(self, source: int, tag: Hashable = 0) -> Any:
         """Block until a message from ``source`` with ``tag`` arrives.
@@ -241,17 +235,9 @@ class Comm:
         once, on the sender, matching Eq. (1)'s convention of counting
         words sent.
         """
-        self._check_peer(source, "source")
-        if self._fx is not None:
-            self._fx.tick(self.world_rank)
-        src_world = self._group[source]
-        env = self._world.mailboxes[self.world_rank].get(
-            src_world,
-            self._context,
-            tag,
-            abort_check=self._abort_for(src_world),
-        )
-        return self._open_envelope(env, src_world, tag=tag)
+        if not 0 <= source < self._size:
+            raise self._out_of_range(source, "source")
+        return self._collect(self._group[source], tag)
 
     def isend(self, obj: Any, dest: int, tag: Hashable = 0) -> Request:
         """Nonblocking send. Eager sends complete immediately; the
@@ -263,33 +249,38 @@ class Comm:
         """Nonblocking receive: a :class:`Request` to ``test()``/``wait()``.
 
         Metering (received words/messages, virtual clock sync) happens
-        when the request completes, matching a blocking ``recv``.
+        when the request completes, matching a blocking ``recv``. A
+        missed ``test()`` runs the abort check a blocking receive runs,
+        so a polling loop ends with the same
+        :class:`~repro.exceptions.DeadlockError` (or
+        :class:`~repro.exceptions.PeerDeadError`) once the world is
+        aborted or the awaited peer has crashed.
         """
-        self._check_peer(source, "source")
+        if not 0 <= source < self._size:
+            raise self._out_of_range(source, "source")
         if self._fx is not None:
-            self._fx.tick(self.world_rank)
+            self._fx.tick(self._me)
         src_world = self._group[source]
-        mailbox = self._world.mailboxes[self.world_rank]
+        mailbox = self._world.mailboxes[self._me]
 
         def poll(block: bool = False):
             if block:
                 env = mailbox.get(
-                    src_world,
-                    self._context,
-                    tag,
-                    abort_check=self._abort_for(src_world),
+                    src_world, self._context, tag, self._abort_for(src_world)
                 )
                 return True, env
-            env = mailbox.try_get(src_world, self._context, tag)
+            env = mailbox.try_get(
+                src_world, self._context, tag, self._abort_for(src_world)
+            )
             if env is NOTHING:
                 # A missed poll lets every ready rank run first, so a
                 # test() loop cannot keep the sender from ever sending.
-                self._world.baton.yield_(self.world_rank)
+                self._world.baton.yield_(self._me)
                 return False, env
             return True, env
 
         def finish(env):
-            return self._open_envelope(env, src_world, tag=tag)
+            return self._open_envelope(env, src_world, tag)
 
         return Request(poll=poll, finish=finish)
 
@@ -305,26 +296,25 @@ class Comm:
 
         A self-exchange (dest == source == this rank) is short-circuited
         without metering, matching real MPI where a sendrecv to self
-        never touches the network.
+        never touches the network. Both peers are checked before
+        anything is sent.
         """
-        if dest == source == self._rank and sendtag == recvtag:
-            if self._world.copy_on_write:
-                # Same aliasing contract as a real hop: the caller gets a
-                # read-only view, and relaying an already-frozen buffer
-                # (e.g. Cannon's displacement-0 corner) stays zero-copy.
-                return FrozenPayload.freeze(obj).view()
-            return copy_payload(obj)
-        self.send(obj, dest, tag=sendtag)
-        return self.recv(source, tag=recvtag)
+        size = self._size
+        if not 0 <= dest < size:
+            raise self._out_of_range(dest, "dest")
+        if not 0 <= source < size:
+            raise self._out_of_range(source, "source")
+        return self._exchange(obj, dest, source, sendtag, recvtag)
 
     def shift(self, obj: Any, displacement: int, tag: Hashable = 0) -> Any:
         """Cyclic shift: send to (rank+displacement) mod p, receive from
         (rank-displacement) mod p. The workhorse of Cannon's algorithm
         and the n-body ring."""
-        p = self.size
-        dest = (self._rank + displacement) % p
-        src = (self._rank - displacement) % p
-        return self.sendrecv(obj, dest, src, sendtag=tag, recvtag=tag)
+        p = self._size
+        rank = self._rank
+        return self._exchange(
+            obj, (rank + displacement) % p, (rank - displacement) % p, tag, tag
+        )
 
     # -- fault tolerance ----------------------------------------------------
 
@@ -353,10 +343,11 @@ class Comm:
         fx = self._fx
         if fx is None:
             return self.recv(source, tag=tag)
-        self._check_peer(source, "source")
-        fx.tick(self.world_rank)
+        if not 0 <= source < self._size:
+            raise self._out_of_range(source, "source")
+        me = self._me
+        fx.tick(me)
         src_world = self._group[source]
-        me = self.world_rank
         context = self._context
         env = self._world.mailboxes[me].get(
             src_world,
@@ -366,19 +357,15 @@ class Comm:
             recoverable=lambda: fx.has_dropped(src_world, me, context, tag),
         )
         if env is not NOTHING:
-            return self._open_envelope(env, src_world, tag=tag)
+            return self._open_envelope(env, src_world, tag)
         env = fx.retransmit(src_world, me, context, tag)
         # Recovered from the retransmission buffer: charge the re-send
         # (proxy, on this rank) and the receive as recovery traffic.
         with self.recovery():
-            payload = env.payload
-            if type(payload) is FrozenPayload:
-                words = payload.words
-            else:
-                words = payload_words(payload)
+            words = env.words
             msgs = message_count(words, self._world.max_message_words)
-            self.counter.add_send(words, msgs)
-            return self._open_envelope(env, src_world, tag=tag)
+            self._counter.add_send(words, msgs)
+            return self._open_envelope(env, src_world, tag)
 
     @contextmanager
     def recovery(self):
@@ -386,7 +373,7 @@ class Comm:
         recovery overhead (``recovery_*`` counter fields) — wrap replica
         re-pushes, tile recomputation and retransmission handling so the
         profiler can price resilience against the Eq. (1)/(2) model."""
-        counter = self.counter
+        counter = self._counter
         prev = counter.recovering
         counter.recovering = True
         try:
@@ -401,7 +388,7 @@ class Comm:
         :func:`~repro.simmpi.faults.park_until_crash`). A no-op for
         fault-free runs."""
         if self._fx is not None:
-            self._fx.tick(self.world_rank)
+            self._fx.tick(self._me)
 
     def doomed_ranks(self) -> frozenset[int]:
         """Local ranks of this communicator the fault plan will crash.
@@ -427,17 +414,18 @@ class Comm:
         dead = self._world.dead
         found = frozenset(i for i, w in enumerate(self._group) if w in dead)
         if not self.doomed_ranks() <= found:
-            self._world.baton.yield_(self.world_rank)
+            self._world.baton.yield_(self._me)
         return found
 
     def is_alive(self, rank: int) -> bool:
         """False once ``rank``'s (local) injected crash has fired. A
         query that finds the rank alive yields the baton, so a loop
         polling it lets the other ranks run."""
-        self._check_peer(rank, "rank")
+        if not 0 <= rank < self._size:
+            raise self._out_of_range(rank, "rank")
         if self._group[rank] in self._world.dead:
             return False
-        self._world.baton.yield_(self.world_rank)
+        self._world.baton.yield_(self._me)
         return True
 
     # -- collectives --------------------------------------------------------
@@ -528,46 +516,130 @@ class Comm:
 
     # -- internals ---------------------------------------------------------
 
+    def _post(self, obj: Any, dest_world: int, tag: Hashable) -> None:
+        """The send half of a message to world rank ``dest_world``
+        (already range-checked): fault tick, freeze or copy, meter, and
+        deposit one envelope."""
+        me = self._me
+        fx = self._fx
+        if fx is not None:
+            fx.tick(me)
+        world = self._world
+        if world.copy_on_write:
+            payload, words = freeze_message(obj)
+        else:
+            payload = copy_payload(obj)
+            words = payload_words(obj)
+        m = world.max_message_words
+        # ceil(words/m) is 1 whenever the payload fits one message.
+        msgs = 1 if words <= m else message_count(words, m)
+        node = world.node_size
+        counter = self._counter
+        counter.add_send(
+            words, msgs, node is not None and me // node != dest_world // node
+        )
+        machine = world.machine
+        t0 = counter.vtime
+        cost = 0.0
+        departure = None
+        if machine is not None:
+            cost = machine.alpha_t * msgs + machine.beta_t * words
+            counter.advance_clock(cost)
+            departure = counter.vtime
+        trace_ref = None
+        if self._elog is not None:
+            seq = self._elog.append(
+                "send",
+                t0,
+                counter.vtime,
+                cost=cost,
+                words=words,
+                messages=msgs,
+                peer=dest_world,
+                tag=tag,
+            )
+            trace_ref = (me, seq)
+        env = Envelope(payload, departure, trace_ref, words)
+        mailbox = world.mailboxes[dest_world]
+        if fx is not None:
+            action, env = fx.outgoing(me, dest_world, self._context, tag, env)
+            if action == "drop":
+                # The sender paid for the send — the words left its NIC —
+                # but the network ate the envelope; recv_reliable on the
+                # receiver can recover it from the retransmission buffer.
+                return
+            if action == "duplicate":
+                mailbox.put(me, self._context, tag, env)
+        mailbox.put(me, self._context, tag, env)
+
+    def _collect(self, src_world: int, tag: Hashable) -> Any:
+        """The receive half of a message from world rank ``src_world``
+        (already range-checked): fault tick, wait, open."""
+        me = self._me
+        if self._fx is not None:
+            self._fx.tick(me)
+        env = self._world.mailboxes[me].get(
+            src_world, self._context, tag, self._abort_for(src_world)
+        )
+        return self._open_envelope(env, src_world, tag)
+
+    def _exchange(
+        self, obj: Any, dest: int, source: int, sendtag: Hashable, recvtag: Hashable
+    ) -> Any:
+        """``sendrecv`` with both local peers in range."""
+        if dest == source == self._rank and sendtag == recvtag:
+            if self._world.copy_on_write:
+                # Same aliasing contract as a real hop: the caller gets a
+                # read-only view, and relaying an already-frozen buffer
+                # (e.g. Cannon's displacement-0 corner) stays zero-copy.
+                return deliver(freeze_message(obj)[0])
+            return copy_payload(obj)
+        group = self._group
+        self._post(obj, group[dest], sendtag)
+        return self._collect(group[source], recvtag)
+
     def _abort_for(self, src_world: int):
-        """The abort check a blocking receive from ``src_world`` should
-        poll: the plain world-failed flag for fault-free runs (no
+        """The abort check a receive from ``src_world`` should poll: the
+        world's bound failed-flag test for fault-free runs (no
         allocation, same object every time), or a closure that
         additionally raises :class:`~repro.exceptions.PeerDeadError` the
         moment the awaited peer's injected crash fires."""
         world = self._world
         if self._fx is None:
-            return world.failed.is_set
+            return world.aborted
 
         def check():
             if src_world in world.dead:
                 raise PeerDeadError(
-                    f"rank {self.world_rank}: receive from rank {src_world} "
+                    f"rank {self._me}: receive from rank {src_world} "
                     "abandoned because that rank crashed"
                 )
             return world.failed.is_set()
 
         return check
 
-    def _open_envelope(self, env: Envelope, src_world: int, tag: Hashable = 0) -> Any:
+    def _open_envelope(self, env: Envelope, src_world: int, tag: Hashable) -> Any:
         """Meter an arrived envelope and unwrap its payload.
 
-        Frozen payloads report their cached word count and deliver
-        read-only views (no copy); legacy deep-copied payloads are
-        word-counted by traversal and handed over as-is (the receiver
-        owns them). Counts are identical in both modes.
+        The word count travels in the envelope. Frozen content is
+        delivered as read-only views (no copy); a legacy deep copy is
+        handed over as-is (the receiver owns it). Counts are identical
+        in both modes.
         """
+        world = self._world
         payload = env.payload
-        if type(payload) is FrozenPayload:
-            words = payload.words
-            payload = payload.view()
-        else:
-            words = payload_words(payload)
-        msgs = message_count(words, self._world.max_message_words)
-        internode = not self._world.same_node(self.world_rank, src_world)
-        counter = self.counter
-        counter.add_recv(words, msgs, internode=internode)
+        if world.copy_on_write:
+            payload = deliver(payload)
+        words = env.words
+        m = world.max_message_words
+        msgs = 1 if words <= m else message_count(words, m)
+        node = world.node_size
+        counter = self._counter
+        counter.add_recv(
+            words, msgs, node is not None and self._me // node != src_world // node
+        )
         t0 = counter.vtime
-        if self._world.machine is not None and env.departure is not None:
+        if env.departure is not None:  # set only when the world has a machine
             counter.sync_clock(env.departure)
         if self._elog is not None:
             # t1 > t0 here means the clock jumped to the message's
@@ -594,11 +666,11 @@ class Comm:
         of them metered. The replies are fresh tuples of ints, so nothing
         needs copying on the way.
         """
-        p = self.size
+        p = self._size
         if p == 1:
             return self._group, 0
         world = self._world
-        me = self.world_rank
+        me = self._me
         mailbox = world.mailboxes[me]
         root = self._group[0]
         if self._rank != 0:
@@ -633,8 +705,7 @@ class Comm:
             )
         return shares[0]
 
-    def _check_peer(self, peer: int, what: str) -> None:
-        if not 0 <= peer < self.size:
-            raise CommunicatorError(
-                f"{what} {peer} out of range for communicator of size {self.size}"
-            )
+    def _out_of_range(self, peer: int, what: str) -> CommunicatorError:
+        return CommunicatorError(
+            f"{what} {peer} out of range for communicator of size {self._size}"
+        )

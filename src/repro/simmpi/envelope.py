@@ -19,16 +19,27 @@ from typing import Any
 __all__ = ["Envelope"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
-    """What actually sits in a mailbox: the payload and its send-completion
-    time (None when the run has no virtual clock or for setup traffic).
+    """What actually sits in a mailbox: the payload, its send-completion
+    time (None when the run has no virtual clock or for setup traffic)
+    and its model word count.
+
+    ``payload`` is what the receiver unwraps: frozen content in a
+    copy-on-write world (see :func:`~repro.simmpi.payload.deliver`), the
+    sender's deep copy otherwise. ``words`` is counted once, at the
+    send, so the receiver meters without walking the payload again.
 
     Traced runs additionally stamp each message with the identity of the
     send event that produced it (``trace_ref``), so the receiver's recv
     event can point back at the exact sender-side record — the cross-rank
-    edges :class:`~repro.analysis.timeline.CriticalPath` replays."""
+    edges :class:`~repro.analysis.timeline.CriticalPath` replays.
+
+    Not frozen: a frozen dataclass pays ``object.__setattr__`` per field
+    on every message. Nothing writes an envelope after its send builds
+    it; a delayed copy is a new envelope."""
 
     payload: Any
     departure: float | None = None
     trace_ref: tuple[int, int] | None = None  # (sender world rank, event seq)
+    words: int = 0

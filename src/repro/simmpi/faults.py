@@ -372,6 +372,7 @@ class FaultState:
             payload=envelope.payload,
             departure=envelope.departure + fault.delay,
             trace_ref=envelope.trace_ref,
+            words=envelope.words,
         )
 
     def has_dropped(self, src: int, dst: int, context, tag) -> bool:

@@ -18,11 +18,21 @@ world's quiescence (a retransmittable drop, or that deadlock).
 
 Matching is FIFO per (source, communicator context, tag) channel, like
 MPI's non-overtaking guarantee for point-to-point traffic on one
-communicator. Channels are indexed two-level — ``(source, context)``
-then ``tag`` — so the common concrete-tag receive is two dict hits with
-no ordering bookkeeping; only ``ANY_TAG`` receives pay for arrival-order
-resolution (a scan of the handful of pending tags, using per-message
-arrival stamps).
+communicator. The channel index is one dict keyed by that triple, so a
+concrete-tag deposit or receive hashes its key once: a deposit on an
+empty channel stores its message in the ``setdefault`` that finds the
+channel, and a receive pops the channel in the lookup that finds it. A
+channel holds its one pending message bare and becomes a deque only
+when a second message queues behind the first. Only
+``ANY_TAG`` receives pay for arrival-order resolution: a scan of the
+pending channels for the oldest head of the given source and context,
+using per-message arrival stamps.
+
+Each deposit and each match attempt takes the mailbox lock once, with a
+bare ``acquire``/``release`` (cheaper than a ``with`` block). In a
+world only the baton holder touches mailboxes; a standalone mailbox
+takes deposits from any thread, and there the lock makes a deposit and
+a parking receive agree on who wakes whom.
 """
 
 from __future__ import annotations
@@ -79,9 +89,11 @@ class Mailbox:
         self._slot = slot
         # The (source, context, tag) the parked owner waits on, else None.
         self._want: tuple | None = None
-        # (source_world_rank, context_id) -> {tag: FIFO of (stamp, payload)}
-        # Invariant: no empty deques or empty tag dicts are retained.
-        self._boxes: dict[tuple[int, Hashable], dict[Hashable, deque]] = {}
+        # (source_world_rank, context_id, tag) -> the channel's pending
+        # messages: one (stamp, payload) tuple, or a FIFO deque of them
+        # once a second message queues behind the first (most channels
+        # never hold two). Invariant: no empty deques are retained.
+        self._boxes: dict[tuple[int, Hashable, Hashable], tuple | deque] = {}
         # Monotone arrival counter; stamps order messages for ANY_TAG.
         self._stamp = 0
         # Live undelivered-message count (kept exact under the lock).
@@ -100,30 +112,32 @@ class Mailbox:
         with fault plans. The sender's metering is untouched: its words
         left its NIC whether or not anyone was listening.
         """
-        key = (source, context)
-        with self._lock:
+        key = (source, context, tag)
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._closed:
                 return
-            box = self._boxes.get(key)
-            if box is None:
-                box = self._boxes[key] = {}
-            chan = box.get(tag)
-            if chan is None:
-                chan = box[tag] = deque()
-            self._stamp += 1
-            chan.append((self._stamp, payload))
-            self._pending += 1
+            self._stamp = stamp = self._stamp + 1
+            item = (stamp, payload)
+            chan = self._boxes.setdefault(key, item)
+            if chan is not item:  # the channel already holds messages
+                if type(chan) is tuple:
+                    self._boxes[key] = deque((chan, item))
+                else:
+                    chan.append(item)
+            self._pending = pending = self._pending + 1
             if self.depths is not None:
-                self.depths.observe(self._pending)
+                self.depths.observe(pending)
             want = self._want
-            if (
-                want is not None
-                and want[0] == source
-                and want[1] == context
-                and (want[2] is ANY_TAG or want[2] == tag)
+            if want is not None and (
+                want == key
+                or (want[2] is ANY_TAG and want[0] == source and want[1] == context)
             ):
                 self._want = None
                 self._baton.ready(self._slot)
+        finally:
+            lock.release()
 
     def get(
         self,
@@ -146,49 +160,83 @@ class Mailbox:
         message and ``NOTHING`` is returned (``recv_reliable`` then
         retransmits a dropped envelope).
         """
-        waits_on = ("recv", source, tag)
-        while True:
-            with self._lock:
-                self._want = None
-                payload = self._try_pop(source, context, tag)
+        key = (source, context, tag)
+        lock = self._lock
+        lock.acquire()
+        try:
+            while True:
+                payload = self._take(key)
                 if payload is not _NOTHING:
                     return payload
-                if abort_check is not None and abort_check():
-                    raise DeadlockError(
-                        f"rank {self.owner_rank}: receive abandoned because a "
-                        "peer rank failed"
+                self._check_abort(abort_check)
+                self._want = key
+                lock.release()
+                try:
+                    woken = self._baton.block(
+                        self._slot, ("recv", source, tag), recoverable
                     )
-                self._want = (source, context, tag)
-            if not self._baton.block(self._slot, waits_on, recoverable):
-                with self._lock:
+                finally:
+                    lock.acquire()
                     self._want = None
-                return _NOTHING
+                if not woken:
+                    return _NOTHING
+        finally:
+            lock.release()
 
-    def _try_pop(self, source: int, context: Hashable, tag: Hashable) -> Any:
-        key = (source, context)
-        box = self._boxes.get(key)
-        if not box:
+    def try_get(
+        self, source: int, context: Hashable, tag: Hashable, abort_check=None
+    ) -> Any:
+        """Non-blocking receive: the payload, or the module-level
+        ``NOTHING`` sentinel when no matching message is queued. A miss
+        runs ``abort_check`` exactly as a blocking :meth:`get` does, so
+        a polling loop ends with :class:`DeadlockError` (or whatever
+        the check raises) once the world is aborted."""
+        lock = self._lock
+        lock.acquire()
+        try:
+            payload = self._take((source, context, tag))
+            if payload is _NOTHING:
+                self._check_abort(abort_check)
+            return payload
+        finally:
+            lock.release()
+
+    def _take(self, key: tuple) -> Any:
+        """Pop the first message matching ``key`` (caller holds the
+        lock), or return ``_NOTHING``."""
+        boxes = self._boxes
+        if key[2] is ANY_TAG:
+            key = self._oldest(key[0], key[1])
+        chan = boxes.pop(key, None)
+        if chan is None:
             return _NOTHING
-        if tag is ANY_TAG:
-            # Oldest message across this (source, context)'s pending tags.
-            tag, chan = min(box.items(), key=lambda item: item[1][0][0])
+        if type(chan) is tuple:
+            payload = chan[1]
         else:
-            chan = box.get(tag)
-            if chan is None:
-                return _NOTHING
-        _stamp, payload = chan.popleft()
+            payload = chan.popleft()[1]
+            if chan:
+                boxes[key] = chan
         self._pending -= 1
-        if not chan:
-            del box[tag]
-            if not box:
-                del self._boxes[key]
         return payload
 
-    def try_get(self, source: int, context: Hashable, tag: Hashable):
-        """Non-blocking receive: the payload, or the module-level
-        ``NOTHING`` sentinel when no matching message is queued."""
-        with self._lock:
-            return self._try_pop(source, context, tag)
+    def _oldest(self, source: int, context: Hashable) -> tuple | None:
+        """The channel key of ``source``/``context`` whose head arrived
+        first (for ``ANY_TAG``), or None when none is pending."""
+        best = None
+        first = None
+        for key, chan in self._boxes.items():
+            if key[0] == source and key[1] == context:
+                stamp = (chan if type(chan) is tuple else chan[0])[0]
+                if first is None or stamp < first:
+                    best, first = key, stamp
+        return best
+
+    def _check_abort(self, abort_check) -> None:
+        if abort_check is not None and abort_check():
+            raise DeadlockError(
+                f"rank {self.owner_rank}: receive abandoned because a "
+                "peer rank failed"
+            )
 
     def pending(self) -> int:
         """Number of undelivered messages (diagnostics)."""

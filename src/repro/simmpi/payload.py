@@ -25,6 +25,15 @@ guarantee:
 
 Word and message *counts* are identical in both modes — only the number
 of physical copies differs.
+
+A point-to-point send calls :func:`freeze_message` once: it returns the
+frozen content and its word count, which travel in the message's
+:class:`~repro.simmpi.envelope.Envelope`, and the receiver hands the
+content out through :func:`deliver`. Both take a fast path for the
+common payload, one plain ndarray: ``type(obj) is np.ndarray`` skips
+the container walk, and only an array backed by a simulator-frozen
+buffer skips the copy. :class:`FrozenPayload` wraps the same pair for
+the collectives and for users who freeze once and relay by hand.
 """
 
 from __future__ import annotations
@@ -43,6 +52,8 @@ __all__ = [
     "message_count",
     "FrozenPayload",
     "freeze_payload",
+    "freeze_message",
+    "deliver",
     "materialize",
 ]
 
@@ -62,15 +73,29 @@ class _FrozenBase(np.ndarray):
 
 def _is_frozen_view(arr: np.ndarray) -> bool:
     """True when ``arr`` is backed by a simulator-owned frozen buffer
-    and therefore can never be written through any live reference."""
-    if arr.flags.writeable:
-        return False
+    and therefore can never be written through any live reference.
+
+    The base chain is walked first: a plain array owning its memory
+    (the usual sender's buffer) answers False without reading flags."""
     node: Any = arr
     while isinstance(node, np.ndarray):
         if isinstance(node, _FrozenBase):
-            return not node.flags.writeable
+            return not node.flags.writeable and not arr.flags.writeable
         node = node.base
     return False
+
+
+def _frozen_copy(arr: np.ndarray) -> _FrozenBase:
+    """A private read-only copy of ``arr`` in a simulator-owned buffer.
+
+    The _FrozenBase must OWN its memory (not wrap a view of a plain
+    array): NumPy collapses a view's ``base`` straight to the memory
+    owner, so a marker that is itself a view would vanish from every
+    delivered view's base chain and break adoption."""
+    buf = _FrozenBase(arr.shape, arr.dtype)
+    buf[...] = arr
+    buf.setflags(write=False)
+    return buf
 
 
 def _freeze(obj: Any) -> Any:
@@ -80,14 +105,7 @@ def _freeze(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         if _is_frozen_view(obj):
             return obj  # already frozen by us: forward without copying
-        # The _FrozenBase must OWN its memory (not wrap a view of a plain
-        # array): NumPy collapses a view's ``base`` straight to the
-        # memory owner, so a marker that is itself a view would vanish
-        # from every delivered view's base chain and break adoption.
-        buf = _FrozenBase(obj.shape, dtype=obj.dtype)
-        np.copyto(buf, obj)
-        buf.flags.writeable = False
-        return buf
+        return _frozen_copy(obj)
     if isinstance(obj, np.generic):
         return obj  # immutable scalar
     if isinstance(obj, tuple):
@@ -106,20 +124,41 @@ def _freeze(obj: Any) -> Any:
     )
 
 
-def _deliver(obj: Any) -> Any:
-    """What a receiver gets from a frozen payload: read-only array views
+def freeze_message(obj: Any) -> tuple[Any, int]:
+    """``(content, words)`` of a copy-on-write message: the frozen
+    snapshot of ``obj`` and its model word count.
+
+    A plain ndarray is copied once into a frozen buffer, or forwarded
+    as is when a simulator-frozen buffer already backs it; a
+    :class:`FrozenPayload` gives up its content and cached count; any
+    other payload is walked by :func:`_freeze`."""
+    kind = type(obj)
+    if kind is np.ndarray:
+        # An array owning its memory (no base) cannot be a frozen view.
+        if obj.base is not None and _is_frozen_view(obj):
+            return obj, obj.size
+        return _frozen_copy(obj), obj.size
+    if kind is FrozenPayload:
+        return obj._content, obj._words
+    content = _freeze(obj)
+    return content, payload_words(content)
+
+
+def deliver(obj: Any) -> Any:
+    """What a receiver gets from frozen content: read-only array views
     (zero copy), fresh containers (receivers own their own list/dict
-    structure), pass-through scalars."""
-    if isinstance(obj, _FrozenBase):
+    structure), pass-through scalars. A frozen buffer, the common
+    content, is the first check."""
+    if type(obj) is _FrozenBase:
         return obj.view(np.ndarray)  # read-only: base is frozen
     if isinstance(obj, np.ndarray):
         return obj  # an adopted view, already read-only
     if isinstance(obj, tuple):
-        return tuple(_deliver(x) for x in obj)
+        return tuple(deliver(x) for x in obj)
     if isinstance(obj, list):
-        return [_deliver(x) for x in obj]
+        return [deliver(x) for x in obj]
     if isinstance(obj, dict):
-        return {k: _deliver(v) for k, v in obj.items()}
+        return {k: deliver(v) for k, v in obj.items()}
     if getattr(obj, "__payload_words__", None) is not None:
         return _copy.deepcopy(obj)  # opaque payloads stay per-receiver copies
     return obj
@@ -148,8 +187,7 @@ class FrozenPayload:
         a view of a simulator-owned frozen buffer)."""
         if type(obj) is FrozenPayload:
             return obj
-        content = _freeze(obj)
-        return cls(content, payload_words(content))
+        return cls(*freeze_message(obj))
 
     @property
     def words(self) -> int:
@@ -161,7 +199,7 @@ class FrozenPayload:
 
     def view(self) -> Any:
         """The content with arrays exposed as read-only views (no copy)."""
-        return _deliver(self._content)
+        return deliver(self._content)
 
     def materialize(self) -> Any:
         """A private, fully writable copy of the content."""

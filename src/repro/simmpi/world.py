@@ -173,6 +173,9 @@ class World:
         #: set once any rank raises; parked ranks re-check it when
         #: abort() wakes them
         self.failed = threading.Event()
+        #: ``failed.is_set``, bound once: the abort check every
+        #: fault-free receive hands its mailbox
+        self.aborted = self.failed.is_set
         #: True when eligible collectives resolve analytically — any
         #: per-message observer (tracing, faults) forces the faithful
         #: envelope simulation instead
@@ -185,7 +188,11 @@ class World:
     def collective_gate(self, context: tuple, group) -> "object":
         """Return (creating on first use) the fast-path rendezvous gate
         for one communicator context. All ranks of a communicator share
-        a deterministic context tuple, so they all land on one gate."""
+        a deterministic context tuple, so they all land on one gate.
+        Only the first lookup of a context takes the lock."""
+        gate = self._gates.get(context)
+        if gate is not None:
+            return gate
         with self._gates_lock:
             gate = self._gates.get(context)
             if gate is None:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.exceptions import SweepError
-from repro.observatory.ledger import Ledger, RunRecord
+from repro.observatory.ledger import Ledger, RunRecord, git_sha
 from repro.sweep.cache import RunCache, code_fingerprint
 from repro.sweep.runner import execute_cell
 from repro.sweep.spec import Cell
@@ -350,6 +350,10 @@ def run_sweep(
     outcome.workers = workers
 
     def _commit(cell: Cell, record: RunRecord, slot_id: int | None) -> None:
+        if cache is not None or ledger is not None:
+            # Only a kept record names its commit: execute_cell leaves
+            # git_sha unset, so an unkept run forks no git at all.
+            record = dataclasses.replace(record, git_sha=git_sha())
         if cache is not None:
             cache.put(cell, record, fingerprint)
         if ledger is not None:

@@ -99,7 +99,10 @@ def cell_oracle(cell: Cell) -> OracleCosts:
 
 def execute_cell(cell: Cell, use_pool: bool = True) -> RunRecord:
     """Simulate one cell and return its RunRecord (not ledger-appended —
-    the single-writer funnel owns all ledger and cache writes).
+    the single-writer funnel owns all ledger and cache writes). The
+    record's ``git_sha`` is left unset: :func:`~repro.sweep.run_sweep`
+    stamps it on the records a ledger or cache keeps, so a run nobody
+    keeps forks no ``git rev-parse``.
 
     ``use_pool=True`` runs through the process-local
     :func:`~repro.simmpi.pool.shared_pool` (reuses rank threads across
@@ -134,4 +137,5 @@ def execute_cell(cell: Cell, use_pool: bool = True) -> RunRecord:
         memory_words=cell.memory_words,
         label=cell.label or label,
         wall_seconds=wall,
+        with_git_sha=False,
     )

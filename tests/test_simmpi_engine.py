@@ -416,7 +416,9 @@ class TestJoinWatchdog:
         """Rank 0 polls ``irecv(1).test()`` for a message rank 1 never
         sends, while rank 1 is parked in ``recv(0)``: only the baton
         holder is wedged, and the report says what the parked rank waits
-        on. The wedge handler still gets every unfinished rank."""
+        on. The wedge handler gets the ranks still unfinished when it
+        runs; the poller's next missed poll sees the abort, so it may
+        have unwound by then."""
         release = threading.Event()
 
         def prog(comm):
@@ -444,9 +446,67 @@ class TestJoinWatchdog:
                 "from rank 0 (tag=0)"
             )
             if pool is not None:
-                assert 0 in replaced
+                # Only workers of unfinished ranks are replaced, and the
+                # pool runs the next program either way.
+                assert set(replaced) <= {0, 1}
+                assert pool.run(2, lambda comm: comm.rank).results == (0, 1)
         finally:
             release.set()
+            if pool is not None:
+                pool.shutdown()
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_missed_poll_sees_the_abort(self, substrate):
+        """The polling program above without a release event: after the
+        watchdog aborts the world, the poller's next missed poll runs
+        the abort check a blocking receive runs and raises, so its
+        thread stops spinning and later p=64 runs keep their speed."""
+        ended = threading.Event()
+        failures: list = []
+
+        def prog(comm):
+            if comm.rank == 0:
+                try:
+                    req = comm.irecv(1)
+                    while not req.test():
+                        pass
+                except BaseException as exc:
+                    failures.append(exc)
+                    raise
+                finally:
+                    ended.set()
+            else:
+                comm.recv(0)
+            return comm.rank
+
+        def allreduce(c):
+            return c.allreduce(c.rank)
+
+        pool = SpmdPool() if substrate == "pool" else None
+        run = pool.run if pool is not None else run_spmd
+
+        def fastest_allreduce() -> float:
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                out = run(64, allreduce)
+                best = min(best, time.perf_counter() - t0)
+                assert out.results == (2016,) * 64
+            return best
+
+        try:
+            before = fastest_allreduce()
+            with pytest.raises(DeadlockError, match=r"rank thread\(s\) \[0\] are wedged"):
+                run(2, prog, timeout=0.2)
+            assert ended.wait(5.0)
+            assert [type(e) for e in failures] == [DeadlockError]
+            assert str(failures[0]) == (
+                "rank 0: receive abandoned because a peer rank failed"
+            )
+            # A spinning poller would hold the interpreter lock for whole
+            # switch intervals and slow every later hand-off severalfold.
+            assert fastest_allreduce() < 3 * before + 0.002
+        finally:
             if pool is not None:
                 pool.shutdown()
 

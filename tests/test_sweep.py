@@ -495,6 +495,49 @@ class TestLargeScaleSweeps:
             assert sharded.records[cid].to_json() == warm.records[cid].to_json()
 
 
+class TestGitShaOnlyWhereKept:
+    """``execute_cell`` stamps no commit; ``run_sweep`` stamps it on the
+    records a ledger or cache keeps, so an unkept run forks no git."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        import repro.observatory.ledger as ledger_mod
+
+        monkeypatch.setattr(ledger_mod, "_git_sha_cache", {})
+        calls: list = []
+        real = subprocess.run
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", spy)
+        return calls
+
+    def test_scaling_points_forks_nothing(self, forks):
+        from repro.analysis.validation import scaling_points
+
+        points = scaling_points(SweepSpec("cannon", n=16, p_values=(4,)), "{p}")
+        assert [pt.label for pt in points] == ["4"]
+        assert forks == []
+
+    def test_kept_records_carry_the_sha(self, forks, tmp_path):
+        from repro.observatory.ledger import git_sha
+
+        cells = SweepSpec("cannon", n=16, p_values=(4,)).cells()
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        cache = RunCache(tmp_path / "cache")
+        out = run_sweep(cells, ledger=ledger, cache=cache, workers=0)
+        assert forks == [["git", "rev-parse", "HEAD"]]
+        sha = git_sha()
+        assert [r.git_sha for r in ledger.records()] == [sha]
+        assert out.records[cells[0].cell_id].git_sha == sha
+        replay = run_sweep(cells, cache=cache, workers=0)
+        assert replay.hits == 1
+        assert replay.records[cells[0].cell_id].git_sha == sha
+        assert len(forks) == 1
+
+
 class TestLedgerSingleWriter:
     """The funnel invariant, stress-tested: many concurrent appenders
     (threads and processes) may hammer one ledger file without
