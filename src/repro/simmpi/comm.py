@@ -559,7 +559,7 @@ class Comm:
                 tag=tag,
             )
             trace_ref = (me, seq)
-        env = Envelope(payload, departure, trace_ref, words)
+        env = Envelope(payload, departure, trace_ref, words=words)
         mailbox = world.mailboxes[dest_world]
         if fx is not None:
             action, env = fx.outgoing(me, dest_world, self._context, tag, env)
@@ -675,7 +675,7 @@ class Comm:
         root = self._group[0]
         if self._rank != 0:
             world.mailboxes[root].put(
-                me, self._context, _SPLIT_TAG, Envelope((color, key), None)
+                me, self._context, _SPLIT_TAG, Envelope((color, key), None, words=0)
             )
             return mailbox.get(
                 root,
@@ -701,7 +701,7 @@ class Comm:
                 shares[r] = (group, local)
         for r in range(1, p):
             world.mailboxes[self._group[r]].put(
-                me, self._context, _SPLIT_TAG, Envelope(shares[r], None)
+                me, self._context, _SPLIT_TAG, Envelope(shares[r], None, words=0)
             )
         return shares[0]
 

@@ -13,7 +13,7 @@ with serial dependency chains (LU's panel factorization, pipelines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["Envelope"]
@@ -28,7 +28,9 @@ class Envelope:
     ``payload`` is what the receiver unwraps: frozen content in a
     copy-on-write world (see :func:`~repro.simmpi.payload.deliver`), the
     sender's deep copy otherwise. ``words`` is counted once, at the
-    send, so the receiver meters without walking the payload again.
+    send, so the receiver meters without walking the payload again. It
+    is a required keyword: every construction site states what the
+    receiver will meter (0 for unmetered setup traffic).
 
     Traced runs additionally stamp each message with the identity of the
     send event that produced it (``trace_ref``), so the receiver's recv
@@ -42,4 +44,4 @@ class Envelope:
     payload: Any
     departure: float | None = None
     trace_ref: tuple[int, int] | None = None  # (sender world rank, event seq)
-    words: int = 0
+    words: int = field(kw_only=True)

@@ -18,15 +18,18 @@ world's quiescence (a retransmittable drop, or that deadlock).
 
 Matching is FIFO per (source, communicator context, tag) channel, like
 MPI's non-overtaking guarantee for point-to-point traffic on one
-communicator. The channel index is one dict keyed by that triple, so a
-concrete-tag deposit or receive hashes its key once: a deposit on an
-empty channel stores its message in the ``setdefault`` that finds the
-channel, and a receive pops the channel in the lookup that finds it. A
-channel holds its one pending message bare and becomes a deque only
-when a second message queues behind the first. Only
-``ANY_TAG`` receives pay for arrival-order resolution: a scan of the
-pending channels for the oldest head of the given source and context,
-using per-message arrival stamps.
+communicator. The channel index is one dict keyed by that triple and
+holding a FIFO deque per channel, so a concrete-tag deposit or receive
+hashes its key once: a deposit appends to the deque its ``setdefault``
+finds or inserts, and a receive pops the channel in the lookup that
+finds it (putting it back only if a message still queues there).
+
+Only ``ANY_TAG`` receives pay for arrival-order resolution: they scan
+every pending channel of the mailbox, across all sources and contexts,
+for the oldest head of the given source and context, using per-message
+arrival stamps. That is O(pending channels) per wildcard receive; no
+algorithm, scenario or benchmark workload in this repository uses
+``ANY_TAG``, so the concrete-tag path is the one kept at one hash.
 
 Each deposit and each match attempt takes the mailbox lock once, with a
 bare ``acquire``/``release`` (cheaper than a ``with`` block). In a
@@ -89,11 +92,10 @@ class Mailbox:
         self._slot = slot
         # The (source, context, tag) the parked owner waits on, else None.
         self._want: tuple | None = None
-        # (source_world_rank, context_id, tag) -> the channel's pending
-        # messages: one (stamp, payload) tuple, or a FIFO deque of them
-        # once a second message queues behind the first (most channels
-        # never hold two). Invariant: no empty deques are retained.
-        self._boxes: dict[tuple[int, Hashable, Hashable], tuple | deque] = {}
+        # (source_world_rank, context_id, tag) -> FIFO deque of the
+        # channel's pending (stamp, payload) messages.
+        # Invariant: no empty deques are retained.
+        self._boxes: dict[tuple[int, Hashable, Hashable], deque] = {}
         # Monotone arrival counter; stamps order messages for ANY_TAG.
         self._stamp = 0
         # Live undelivered-message count (kept exact under the lock).
@@ -119,13 +121,7 @@ class Mailbox:
             if self._closed:
                 return
             self._stamp = stamp = self._stamp + 1
-            item = (stamp, payload)
-            chan = self._boxes.setdefault(key, item)
-            if chan is not item:  # the channel already holds messages
-                if type(chan) is tuple:
-                    self._boxes[key] = deque((chan, item))
-                else:
-                    chan.append(item)
+            self._boxes.setdefault(key, deque()).append((stamp, payload))
             self._pending = pending = self._pending + 1
             if self.depths is not None:
                 self.depths.observe(pending)
@@ -210,23 +206,21 @@ class Mailbox:
         chan = boxes.pop(key, None)
         if chan is None:
             return _NOTHING
-        if type(chan) is tuple:
-            payload = chan[1]
-        else:
-            payload = chan.popleft()[1]
-            if chan:
-                boxes[key] = chan
+        payload = chan.popleft()[1]
+        if chan:
+            boxes[key] = chan
         self._pending -= 1
         return payload
 
     def _oldest(self, source: int, context: Hashable) -> tuple | None:
         """The channel key of ``source``/``context`` whose head arrived
-        first (for ``ANY_TAG``), or None when none is pending."""
+        first (for ``ANY_TAG``), or None when none is pending. Scans
+        every pending channel of the mailbox."""
         best = None
         first = None
         for key, chan in self._boxes.items():
             if key[0] == source and key[1] == context:
-                stamp = (chan if type(chan) is tuple else chan[0])[0]
+                stamp = chan[0][0]
                 if first is None or stamp < first:
                     best, first = key, stamp
         return best
