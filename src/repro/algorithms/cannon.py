@@ -20,7 +20,7 @@ from repro.exceptions import ParameterError
 from repro.simmpi.cart import CartComm
 from repro.simmpi.comm import Comm
 
-from repro.algorithms.summa import square_grid_side
+from repro.algorithms.summa import square_layout
 
 __all__ = ["cannon_matmul"]
 
@@ -36,10 +36,8 @@ def cannon_matmul(comm: Comm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"need equal square operands, got {a.shape} and {b.shape}"
         )
-    q = square_grid_side(comm.size)
     n = a.shape[0]
-    if n % q:
-        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
+    q = square_layout(comm.size, n)
     grid = CartComm(comm, (q, q), periodic=True)
     i, j = grid.coords
     bsz = n // q

@@ -42,7 +42,7 @@ from repro.algorithms.strassen import DEFAULT_CUTOFF, strassen_matmul
 from repro.exceptions import ParameterError
 from repro.simmpi.comm import Comm
 
-__all__ = ["caps_matmul", "caps_assemble", "caps_depth", "is_power_of_7"]
+__all__ = ["caps_matmul", "caps_assemble", "caps_depth", "caps_layout", "is_power_of_7"]
 
 
 def is_power_of_7(p: int) -> bool:
@@ -69,7 +69,12 @@ def caps_depth(p: int, dfs_steps: int) -> int:
     return dfs_steps + _log7(p)
 
 
-def _validate(n: int, p: int, dfs_steps: int, k: int) -> None:
+def caps_layout(p: int, n: int, dfs_steps: int = 0) -> int:
+    """Check p = 7^k ranks and order-n operands for ``dfs_steps`` DFS
+    plus k BFS steps; return k."""
+    if dfs_steps < 0:
+        raise ParameterError(f"dfs_steps must be >= 0, got {dfs_steps}")
+    k = _log7(p)
     depth = dfs_steps + k
     if depth and n % (1 << depth):
         raise ParameterError(
@@ -99,6 +104,7 @@ def _validate(n: int, p: int, dfs_steps: int, k: int) -> None:
             )
         cur_n //= 2
         cur_p //= 7
+    return k
 
 
 def caps_matmul(
@@ -133,13 +139,9 @@ def caps_matmul(
         raise ParameterError(
             f"need equal square operands, got {a.shape} and {b.shape}"
         )
-    if dfs_steps < 0:
-        raise ParameterError(f"dfs_steps must be >= 0, got {dfs_steps}")
     p = comm.size
-    k = _log7(p)
     n = a.shape[0]
-    _validate(n, p, dfs_steps, k)
-    depth = dfs_steps + k
+    depth = dfs_steps + caps_layout(p, n, dfs_steps)
 
     a_loc = cyclic_slice(to_morton(a, depth), comm.rank, p)
     b_loc = cyclic_slice(to_morton(b, depth), comm.rank, p)

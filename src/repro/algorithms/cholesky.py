@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.summa import square_grid_side
+from repro.algorithms.summa import square_layout
 from repro.exceptions import ParameterError
 from repro.simmpi.cart import CartComm
 from repro.simmpi.comm import Comm
@@ -79,10 +79,8 @@ def cholesky_2d(comm: Comm, a: np.ndarray) -> np.ndarray:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"need a square matrix, got {a.shape}")
-    q = square_grid_side(comm.size)
     n = a.shape[0]
-    if n % q:
-        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
+    q = square_layout(comm.size, n)
     bsz = n // q
     grid = CartComm(comm, (q, q))
     i, j = grid.coords

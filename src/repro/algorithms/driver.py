@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from repro.algorithms.caps import caps_assemble, caps_matmul, is_power_of_7
-from repro.algorithms.matmul25d import grid_for_25d, matmul_25d
+from repro.algorithms.matmul25d import grid_for_25d, layout_25d, matmul_25d
 from repro.exceptions import ParameterError
 from repro.simmpi.comm import Comm
 
@@ -65,10 +65,8 @@ def choose_replication(
     candidates: list[tuple[int, int]] = []
     for c in range(1, p + 1):
         try:
-            q = grid_for_25d(p, c)
+            q = layout_25d(p, n, c)
         except ParameterError:
-            continue
-        if n % q:
             continue
         tile_words = 3.0 * (n / q) ** 2
         if tile_words > memory_words:

@@ -44,6 +44,7 @@ __all__ = [
     "fft_parallel",
     "fft_flop_count",
     "assemble_fft_output",
+    "fft_layout",
 ]
 
 
@@ -140,16 +141,10 @@ def fft_parallel(
     [k2_local, k1] entry is X[k2 + n2 k1]. Use
     :func:`assemble_fft_output` to reconstruct the full spectrum.
     """
-    if all_to_all not in ("naive", "bruck"):
-        raise ParameterError(f"all_to_all must be 'naive' or 'bruck', got {all_to_all!r}")
     x = np.asarray(x, dtype=complex)
     n = x.size
     p = comm.size
-    if not _is_pow2(n):
-        raise ParameterError(f"need a power-of-two signal length, got {n}")
-    if not _is_pow2(p):
-        raise ParameterError(f"need a power-of-two rank count, got {p}")
-    n1, n2 = _split_factors(n, p)
+    n1, n2 = fft_layout(p, n, all_to_all)
 
     r = comm.rank
     rows = n1 // p  # my j1 values: r*rows .. (r+1)*rows - 1
@@ -204,6 +199,18 @@ def assemble_fft_output(results: list[np.ndarray], n: int) -> np.ndarray:
             k2 = r * cols + k2_local
             spectrum[k2 + n2 * np.arange(n1)] = block[k2_local]
     return spectrum
+
+
+def fft_layout(p: int, n: int, all_to_all: str = "bruck") -> tuple[int, int]:
+    """Check p and n powers of two with p^2 <= n and the transpose
+    name; return the balanced split n = n1 * n2 with p | n1, p | n2."""
+    if all_to_all not in ("naive", "bruck"):
+        raise ParameterError(f"all_to_all must be 'naive' or 'bruck', got {all_to_all!r}")
+    if not _is_pow2(n):
+        raise ParameterError(f"need a power-of-two signal length, got {n}")
+    if not _is_pow2(p):
+        raise ParameterError(f"need a power-of-two rank count, got {p}")
+    return _split_factors(n, p)
 
 
 def _split_factors(n: int, p: int) -> tuple[int, int]:

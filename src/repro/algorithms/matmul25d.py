@@ -40,6 +40,7 @@ __all__ = [
     "matmul_25d_resilient",
     "assemble_resilient",
     "grid_for_25d",
+    "layout_25d",
 ]
 
 
@@ -65,6 +66,14 @@ def grid_for_25d(p: int, c: int) -> int:
     return q
 
 
+def layout_25d(p: int, n: int, c: int) -> int:
+    """Check a q x q x c cuboid for order-n tiles (q | n); return q."""
+    q = grid_for_25d(p, c)
+    if n % q:
+        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
+    return q
+
+
 def matmul_25d(comm: Comm, a: np.ndarray, b: np.ndarray, c: int = 1) -> np.ndarray:
     """Multiply global matrices with the 2.5D algorithm.
 
@@ -87,10 +96,8 @@ def matmul_25d(comm: Comm, a: np.ndarray, b: np.ndarray, c: int = 1) -> np.ndarr
         raise ParameterError(
             f"need equal square operands, got {a.shape} and {b.shape}"
         )
-    q = grid_for_25d(comm.size, c)
     n = a.shape[0]
-    if n % q:
-        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
+    q = layout_25d(comm.size, n, c)
     bsz = n // q
 
     cube = CartComm(comm, (q, q, c), periodic=True)
@@ -187,10 +194,8 @@ def matmul_25d_resilient(
         raise ParameterError(
             f"need equal square operands, got {a.shape} and {b.shape}"
         )
-    q = grid_for_25d(comm.size, c)
     n = a.shape[0]
-    if n % q:
-        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
+    q = layout_25d(comm.size, n, c)
     bsz = n // q
 
     me = comm.rank

@@ -46,6 +46,7 @@ __all__ = [
     "nbody_serial",
     "nbody_ring",
     "nbody_replicated",
+    "team_layout",
 ]
 
 
@@ -164,6 +165,27 @@ def nbody_ring(
     return forces
 
 
+def team_layout(p: int, n: int, c: int | None = None) -> int:
+    """Check c teams of r = p/c ranks for n particles (c | p, c | r,
+    r | n); return r. ``c=None`` is the ring, which splits any n over
+    any p (blocks one particle apart): r = p."""
+    if c is None:
+        return p
+    if c < 1:
+        raise ParameterError(f"replication factor c must be >= 1, got {c}")
+    if p % c:
+        raise ParameterError(f"c={c} must divide p={p}")
+    r = p // c
+    if r % c:
+        raise ParameterError(
+            f"team count r={r} must be divisible by c={c} so each member "
+            f"runs r/c ring steps (got p={p}, c={c})"
+        )
+    if n % r:
+        raise ParameterError(f"particle count {n} must divide into r={r} blocks")
+    return r
+
+
 def nbody_replicated(
     comm: Comm,
     pos: np.ndarray,
@@ -191,20 +213,8 @@ def nbody_replicated(
     block. On other ranks: None.
     """
     _validate_particles(pos, q)
-    p = comm.size
-    if c < 1:
-        raise ParameterError(f"replication factor c must be >= 1, got {c}")
-    if p % c:
-        raise ParameterError(f"c={c} must divide p={p}")
-    r = p // c
-    if r % c:
-        raise ParameterError(
-            f"team count r={r} must be divisible by c={c} so each member "
-            f"runs r/c ring steps (got p={p}, c={c})"
-        )
     n = pos.shape[0]
-    if n % r:
-        raise ParameterError(f"particle count {n} must divide into r={r} blocks")
+    r = team_layout(comm.size, n, c)
 
     grid = CartComm(comm, (r, c), periodic=True)
     team, member = grid.coords

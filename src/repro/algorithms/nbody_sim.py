@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.distributions import block_ranges
-from repro.algorithms.nbody import GRAVITY, ForceLaw, nbody_serial
+from repro.algorithms.nbody import GRAVITY, ForceLaw, nbody_serial, team_layout
 from repro.exceptions import ParameterError
 from repro.simmpi.cart import CartComm
 from repro.simmpi.comm import Comm
@@ -99,15 +99,8 @@ def simulate_replicated(
     other ranks.
     """
     _validate(pos, vel, masses, dt, steps)
-    p = comm.size
-    if c < 1 or p % c:
-        raise ParameterError(f"c={c} must divide p={p}")
-    r = p // c
-    if r % c:
-        raise ParameterError(f"team count r={r} must be divisible by c={c}")
     n = pos.shape[0]
-    if n % r:
-        raise ParameterError(f"particle count {n} must divide into r={r} blocks")
+    r = team_layout(comm.size, n, c)
 
     grid = CartComm(comm, (r, c), periodic=True)
     team, member = grid.coords

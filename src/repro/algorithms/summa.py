@@ -22,7 +22,7 @@ from repro.exceptions import ParameterError
 from repro.simmpi.cart import CartComm
 from repro.simmpi.comm import Comm
 
-__all__ = ["summa_matmul", "square_grid_side"]
+__all__ = ["summa_matmul", "square_grid_side", "square_layout"]
 
 
 def square_grid_side(p: int) -> int:
@@ -30,6 +30,14 @@ def square_grid_side(p: int) -> int:
     q = int(math.isqrt(p))
     if q * q != p:
         raise ParameterError(f"2D algorithms need a square processor count, got {p}")
+    return q
+
+
+def square_layout(p: int, n: int) -> int:
+    """Check a q x q grid for order-n tiles (q | n); return q."""
+    q = square_grid_side(p)
+    if n % q:
+        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
     return q
 
 
@@ -50,10 +58,8 @@ def summa_matmul(comm: Comm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The (i, j) tile of C = A @ B for this rank's grid coordinates.
     """
     _check_square(a, b)
-    q = square_grid_side(comm.size)
     n = a.shape[0]
-    if n % q:
-        raise ParameterError(f"matrix order {n} must be divisible by grid side {q}")
+    q = square_layout(comm.size, n)
     grid = CartComm(comm, (q, q))
     i, j = grid.coords
     bsz = n // q

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.lu import blocked_lu, lu_2d
-from repro.algorithms.summa import square_grid_side
+from repro.algorithms.summa import square_layout
 from repro.exceptions import ParameterError
 from repro.simmpi.cart import CartComm
 from repro.simmpi.comm import Comm
@@ -85,9 +85,7 @@ def _check_triangular(t: np.ndarray, b: np.ndarray) -> None:
 
 
 def _grid_ctx(comm: Comm, n: int):
-    q = square_grid_side(comm.size)
-    if n % q:
-        raise ParameterError(f"order {n} must be divisible by grid side {q}")
+    q = square_layout(comm.size, n)
     grid = CartComm(comm, (q, q))
     i, j = grid.coords
     row = grid.sub((False, True))  # fixed i, local rank = j
@@ -175,7 +173,7 @@ def lu_solve_2d(comm: Comm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo_tile, up_tile = lu_2d(comm, a)
     y_block = trisolve_lower_2d(comm, lo_tile, b)
     n = a.shape[0]
-    q = square_grid_side(comm.size)
+    q = square_layout(comm.size, n)
     bs = n // q
     # Diagonal ranks hold y blocks; everyone needs the full y for the
     # back substitution's replicated right-hand side.

@@ -28,7 +28,14 @@ import sys
 
 import numpy as np
 
-from repro.scenarios import FAULT_SCENARIOS, SCENARIOS, build_scenario, pick_25d_c
+from repro.exceptions import ParameterError
+from repro.scenarios import (
+    FAULT_SCENARIOS,
+    SCENARIOS,
+    Scenario,
+    build_scenario,
+    get_scenario,
+)
 
 
 def _cmd_table1(_args) -> None:
@@ -238,8 +245,9 @@ def _cmd_questions(_args) -> None:
 
 def resolve_scenario(
     name: str, command: str = "repro", faults: bool = False
-) -> tuple[int, int, str]:
-    """Look up one scenario, or exit nonzero listing the valid names.
+) -> Scenario:
+    """Look up one scenario's record, or exit nonzero listing the valid
+    names.
 
     The one gate every subcommand funnels scenario names through: an
     unknown name never reaches a traceback — it becomes a
@@ -251,12 +259,10 @@ def resolve_scenario(
             f"{command}: scenario {name!r} has no fault-recovery variant; "
             f"valid scenarios: {', '.join(FAULT_SCENARIOS)}"
         )
-    if name not in SCENARIOS:
-        raise SystemExit(
-            f"{command}: unknown scenario {name!r}; valid scenarios: "
-            f"{', '.join(sorted(SCENARIOS))}"
-        )
-    return SCENARIOS[name]
+    try:
+        return get_scenario(name)
+    except ParameterError as exc:
+        raise SystemExit(f"{command}: {exc}") from None
 
 
 def _cmd_trace(args) -> None:
@@ -266,9 +272,7 @@ def _cmd_trace(args) -> None:
     from repro.exceptions import ReproError
     from repro.simmpi import run_spmd
 
-    spec = resolve_scenario(args.workload, "repro trace")
-    p = spec[0] if args.p is None else args.p
-    n = spec[1] if args.n is None else args.n
+    p, n = resolve_scenario(args.workload, "repro trace").size(args.p, args.n)
     try:
         program, prog_args, label = build_scenario(args.workload, p, n)
         out = run_spmd(
@@ -363,9 +367,7 @@ def _cmd_profile(args) -> None:
             else:
                 print(render_term_sweep(profiles))
             return
-        spec = resolve_scenario(args.workload, "repro profile")
-        p = spec[0] if args.p is None else args.p
-        n = spec[1] if args.n is None else args.n
+        p, n = resolve_scenario(args.workload, "repro profile").size(args.p, args.n)
         program, prog_args, label = build_scenario(args.workload, p, n)
         out = run_spmd(
             p,
@@ -396,7 +398,7 @@ def _cmd_faults(args) -> None:
 
     from repro.algorithms.matmul25d import (
         assemble_resilient,
-        grid_for_25d,
+        layout_25d,
         matmul_25d_resilient,
     )
     from repro.analysis.profiler import ModelProfile
@@ -408,11 +410,7 @@ def _cmd_faults(args) -> None:
     resolve_scenario(args.workload, "repro faults", faults=True)
     try:
         p, n, c = args.p, args.n, args.c
-        q = grid_for_25d(p, c)
-        if n % q:
-            raise SystemExit(
-                f"repro faults: n={n} must be divisible by grid side q={q}"
-            )
+        q = layout_25d(p, n, c)
         victim = args.rank if args.rank is not None else (q * c + c - 1)
         if not 0 <= victim < p:
             raise SystemExit(f"repro faults: --rank {victim} outside 0..{p - 1}")
@@ -468,9 +466,7 @@ def _cmd_power(args) -> None:
     from repro.exceptions import ReproError
     from repro.simmpi import run_spmd
 
-    spec = resolve_scenario(args.workload, "repro power")
-    p = spec[0] if args.p is None else args.p
-    n = spec[1] if args.n is None else args.n
+    p, n = resolve_scenario(args.workload, "repro power").size(args.p, args.n)
     machine = default_machine()
     try:
         program, prog_args, label = build_scenario(args.workload, p, n)
@@ -571,13 +567,6 @@ def _cmd_conformance(args) -> None:
 #: Default ledger location (gitignored alongside the benchmark results).
 DEFAULT_LEDGER = "benchmarks/results/ledger.jsonl"
 
-#: The canonical fixed-tile 2.5D smoke sweep ``observe check`` records:
-#: q = 6, c = 1, 2, 3 — the same walk the integration tests and the
-#: drift tolerance table are calibrated on.
-SMOKE_SWEEP_Q = 6
-SMOKE_SWEEP_C = (1, 2, 3)
-
-
 #: Default sweep-cache location (gitignored alongside the ledger).
 DEFAULT_SWEEP_CACHE = "benchmarks/results/sweepcache"
 
@@ -593,12 +582,9 @@ def _observe_record_sweep(ledger, n: int, cache_dir: str | None = None) -> None:
     """
     from pathlib import Path
 
-    from repro.exceptions import ParameterError, SweepError
+    from repro.exceptions import SweepError
     from repro.sweep import RunCache, run_sweep, smoke_spec
 
-    q = SMOKE_SWEEP_Q
-    if n % q:
-        raise SystemExit(f"repro observe: n={n} must be divisible by q={q}")
     try:
         cells = smoke_spec(n).cells()
     except ParameterError as exc:
@@ -642,17 +628,10 @@ def _cmd_observe(args) -> None:
             from repro.observatory import RunRecorder
             from repro.simmpi import run_spmd
 
-            spec = resolve_scenario(args.workload, "repro observe")
-            p = spec[0] if args.p is None else args.p
-            n = spec[1] if args.n is None else args.n
+            scenario = resolve_scenario(args.workload, "repro observe")
+            p, n = scenario.size(args.p, args.n)
             program, prog_args, label = build_scenario(args.workload, p, n)
-            params = {"n": n}
-            if args.workload == "matmul25d":
-                import math
-
-                c = pick_25d_c(p)
-                params["c"] = c
-                params["q"] = math.isqrt(p // c)
+            params = {"n": n, **scenario.check(p, n)}
             recorder = RunRecorder(
                 ledger=ledger,
                 workload=args.workload,
@@ -731,7 +710,6 @@ def _sweep_load_spec(args):
     """Resolve --spec (file) or the default canonical smoke spec."""
     import json
 
-    from repro.exceptions import ParameterError
     from repro.sweep import SweepSpec, smoke_spec
 
     if args.spec:
@@ -757,7 +735,7 @@ def _cmd_sweep(args) -> None:
     failed or abandoned cell."""
     import json
 
-    from repro.exceptions import ParameterError, SweepError
+    from repro.exceptions import SweepError
     from repro.sweep import RunCache, cache_key, code_fingerprint, run_sweep
 
     if args.action == "gc":
@@ -882,8 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--quick", action="store_true")
     pr.set_defaults(fn=_cmd_report)
     workload_lines = "\n".join(
-        f"  {name:<10s} default p={dp:<3d} n={dn:<5d} {constraint}"
-        for name, (dp, dn, constraint) in SCENARIOS.items()
+        f"  {s.name:<10s} default p={s.p:<3d} n={s.n:<5d} {s.rule}"
+        for s in SCENARIOS.values()
     )
     pt = sub.add_parser(
         "trace",

@@ -40,7 +40,6 @@ from repro.conformance.oracles import (
     OracleCosts,
     OracleSpec,
     RankCosts,
-    SCENARIO_ORACLES,
     ScenarioOracle,
     binomial_send_masks,
     chunk_sizes,
@@ -73,7 +72,6 @@ __all__ = [
     "OracleCosts",
     "ScenarioOracle",
     "COLLECTIVE_ORACLES",
-    "SCENARIO_ORACLES",
     "binomial_send_masks",
     "chunk_sizes",
     "string_words",

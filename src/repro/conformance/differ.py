@@ -51,7 +51,7 @@ from repro.conformance.oracles import (
 )
 from repro.core.parameters import MachineParameters
 from repro.exceptions import ParameterError, RankFailedError
-from repro.scenarios import SCENARIOS, build_scenario, pick_25d_c
+from repro.scenarios import SCENARIOS, build_scenario
 
 __all__ = [
     "Case",
@@ -615,18 +615,15 @@ def scenario_cases() -> list[Case]:
     """Every registry scenario at its default (p, n), oracle-checked for
     exact per-rank flops (all seven) and full per-rank counts (summa,
     cannon, caps, nbody, fft)."""
-    out = []
-    for name, (p, n, _) in sorted(SCENARIOS.items()):
-        kwargs = {"c": pick_25d_c(p)} if name == "matmul25d" else {}
-        out.append(
-            Case(
-                name=f"scenario:{name}/p={p}/n={n}",
-                size=p,
-                build=lambda name=name, p=p, n=n: build_scenario(name, p, n)[:2],
-                scenario=oracle_scenario(name, p, n, **kwargs),
-            )
+    return [
+        Case(
+            name=f"scenario:{name}/p={s.p}/n={s.n}",
+            size=s.p,
+            build=lambda name=name, p=s.p, n=s.n: build_scenario(name, p, n)[:2],
+            scenario=oracle_scenario(name, s.p, s.n),
         )
-    return out
+        for name, s in sorted(SCENARIOS.items())
+    ]
 
 
 def smoke_cases() -> list[Case]:

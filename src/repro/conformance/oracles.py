@@ -7,23 +7,22 @@ simulator's message path re-enacts every envelope and shares no
 metering code with them, so it is the independent witness the
 conformance grid checks both the oracles and the fast path against.
 The scenario oracles below give each registry scenario's exact per-rank
-flops and, where one exists, its full per-rank traffic.
+flops and, where one exists, its full per-rank traffic; the scenario's
+record checks the layout before its oracle runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 from repro.exceptions import ParameterError
+from repro.scenarios import get_scenario, load
 from repro.simmpi import closedform
 from repro.simmpi.closedform import *  # noqa: F403 - the collective oracles
 
 __all__ = [
     *closedform.__all__,
     "ScenarioOracle",
-    "SCENARIO_ORACLES",
     "oracle_scenario",
 ]
 
@@ -63,10 +62,6 @@ def _summa_oracle(p: int, n: int, mc) -> ScenarioOracle:
     binomial-tree role exactly once per operand: q-1 tile sends and q-1
     tile receives of b^2 words for A and again for B."""
     q = math.isqrt(p)
-    if q * q != p:
-        raise ParameterError(f"summa needs a square p, got {p}")
-    if n % q:
-        raise ParameterError(f"summa needs q | n, got n={n}, q={q}")
     b2 = (n // q) ** 2
     flops = 2.0 * float(n) ** 3 / p
     sig = (flops, 2 * (q - 1) * b2, 2 * (q - 1) * mc(b2), 2 * (q - 1) * b2,
@@ -83,10 +78,6 @@ def _cannon_oracle(p: int, n: int, mc) -> ScenarioOracle:
     steps each shift both tiles. Receives mirror sends exactly (every
     shift is a cyclic rotation)."""
     q = math.isqrt(p)
-    if q * q != p:
-        raise ParameterError(f"cannon needs a square p, got {p}")
-    if n % q:
-        raise ParameterError(f"cannon needs q | n, got n={n}, q={q}")
     b2 = (n // q) ** 2
     flops = 2.0 * float(n) ** 3 / p
     per = []
@@ -104,9 +95,6 @@ def _matmul25d_oracle(p: int, n: int, mc, c: int) -> ScenarioOracle:
     uses the unmetered built-in sum). W/S have no per-rank closed form
     (replication composites carry metadata and the alignment shifts are
     coordinate-dependent), so traffic is checked differentially."""
-    q = math.isqrt(p // c)
-    if q * q * c != p or (n % max(q, 1)):
-        raise ParameterError(f"matmul25d needs p = q^2 c and q | n, got p={p} n={n}")
     flops = 2.0 * float(n) ** 3 / p
     return ScenarioOracle(
         name="matmul25d", size=p, rank_flops=(flops,) * p, per_rank=None,
@@ -123,24 +111,15 @@ def _caps_oracle(
     forward sends of 2 sz words (the (T_i, S_i) pair, one of them to
     itself) and 7 backward sends of sz words; the base case is one
     sequential Strassen (or classical) multiply of order n / 2^k."""
+    from repro.algorithms.caps import caps_depth
     from repro.algorithms.strassen import strassen_flop_count
 
-    k = 0
-    q = p
-    while q > 1:
-        if q % 7:
-            raise ParameterError(f"caps needs p = 7^k, got {p}")
-        q //= 7
-        k += 1
+    k = caps_depth(p, 0)
     flops = 0.0
     ws = ms = 0
     for d in range(k):
         n_d = n >> d
         p_d = p // (7 ** d)
-        if (n_d * n_d) % (4 * p_d):
-            raise ParameterError(
-                f"caps share not divisible at level {d} (n={n}, p={p})"
-            )
         sz = (n_d * n_d) // (4 * p_d)
         flops += 18.0 * sz
         ws += 7 * (2 * sz) + 7 * sz
@@ -180,8 +159,6 @@ def _fft_oracle(p: int, n: int, mc, all_to_all: str = "bruck") -> ScenarioOracle
     flops plus 6 (n/p) twiddle flops; the only traffic is the global
     transpose — an all-to-all of n/p^2-word blocks, Bruck (log2 p
     messages of (p/2)(n/p^2) words) or naive (p-1 messages of n/p^2)."""
-    if n & (n - 1) or p & (p - 1) or n < p * p:
-        raise ParameterError(f"fft oracle needs powers of two with p^2 | n, got p={p} n={n}")
     w = n // p
     flops = 5.0 * w * math.log2(n) + 6.0 * w
     block = n // (p * p)
@@ -208,10 +185,6 @@ def _lu2d_oracle(p: int, n: int, mc) -> ScenarioOracle:
     row/column sub-communicators whose active extent shrinks with the
     step, so it is checked differentially."""
     q = math.isqrt(p)
-    if q * q != p:
-        raise ParameterError(f"lu2d needs a square p, got {p}")
-    if n % q:
-        raise ParameterError(f"lu2d needs q | n, got n={n}, q={q}")
     b = n // q
     factor = float(sum(2 * m * (m - 1) for m in range(1, b + 1)))
     flops = []
@@ -225,19 +198,6 @@ def _lu2d_oracle(p: int, n: int, mc) -> ScenarioOracle:
     )
 
 
-#: Scenario-name -> oracle builder, covering the full
-#: :data:`repro.scenarios.SCENARIOS` registry.
-SCENARIO_ORACLES: dict[str, Callable[..., ScenarioOracle]] = {
-    "summa": _summa_oracle,
-    "cannon": _cannon_oracle,
-    "matmul25d": _matmul25d_oracle,
-    "caps": _caps_oracle,
-    "nbody": _nbody_oracle,
-    "fft": _fft_oracle,
-    "lu2d": _lu2d_oracle,
-}
-
-
 def oracle_scenario(
     name: str,
     p: int,
@@ -247,16 +207,13 @@ def oracle_scenario(
 ) -> ScenarioOracle:
     """Closed-form expectations for registry scenario ``name`` at (p, n).
 
-    ``matmul25d`` takes ``c=`` (replication factor), ``caps`` takes
-    ``cutoff=``/``local_strassen=``, ``nbody`` takes ``dims=``/
-    ``flops_per_pair=``, ``fft`` takes ``all_to_all=``.
+    The scenario's knobs (``c=`` for matmul25d, whose default is the
+    record's, ``all_to_all=`` for fft) are checked with the layout
+    first, as a cell checks them. ``caps`` also takes ``cutoff=``/
+    ``local_strassen=`` and ``nbody`` ``dims=``/``flops_per_pair=``.
     """
-    try:
-        builder = SCENARIO_ORACLES[name]
-    except KeyError:
-        raise ParameterError(
-            f"no scenario oracle for {name!r}; have "
-            f"{', '.join(sorted(SCENARIO_ORACLES))}"
-        ) from None
+    scenario = get_scenario(name)
+    run = scenario.check(p, n, **{k: kwargs.pop(k) for k in scenario.knobs if k in kwargs})
+    run.pop(scenario.derived, None)
     spec = OracleSpec(p, max_message_words=max_message_words)
-    return builder(p, n, spec.messages, **kwargs)
+    return load(scenario.oracle)(p, n, spec.messages, **run, **kwargs)

@@ -250,10 +250,10 @@ def _run_watched(
     resolution, an abort, a retransmission or a deadlock report), so a
     run can only stall on a rank wedged *outside* the simulator (a
     user-code infinite loop): it keeps the baton and never hands it on.
-    The watchdog checks for a hand-off once every ``2*timeout + 1``
-    seconds and reports a wedge at the first check that finds none, so
-    the holder kept the baton for at least that long; a live run of
-    any length finishes. On a wedge the world is aborted; if the baton
+    The watchdog reads the hand-off count every quarter of the
+    ``2*timeout + 1`` second budget and reports a wedge once it has not
+    moved for a whole budget, 1 to 1.25 budgets after the last hand-off;
+    a live run of any length finishes. On a wedge the world is aborted; if the baton
     has moved off the rank that held it, the ranks get
     :data:`_UNWIND_GRACE` seconds to unwind (a holder that keeps it
     leaves none able to). Then ``on_wedged`` receives the ranks still
@@ -266,10 +266,11 @@ def _run_watched(
     budget = 2.0 * world.timeout + 1.0
     baton = world.baton
     baton.run(start)
-    seen = -1
-    while not baton.wait(budget):
+    seen, still = -1, 0
+    while not baton.wait(budget / 4):
         handoffs = baton.handoffs
-        if handoffs == seen:
+        still = still + 1 if handoffs == seen else 0
+        if still == 4:
             break  # a whole budget without a hand-off: wedged
         seen = handoffs
     else:

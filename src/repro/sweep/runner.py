@@ -11,7 +11,7 @@ property tests catch is real.
 Scenario cells build through the scenario registry
 (:func:`repro.scenarios.build_scenario`, the builder ``repro trace``
 uses), so a sweep cell for ``matmul25d`` prices exactly the run
-``repro trace matmul25d`` would. The registry knobs ride in
+``repro trace matmul25d`` would. The record's knobs ride in
 ``Cell.params``: ``c`` (the matmul25d and nbody replication factor)
 and ``all_to_all`` (FFT's transpose). The measured experiments of
 :mod:`repro.analysis.validation` run through here too, in process.
@@ -66,18 +66,7 @@ def build_cell_program(cell: Cell) -> tuple[Callable, tuple, str]:
         op = cell.workload[5:]
         program = BATTERY[op].program(_shape(cell))
         return program, (), cell.label or f"{op}(p={cell.p})"
-    n = cell.params.get("n")
-    if n is None:
-        raise ParameterError(
-            f"scenario cell {cell.cell_id} needs an 'n' param"
-        )
-    return build_scenario(
-        cell.workload,
-        cell.p,
-        n,
-        c=cell.params.get("c"),
-        all_to_all=cell.params.get("all_to_all"),
-    )
+    return build_scenario(cell.workload, cell.p, **cell.params)
 
 
 def cell_oracle(cell: Cell) -> OracleCosts:

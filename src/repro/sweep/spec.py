@@ -24,8 +24,10 @@ Two workload families are plannable:
   ``params`` carry the registry knobs into every cell: ``c`` for
   nbody's replication walk (one spec per c, ``p_values=(r*c,)``) and
   ``all_to_all`` for FFT. Cells without a knob keep the ids they had
-  before the knobs existed. The measured experiments of
-  :mod:`repro.analysis.validation` are specs of this kind;
+  before the knobs existed. A cell (and a spec, for each cell it plans)
+  checks its n, knobs and layout against the scenario's record when it
+  is built. The measured experiments of :mod:`repro.analysis.validation`
+  are specs of this kind;
 * **collective cells** — ``coll:<op>`` for each of the ten
   default-algorithm families of the conformance battery
   :data:`repro.conformance.battery.BATTERY`, used by the property-test
@@ -43,7 +45,7 @@ from typing import Any, Iterable
 
 from repro.conformance.battery import BATTERY
 from repro.exceptions import ParameterError
-from repro.scenarios import SCENARIOS
+from repro.scenarios import SCENARIOS, get_scenario
 
 __all__ = [
     "CELL_SCHEMA",
@@ -157,6 +159,8 @@ class Cell:
                     f"unknown collective {op!r}; expected one of "
                     f"{COLLECTIVE_OPS}"
                 )
+        else:
+            get_scenario(self.workload).check(self.p, **self.params)
         unknown_mode = sorted(set(self.mode) - set(_MODE_FIELDS))
         if unknown_mode:
             raise ParameterError(
@@ -304,11 +308,7 @@ class SweepSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.workload not in SCENARIO_WORKLOADS:
-            raise ParameterError(
-                f"unknown sweep workload {self.workload!r}; expected one "
-                f"of {SCENARIO_WORKLOADS}"
-            )
+        get_scenario(self.workload)
         if self.q is not None or self.c_values:
             if self.workload != "matmul25d":
                 raise ParameterError(
@@ -317,19 +317,21 @@ class SweepSpec:
                 )
             if not (self.q and self.c_values):
                 raise ParameterError("q and c_values must be given together")
-            if self.n is None or self.n % self.q:
-                raise ParameterError(
-                    f"n={self.n} must be divisible by q={self.q}"
-                )
-            for c in self.c_values:
-                if c < 1 or self.q % c:
-                    raise ParameterError(
-                        f"replication factor c={c} must divide q={self.q}"
-                    )
         elif not self.p_values:
             raise ParameterError(
                 "spec needs p_values (or q + c_values for matmul25d)"
             )
+        for p, params in self._grid():
+            get_scenario(self.workload).check(p, **params)
+
+    def _grid(self) -> list[tuple[int, dict[str, Any]]]:
+        """Each cell's (p, params), in plan order."""
+        if self.q is not None:
+            return [
+                (self.q * self.q * c, {"n": self.n, "q": self.q, "c": c, **self.params})
+                for c in self.c_values
+            ]
+        return [(p, {**self.params, "n": self.n}) for p in self.p_values]
 
     def cells(self) -> list[Cell]:
         """Expand the spec into its deterministic, stably-ordered cells."""
@@ -342,44 +344,21 @@ class SweepSpec:
             mode["max_message_words"] = float(self.max_message_words)
         if self.node_size is not None:
             mode["node_size"] = int(self.node_size)
-        out: list[Cell] = []
-        if self.q is not None:
-            tile_words = 3 * (self.n // self.q) ** 2
-            for c in self.c_values:
-                p = self.q * self.q * c
-                params = {"n": self.n, "q": self.q, "c": c, **self.params}
-                out.append(
-                    Cell(
-                        workload=self.workload,
-                        p=p,
-                        params=params,
-                        machine=machine,
-                        mode=dict(mode),
-                        memory_words=float(tile_words),
-                        label=f"{self.workload}(n={self.n}, c={c})",
-                    )
-                )
-            return out
-        for p in self.p_values:
-            params = dict(self.params)
-            if self.n is not None:
-                params["n"] = self.n
-            label = (
-                f"{self.workload}(n={self.n}, p={p})"
-                if self.n is not None
-                else f"{self.workload}(p={p})"
+        walk = self.q is not None
+        tile_words = float(3 * (self.n // self.q) ** 2) if walk else None
+        return [
+            Cell(
+                workload=self.workload,
+                p=p,
+                params=params,
+                machine=machine,
+                mode=dict(mode),
+                memory_words=tile_words,
+                label=f"{self.workload}(n={self.n}, "
+                + (f"c={params['c']})" if walk else f"p={p})"),
             )
-            out.append(
-                Cell(
-                    workload=self.workload,
-                    p=p,
-                    params=params,
-                    machine=machine,
-                    mode=dict(mode),
-                    label=label,
-                )
-            )
-        return out
+            for p, params in self._grid()
+        ]
 
     # -- (de)serialization ------------------------------------------------
 
@@ -432,8 +411,6 @@ def smoke_spec(n: int = 48) -> SweepSpec:
     matmul at q = 6, c = 1, 2, 3 on the validation machine — the walk
     the drift tolerances and the power-flatness check are calibrated
     on."""
-    if n % 6:
-        raise ParameterError(f"n={n} must be divisible by q=6")
     return SweepSpec(workload="matmul25d", n=n, q=6, c_values=(1, 2, 3))
 
 

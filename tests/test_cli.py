@@ -571,13 +571,18 @@ class TestSweepCommand:
             main(self._args(tmp_path, "run") + ["--spec", str(bad)])
         assert "schema" in str(exc.value)
 
-    def test_failed_cell_exits_5(self, capsys, tmp_path):
+    def test_failed_cell_exits_5(self, capsys, tmp_path, monkeypatch):
         import json
 
-        from repro.sweep import SweepSpec
+        from repro.exceptions import SimulationError
+        from repro.sweep import SweepSpec, runner
 
-        # fft demands a power-of-two signal length; n=100 fails the cell.
-        spec = SweepSpec(workload="fft", n=100, p_values=(2,))
+        # A bad layout no longer plans, so the cell fails while it runs.
+        def broken(cell):
+            raise SimulationError("cell broke")
+
+        monkeypatch.setattr(runner, "build_cell_program", broken)
+        spec = SweepSpec(workload="fft", n=64, p_values=(2,))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec.to_json()))
         with pytest.raises(SystemExit) as exc:
@@ -645,20 +650,32 @@ class TestExitCodeContract:
             )
         assert exc.value.code == 4
 
-    def test_sweep_failure_exits_5(self, tmp_path, capsys):
+    def test_sweep_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         import json
 
-        from repro.sweep import SweepSpec
+        from repro.exceptions import SimulationError
+        from repro.sweep import SweepSpec, runner
+        from repro.sweep.spec import SPEC_SCHEMA
 
-        spec = SweepSpec(workload="fft", n=100, p_values=(2,))
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec.to_json()))
+        argv = ["sweep", "run", "--spec", str(spec_path), "--workers", "0",
+                "--ledger", str(tmp_path / "l.jsonl"),
+                "--cache-dir", str(tmp_path / "c")]
+        # A bad layout is a usage error, caught when the spec is planned.
+        spec_path.write_text(json.dumps(
+            {"schema": SPEC_SCHEMA, "workload": "fft", "n": 100, "p_values": [2]}
+        ))
         with pytest.raises(SystemExit) as exc:
-            main(
-                ["sweep", "run", "--spec", str(spec_path), "--workers", "0",
-                 "--ledger", str(tmp_path / "l.jsonl"),
-                 "--cache-dir", str(tmp_path / "c")]
-            )
+            main(argv)
+        assert exc.value.code == "repro sweep: need a power-of-two signal length, got 100"
+        # A cell that fails while it runs exits 5.
+        def broken(cell):
+            raise SimulationError("cell broke")
+
+        monkeypatch.setattr(runner, "build_cell_program", broken)
+        spec_path.write_text(json.dumps(SweepSpec("fft", n=64, p_values=(2,)).to_json()))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 5
 
     def test_sweep_success_exits_0(self, tmp_path, capsys):

@@ -212,17 +212,9 @@ class TestDiffer:
 
     def test_registries_agree(self):
         from repro import sweep
-        from repro.conformance import (
-            BATTERY,
-            COLLECTIVE_ORACLES,
-            SCENARIO_ORACLES,
-        )
-        from repro.scenarios import SCENARIOS
+        from repro.conformance import BATTERY, COLLECTIVE_ORACLES
         from repro.simmpi import fastpath
 
-        assert (
-            set(SCENARIOS) == set(SCENARIO_ORACLES) == set(sweep.SCENARIO_WORKLOADS)
-        )
         default_ops = {op for op, coll in BATTERY.items() if coll.default}
         assert set(sweep.COLLECTIVE_OPS) == default_ops == set(COLLECTIVE_ORACLES)
         # allreduce is a composite (reduce + bcast): no resolver of its own

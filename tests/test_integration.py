@@ -3,13 +3,14 @@ on the simulator (real algorithms, real counts, models applied to the
 measured counts)."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from repro.analysis.validation import scaling_points
 from repro.core.costs import ClassicalMatMulCosts, NBodyCosts
-from repro.exceptions import SimulationError
+from repro.exceptions import ParameterError
 from repro.simmpi.engine import run_spmd
 from repro.sweep import SweepSpec
 
@@ -161,11 +162,20 @@ class TestLULatency:
 
 
 class TestScalingPoints:
-    def test_failed_cell_raises_naming_it(self):
-        # p = 12 ranks as c = 3 teams of r = 4: c must divide r.
-        spec = SweepSpec("nbody", n=96, p_values=(12,), params={"c": 3})
-        with pytest.raises(SimulationError, match="nbody/p12-c3-n96@"):
+    def test_failed_cell_raises_naming_it(self, monkeypatch):
+        # p = 12 ranks as c = 3 teams of r = 4: c must divide r. The
+        # plan raises the rank program's message once, before any rank
+        # thread starts.
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        with pytest.raises(ParameterError) as exc:
+            spec = SweepSpec("nbody", n=96, p_values=(12,), params={"c": 3})
             scaling_points(spec, "nbody c={c}")
+        assert str(exc.value) == (
+            "team count r=4 must be divisible by c=3 so each member runs "
+            "r/c ring steps (got p=12, c=3)"
+        )
+        assert started == []
 
 
 class TestCrossAlgorithmConsistency:

@@ -252,7 +252,7 @@ class TestRunMetrics:
 class TestScenarioMetrics:
     @pytest.mark.parametrize("workload", sorted(SCENARIOS))
     def test_totals_and_mailbox_depth(self, workload):
-        p, n, _ = SCENARIOS[workload]
+        p, n = SCENARIOS[workload].p, SCENARIOS[workload].n
         program, args, _ = build_scenario(workload, p, n)
         out = run_spmd(p, program, *args, trace=True)
         reg = out.metrics

@@ -35,7 +35,7 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("workload", sorted(SCENARIOS))
     def test_terms_reproduce_model_totals(self, workload, machine):
-        p, n, _ = SCENARIOS[workload]
+        p, n = SCENARIOS[workload].p, SCENARIOS[workload].n
         program, prog_args, label = build_scenario(workload, p, n)
         out = run_spmd(p, program, *prog_args, trace=True)
         prof = ModelProfile.from_result(out, machine, label=label)
@@ -88,7 +88,7 @@ class TestSinglePassPricing:
     def test_equals_three_pass_on_every_scenario(
         self, workload, memory_words, machine
     ):
-        p, n, _ = SCENARIOS[workload]
+        p, n = SCENARIOS[workload].p, SCENARIOS[workload].n
         program, prog_args, _label = build_scenario(workload, p, n)
         report = run_spmd(p, program, *prog_args).report
         prof = ModelProfile.from_report(report, machine, memory_words=memory_words)

@@ -178,10 +178,11 @@ class TestScenarioKnobs:
         assert teams.cell_id.startswith("nbody/p4-c1-n64@")
 
     def test_knob_on_the_wrong_scenario_fails_the_cell(self):
-        spec = SweepSpec("cannon", n=16, p_values=(4,), params={"all_to_all": "naive"})
-        outcome = run_sweep(spec.cells(), workers=0)
-        assert outcome.failed == 1
-        assert "takes no all_to_all" in outcome.outcomes[0].error
+        # The record rejects the knob when the cell is planned.
+        with pytest.raises(ParameterError, match="^scenario 'cannon' takes no all_to_all$"):
+            SweepSpec(
+                "cannon", n=16, p_values=(4,), params={"all_to_all": "naive"}
+            ).cells()
 
 
 class TestCache:
@@ -336,13 +337,24 @@ class TestExecutor:
         assert outcome.failed == 3
         assert all(o.error and "requeue" in o.error for o in outcome.outcomes)
 
-    def test_failed_cell_reported_not_raised(self, tmp_path):
-        bad = SweepSpec(workload="fft", n=100, p_values=(2,)).cells()
-        good = SweepSpec(workload="fft", n=64, p_values=(2,)).cells()
-        out = run_sweep(good + bad, workers=2)
+    def test_failed_cell_reported_not_raised(self, tmp_path, monkeypatch):
+        # A bad layout no longer plans, so the p=4 cell fails while it
+        # runs (the forked workers inherit the patched builder).
+        from repro.sweep import runner
+
+        build = runner.build_cell_program
+
+        def build_or_fail(cell):
+            if cell.p == 4:
+                raise ParameterError("cell broke at run time")
+            return build(cell)
+
+        monkeypatch.setattr(runner, "build_cell_program", build_or_fail)
+        cells = SweepSpec(workload="fft", n=64, p_values=(2, 4)).cells()
+        out = run_sweep(cells, workers=2)
         assert out.failed == 1 and out.simulated == 1
         failed = next(o for o in out.outcomes if o.status == "failed")
-        assert "power-of-two" in failed.error
+        assert "cell broke at run time" in failed.error
 
     def test_duplicate_cells_rejected(self):
         cells = smoke_spec(24).cells()
