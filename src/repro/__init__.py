@@ -69,8 +69,6 @@ from repro.exceptions import (
     ReproError,
     SimulationError,
 )
-from repro.algorithms import choose_replication, matmul, simulate_replicated
-from repro.simmpi import Comm, SpmdPool, run_spmd, shared_pool
 
 __version__ = "1.0.0"
 
@@ -99,15 +97,7 @@ __all__ = [
     "NBodyOptimizer",
     "NumericOptimizer",
     "OptimalRun",
-    # simulation
-    "Comm",
-    "run_spmd",
-    "SpmdPool",
-    "shared_pool",
-    # high-level drivers and extensions
-    "matmul",
-    "choose_replication",
-    "simulate_replicated",
+    # extensions
     "HeterogeneousMachine",
     "CodesignProblem",
     # exceptions

@@ -8,13 +8,23 @@
     python -m repro fig7            # joint parameter scaling
     python -m repro validate        # measured-vs-model sweeps (simulator)
     python -m repro questions       # Section V answers on Table I
+    python -m repro report          # markdown report of every experiment
     python -m repro trace matmul25d # traced run: timeline + critical path
     python -m repro profile cannon  # per-term Eq. (1)/(2) attribution
+    python -m repro faults          # crash a rank, recover from replicas
     python -m repro power matmul25d # time-resolved P(t) traces + caps
+    python -m repro observe check   # run ledger, model fit, drift check
+    python -m repro conformance     # cost oracles vs every execution mode
+    python -m repro sweep run       # sharded, cached scenario sweeps
 
 ``trace`` and ``profile`` accept ``--json`` for machine-readable
 output; ``profile --metrics-out`` dumps the run's metrics registry in
 Prometheus text format.
+
+Exit codes: 0 ok; 1 a usage error (one ``repro <cmd>: ...`` line on
+stderr) or a ``broken`` drift verdict; 2 a ``degraded`` drift verdict
+(``observe check``); 3 a power-cap violation (``power``); 4 a
+conformance divergence; 5 a failed sweep cell (``sweep run``).
 
 Everything prints the same rows the benchmark harness persists under
 ``benchmarks/results/`` — the CLI is the interactive face of the same
@@ -28,13 +38,13 @@ import sys
 
 import numpy as np
 
-from repro.exceptions import ParameterError
-from repro.scenarios import (
-    FAULT_SCENARIOS,
-    SCENARIOS,
-    Scenario,
-    build_scenario,
-    get_scenario,
+from repro.exceptions import ParameterError, ReproError, SimulationError
+from repro.scenarios import FAULT_SCENARIOS, SCENARIOS, build_scenario, get_scenario
+
+#: The ``--help`` epilog of every subcommand that runs a scenario.
+_WORKLOADS_EPILOG = "workloads:\n" + "\n".join(
+    f"  {s.name:<10s} default p={s.p:<3d} n={s.n:<5d} {s.rule}"
+    for s in SCENARIOS.values()
 )
 
 
@@ -240,100 +250,83 @@ def _cmd_questions(_args) -> None:
     print(f"[5] best efficiency = {opt.gflops_per_watt_optimal():.4f} GFLOPS/W")
 
 
-# -- scenario registry -----------------------------------------------------
+# -- scenario runs ---------------------------------------------------------
 
 
-def resolve_scenario(
-    name: str, command: str = "repro", faults: bool = False
-) -> Scenario:
-    """Look up one scenario's record, or exit nonzero listing the valid
-    names.
+def _traced_run(args, machine):
+    """Run ``args.workload`` traced on ``machine`` at ``--p``/``--n`` (the
+    scenario's defaults standing in), ``--capacity`` events per rank;
+    return ``(out, label, p, n)``."""
+    from repro.simmpi import run_spmd
 
-    The one gate every subcommand funnels scenario names through: an
-    unknown name never reaches a traceback — it becomes a
-    ``SystemExit`` naming the registry (and the fault-capable subset
-    when ``faults=True``).
-    """
-    if faults and name not in FAULT_SCENARIOS:
-        raise SystemExit(
-            f"{command}: scenario {name!r} has no fault-recovery variant; "
-            f"valid scenarios: {', '.join(FAULT_SCENARIOS)}"
-        )
-    try:
-        return get_scenario(name)
-    except ParameterError as exc:
-        raise SystemExit(f"{command}: {exc}") from None
+    p, n = get_scenario(args.workload).size(args.p, args.n)
+    program, prog_args, label = build_scenario(args.workload, p, n)
+    out = run_spmd(
+        p,
+        program,
+        *prog_args,
+        machine=machine,
+        trace=True,
+        trace_capacity=args.capacity,
+    )
+    return out, label, p, n
 
 
 def _cmd_trace(args) -> None:
     import json
 
     from repro.analysis.validation import default_machine
-    from repro.exceptions import ReproError
-    from repro.simmpi import run_spmd
 
-    p, n = resolve_scenario(args.workload, "repro trace").size(args.p, args.n)
-    try:
-        program, prog_args, label = build_scenario(args.workload, p, n)
-        out = run_spmd(
-            p,
-            program,
-            *prog_args,
-            machine=default_machine(),
-            trace=True,
-            trace_capacity=args.capacity,
-        )
-        timeline = out.timeline()
-        report = out.report
-        if args.json:
-            cp = timeline.critical_path() if not timeline.dropped else None
-            payload = {
-                "schema": "repro_trace/v1",
-                "workload": args.workload,
-                "label": label,
-                "p": p,
-                "n": n,
-                "counts": {
-                    "total_flops": report.total_flops,
-                    "max_words": report.max_words,
-                    "max_messages": report.max_messages,
-                    "max_mem_peak": report.max_mem_peak,
-                },
-                "simulated_time": report.simulated_time,
-                "dropped_events": timeline.dropped,
-                "dropped_by_rank": timeline.dropped_by_rank(),
-                "breakdown": timeline.breakdown(),
-                "critical_path": None
-                if cp is None
-                else {
-                    "total": cp.total,
-                    "events": len(cp),
-                    "attribution": cp.attribution(),
-                },
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"{label} on p={p}: {report.summary()}")
-            if timeline.dropped:
-                print(
-                    f"warning: {timeline.dropped} events dropped by ring "
-                    f"overflow; rerun with a larger --capacity"
-                )
-            print()
-            print(timeline.render_breakdown())
-            print()
-            print(timeline.gantt(width=args.width))
-            print()
-            print(timeline.critical_path().render())
-        if args.out:
-            timeline.save_chrome_trace(args.out)
-            if not args.json:
-                print(
-                    f"\nwrote {args.out} — load it at https://ui.perfetto.dev "
-                    f"or chrome://tracing"
-                )
-    except ReproError as exc:
-        raise SystemExit(f"repro trace: {exc}") from exc
+    out, label, p, n = _traced_run(args, default_machine())
+    timeline = out.timeline()
+    report = out.report
+    if args.json:
+        cp = timeline.critical_path() if not timeline.dropped else None
+        payload = {
+            "schema": "repro_trace/v1",
+            "workload": args.workload,
+            "label": label,
+            "p": p,
+            "n": n,
+            "counts": {
+                "total_flops": report.total_flops,
+                "max_words": report.max_words,
+                "max_messages": report.max_messages,
+                "max_mem_peak": report.max_mem_peak,
+            },
+            "simulated_time": report.simulated_time,
+            "dropped_events": timeline.dropped,
+            "dropped_by_rank": timeline.dropped_by_rank(),
+            "breakdown": timeline.breakdown(),
+            "critical_path": None
+            if cp is None
+            else {
+                "total": cp.total,
+                "events": len(cp),
+                "attribution": cp.attribution(),
+            },
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print(f"{label} on p={p}: {report.summary()}")
+        if timeline.dropped:
+            print(
+                f"warning: {timeline.dropped} events dropped by ring "
+                f"overflow; rerun with a larger --capacity"
+            )
+        print()
+        print(timeline.render_breakdown())
+        print()
+        print(timeline.gantt(width=args.width))
+        print()
+        print(timeline.critical_path().render())
+    if args.out:
+        timeline.save_chrome_trace(args.out)
+        if not args.json:
+            print(
+                f"\nwrote {args.out} — load it at https://ui.perfetto.dev "
+                f"or chrome://tracing"
+            )
 
 
 def _cmd_profile(args) -> None:
@@ -345,52 +338,38 @@ def _cmd_profile(args) -> None:
         render_term_sweep,
     )
     from repro.analysis.validation import default_machine
-    from repro.exceptions import ReproError
-    from repro.simmpi import run_spmd
 
-    machine = default_machine()
-    try:
-        if args.sweep:
-            if args.workload != "matmul25d":
-                raise SystemExit(
-                    "repro profile: --sweep is the fixed-tile 2.5D strong-"
-                    "scaling experiment and only supports matmul25d"
-                )
-            n = 48 if args.n is None else args.n
-            profiles = profile_strong_scaling_matmul(n, q=4, c_values=(1, 2, 4))
-            if args.json:
-                payload = {
-                    "schema": "repro_profile_sweep/v1",
-                    "points": [prof.to_json() for prof in profiles],
-                }
-                print(json.dumps(payload, indent=2))
-            else:
-                print(render_term_sweep(profiles))
-            return
-        p, n = resolve_scenario(args.workload, "repro profile").size(args.p, args.n)
-        program, prog_args, label = build_scenario(args.workload, p, n)
-        out = run_spmd(
-            p,
-            program,
-            *prog_args,
-            machine=machine,
-            trace=True,
-            trace_capacity=args.capacity,
-        )
-        profile = ModelProfile.from_result(out, machine, label=label)
+    if args.sweep:
+        if args.workload != "matmul25d":
+            raise ParameterError(
+                "--sweep is the fixed-tile 2.5D strong-scaling experiment and "
+                "only supports matmul25d"
+            )
+        n = 48 if args.n is None else args.n
+        profiles = profile_strong_scaling_matmul(n, q=4, c_values=(1, 2, 4))
         if args.json:
-            print(json.dumps(profile.to_json(), indent=2))
+            payload = {
+                "schema": "repro_profile_sweep/v1",
+                "points": [prof.to_json() for prof in profiles],
+            }
+            print(json.dumps(payload, indent=2))
         else:
-            print(profile.render(width=args.width))
-        if args.metrics_out:
-            from repro.metrics import to_prometheus
+            print(render_term_sweep(profiles))
+        return
+    machine = default_machine()
+    out, label, _p, _n = _traced_run(args, machine)
+    profile = ModelProfile.from_result(out, machine, label=label)
+    if args.json:
+        print(json.dumps(profile.to_json(), indent=2))
+    else:
+        print(profile.render(width=args.width))
+    if args.metrics_out:
+        from repro.metrics import to_prometheus
 
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(to_prometheus(out.metrics))
-            if not args.json:
-                print(f"\nwrote {args.metrics_out} (Prometheus text format)")
-    except ReproError as exc:
-        raise SystemExit(f"repro profile: {exc}") from exc
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(to_prometheus(out.metrics))
+        if not args.json:
+            print(f"\nwrote {args.metrics_out} (Prometheus text format)")
 
 
 def _cmd_faults(args) -> None:
@@ -403,59 +382,51 @@ def _cmd_faults(args) -> None:
     )
     from repro.analysis.profiler import ModelProfile
     from repro.analysis.validation import default_machine
-    from repro.exceptions import ReproError
     from repro.simmpi import FaultPlan, run_spmd
 
-    machine = default_machine()
-    resolve_scenario(args.workload, "repro faults", faults=True)
-    try:
-        p, n, c = args.p, args.n, args.c
-        q = layout_25d(p, n, c)
-        victim = args.rank if args.rank is not None else (q * c + c - 1)
-        if not 0 <= victim < p:
-            raise SystemExit(f"repro faults: --rank {victim} outside 0..{p - 1}")
-        plan = FaultPlan.single_crash(rank=victim, at_op=args.op)
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        out = run_spmd(
-            p, matmul_25d_resilient, a, b, c=c, machine=machine, faults=plan
+    if args.workload not in FAULT_SCENARIOS:
+        raise ParameterError(
+            f"scenario {args.workload!r} has no fault-recovery variant; "
+            f"valid scenarios: {', '.join(FAULT_SCENARIOS)}"
         )
-        product = assemble_resilient(out.results, n)
-        correct = bool(np.allclose(product, a @ b))
-        label = f"matmul25d_resilient(n={n}, c={c}, crash rank {victim})"
-        profile = ModelProfile.from_result(out, machine, label=label)
-        injected = out.report  # alias for brevity below
-        if args.json:
-            payload = profile.to_json()
-            payload["schema"] = "repro_faults/v1"
-            payload["crashed"] = list(out.crashed)
-            payload["correct"] = correct
-            print(json.dumps(payload, indent=2))
-        else:
-            vi, vj, vk = victim // (q * c), (victim // c) % q, victim % c
-            print(
-                f"{label}: p={p} = {q}x{q}x{c} cuboid; injected crash at "
-                f"rank {victim} = (i={vi}, j={vj}, layer {vk}), "
-                f"op {args.op}"
-            )
-            print(
-                f"crashed ranks: {list(out.crashed)}; product correct: "
-                f"{correct}"
-            )
-            print(
-                f"recovery counts: F_rec={injected.total_recovery_flops:.6g} "
-                f"W_rec={injected.total_recovery_words} "
-                f"S_rec={injected.total_recovery_messages}"
-            )
-            print()
-            print(profile.render(width=args.width))
-        if not correct:
-            raise SystemExit(
-                "repro faults: recovered product does NOT match A @ B"
-            )
-    except ReproError as exc:
-        raise SystemExit(f"repro faults: {exc}") from exc
+    machine = default_machine()
+    p, n, c = args.p, args.n, args.c
+    q = layout_25d(p, n, c)
+    victim = args.rank if args.rank is not None else (q * c + c - 1)
+    if not 0 <= victim < p:
+        raise ParameterError(f"--rank {victim} outside 0..{p - 1}")
+    plan = FaultPlan.single_crash(rank=victim, at_op=args.op)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    out = run_spmd(p, matmul_25d_resilient, a, b, c=c, machine=machine, faults=plan)
+    product = assemble_resilient(out.results, n)
+    correct = bool(np.allclose(product, a @ b))
+    label = f"matmul25d_resilient(n={n}, c={c}, crash rank {victim})"
+    profile = ModelProfile.from_result(out, machine, label=label)
+    if args.json:
+        payload = profile.to_json()
+        payload["schema"] = "repro_faults/v1"
+        payload["crashed"] = list(out.crashed)
+        payload["correct"] = correct
+        print(json.dumps(payload, indent=2))
+    else:
+        vi, vj, vk = victim // (q * c), (victim // c) % q, victim % c
+        print(
+            f"{label}: p={p} = {q}x{q}x{c} cuboid; injected crash at "
+            f"rank {victim} = (i={vi}, j={vj}, layer {vk}), "
+            f"op {args.op}"
+        )
+        print(f"crashed ranks: {list(out.crashed)}; product correct: {correct}")
+        print(
+            f"recovery counts: F_rec={out.report.total_recovery_flops:.6g} "
+            f"W_rec={out.report.total_recovery_words} "
+            f"S_rec={out.report.total_recovery_messages}"
+        )
+        print()
+        print(profile.render(width=args.width))
+    if not correct:
+        raise SimulationError("recovered product does NOT match A @ B")
 
 
 def _cmd_power(args) -> None:
@@ -463,74 +434,58 @@ def _cmd_power(args) -> None:
 
     from repro.analysis.powertrace import PowerTrace, catalog_power_caps
     from repro.analysis.validation import default_machine
-    from repro.exceptions import ReproError
-    from repro.simmpi import run_spmd
 
-    p, n = resolve_scenario(args.workload, "repro power").size(args.p, args.n)
     machine = default_machine()
-    try:
-        program, prog_args, label = build_scenario(args.workload, p, n)
-        out = run_spmd(
-            p,
-            program,
-            *prog_args,
-            machine=machine,
-            trace=True,
-            trace_capacity=args.capacity,
+    out, label, p, _n = _traced_run(args, machine)
+    pt = PowerTrace.from_result(out, machine, label=label)
+    total_viol = pt.cap_violations(args.cap) if args.cap is not None else ()
+    rank_viol = (
+        pt.rank_cap_violations(args.per_rank_cap)
+        if args.per_rank_cap is not None
+        else ()
+    )
+    if args.json:
+        payload = pt.to_json()
+        payload["cap_watts"] = args.cap
+        payload["per_rank_cap_watts"] = args.per_rank_cap
+        payload["cap_violations"] = [
+            {
+                "rank": v.rank,
+                "t0": v.t0,
+                "t1": v.t1,
+                "peak_watts": v.peak_watts,
+            }
+            for v in (*total_viol, *rank_viol)
+        ]
+        print(json.dumps(payload, indent=2))
+    else:
+        print(f"{label} on p={p}:")
+        print(pt.render(width=args.width))
+        caps = catalog_power_caps(p)
+        print(
+            f"catalog caps (Table I machine): per-processor "
+            f"{caps.per_processor_watts:.2f} W, total "
+            f"{caps.total_watts:.2f} W"
         )
-        pt = PowerTrace.from_result(out, machine, label=label)
-        total_viol = (
-            pt.cap_violations(args.cap) if args.cap is not None else ()
-        )
-        rank_viol = (
-            pt.rank_cap_violations(args.per_rank_cap)
-            if args.per_rank_cap is not None
-            else ()
-        )
-        if args.json:
-            payload = pt.to_json()
-            payload["cap_watts"] = args.cap
-            payload["per_rank_cap_watts"] = args.per_rank_cap
-            payload["cap_violations"] = [
-                {
-                    "rank": v.rank,
-                    "t0": v.t0,
-                    "t1": v.t1,
-                    "peak_watts": v.peak_watts,
-                }
-                for v in (*total_viol, *rank_viol)
-            ]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"{label} on p={p}:")
-            print(pt.render(width=args.width))
-            caps = catalog_power_caps(p)
+        for v in total_viol:
             print(
-                f"catalog caps (Table I machine): per-processor "
-                f"{caps.per_processor_watts:.2f} W, total "
-                f"{caps.total_watts:.2f} W"
+                f"CAP VIOLATION (machine > {args.cap:g} W): "
+                f"[{v.t0:.4g}, {v.t1:.4g}] s, peak {v.peak_watts:.4g} W"
             )
-            for v in total_viol:
-                print(
-                    f"CAP VIOLATION (machine > {args.cap:g} W): "
-                    f"[{v.t0:.4g}, {v.t1:.4g}] s, peak {v.peak_watts:.4g} W"
-                )
-            for v in rank_viol:
-                print(
-                    f"CAP VIOLATION (rank {v.rank} > {args.per_rank_cap:g} W): "
-                    f"[{v.t0:.4g}, {v.t1:.4g}] s, peak {v.peak_watts:.4g} W"
-                )
-        if args.perfetto_out:
-            out.timeline().save_chrome_trace(args.perfetto_out, power=pt)
-            if not args.json:
-                print(
-                    f"\nwrote {args.perfetto_out} with power counter tracks "
-                    f"— load it at https://ui.perfetto.dev"
-                )
-        if total_viol or rank_viol:
-            raise SystemExit(3)
-    except ReproError as exc:
-        raise SystemExit(f"repro power: {exc}") from exc
+        for v in rank_viol:
+            print(
+                f"CAP VIOLATION (rank {v.rank} > {args.per_rank_cap:g} W): "
+                f"[{v.t0:.4g}, {v.t1:.4g}] s, peak {v.peak_watts:.4g} W"
+            )
+    if args.perfetto_out:
+        out.timeline().save_chrome_trace(args.perfetto_out, power=pt)
+        if not args.json:
+            print(
+                f"\nwrote {args.perfetto_out} with power counter tracks "
+                f"— load it at https://ui.perfetto.dev"
+            )
+    if total_viol or rank_viol:
+        raise SystemExit(3)
 
 
 # -- differential conformance ----------------------------------------------
@@ -538,25 +493,15 @@ def _cmd_power(args) -> None:
 
 def _cmd_conformance(args) -> None:
     """Run a conformance grid; exit 4 on any divergence."""
-    from repro.conformance import deliberately_perturbed, grid_cases, run_grid
-    from repro.exceptions import ReproError
+    from contextlib import nullcontext
 
-    try:
-        cases = grid_cases(args.grid, seed=args.seed, cells=args.cells)
-        if args.demo_divergence:
-            # Prove the harness detects a broken build: mis-meter every
-            # message-path send, then demand the grid catches it.
-            with deliberately_perturbed(extra_words=2):
-                report = run_grid(
-                    cases, grid=args.grid, seed=args.seed,
-                    fail_limit=args.fail_limit,
-                )
-        else:
-            report = run_grid(
-                cases, grid=args.grid, seed=args.seed, fail_limit=args.fail_limit
-            )
-    except ReproError as exc:
-        raise SystemExit(f"repro conformance: {exc}") from exc
+    from repro.conformance import deliberately_perturbed, grid_cases, run_grid
+
+    cases = grid_cases(args.grid, seed=args.seed, cells=args.cells)
+    # --demo-divergence proves the harness detects a broken build: it
+    # mis-meters every message-path send and demands the grid catch it.
+    with deliberately_perturbed(extra_words=2) if args.demo_divergence else nullcontext():
+        report = run_grid(cases, grid=args.grid, seed=args.seed, fail_limit=args.fail_limit)
     print(report.to_json() if args.json else report.summary())
     if not report.ok:
         raise SystemExit(4)
@@ -571,7 +516,7 @@ DEFAULT_LEDGER = "benchmarks/results/ledger.jsonl"
 DEFAULT_SWEEP_CACHE = "benchmarks/results/sweepcache"
 
 
-def _observe_record_sweep(ledger, n: int, cache_dir: str | None = None) -> None:
+def _observe_record_sweep(ledger, n: int) -> None:
     """Record the canonical fixed-tile matmul25d p-sweep into ``ledger``.
 
     Runs through the sweep engine so repeat invocations replay the
@@ -582,125 +527,101 @@ def _observe_record_sweep(ledger, n: int, cache_dir: str | None = None) -> None:
     """
     from pathlib import Path
 
-    from repro.exceptions import SweepError
     from repro.sweep import RunCache, run_sweep, smoke_spec
 
-    try:
-        cells = smoke_spec(n).cells()
-    except ParameterError as exc:
-        raise SystemExit(f"repro observe: {exc}") from exc
-    if cache_dir is None:
-        cache_dir = str(Path(ledger.path).parent / "sweepcache")
-    cache = RunCache(cache_dir)
-    try:
-        outcome = run_sweep(cells, ledger=ledger, cache=cache, workers=0)
-    except SweepError as exc:
-        raise SystemExit(f"repro observe: {exc}") from exc
+    cells = smoke_spec(n).cells()
+    cache = RunCache(str(Path(ledger.path).parent / "sweepcache"))
+    outcome = run_sweep(cells, ledger=ledger, cache=cache, workers=0)
     if not outcome.ok:
         bad = next(o for o in outcome.outcomes if o.status == "failed")
-        raise SystemExit(f"repro observe: sweep cell failed: {bad.error}")
+        raise SimulationError(f"sweep cell failed: {bad.error}")
 
 
 def _parse_inflate(spec: str) -> tuple[str, float]:
     term, sep, factor = spec.partition("=")
     if not sep:
-        raise SystemExit(
-            "repro observe: --inflate wants TERM=FACTOR (e.g. T:alphaS=2)"
-        )
+        raise ParameterError("--inflate wants TERM=FACTOR (e.g. T:alphaS=2)")
     try:
         return term, float(factor)
     except ValueError:
-        raise SystemExit(
-            f"repro observe: --inflate factor {factor!r} is not a number"
-        ) from None
+        raise ParameterError(f"--inflate factor {factor!r} is not a number") from None
 
 
 def _cmd_observe(args) -> None:
     import json
 
-    from repro.exceptions import ReproError
     from repro.observatory import Ledger
 
     ledger = Ledger(args.ledger)
-    try:
-        if args.action == "record":
-            from repro.analysis.validation import default_machine
-            from repro.observatory import RunRecorder
-            from repro.simmpi import run_spmd
+    if args.action == "record":
+        from repro.analysis.validation import default_machine
+        from repro.observatory import RunRecorder
+        from repro.simmpi import run_spmd
 
-            scenario = resolve_scenario(args.workload, "repro observe")
-            p, n = scenario.size(args.p, args.n)
-            program, prog_args, label = build_scenario(args.workload, p, n)
-            params = {"n": n, **scenario.check(p, n)}
-            recorder = RunRecorder(
-                ledger=ledger,
-                workload=args.workload,
-                params=params,
-                label=label,
-            )
-            run_spmd(
-                p, program, *prog_args, machine=default_machine(), record=recorder
-            )
-            rec = recorder.last_record
-            print(
-                f"recorded {label} on p={p} -> {ledger.path} "
-                f"(T={rec.time_total:.6g} s, E={rec.energy_total:.6g} J, "
-                f"wall={rec.wall_seconds:.4g} s)"
-            )
-        elif args.action == "report":
-            from repro.observatory.dashboard import render_html, render_report
+        scenario = get_scenario(args.workload)
+        p, n = scenario.size(args.p, args.n)
+        program, prog_args, label = build_scenario(args.workload, p, n)
+        params = {"n": n, **scenario.check(p, n)}
+        recorder = RunRecorder(
+            ledger=ledger,
+            workload=args.workload,
+            params=params,
+            label=label,
+        )
+        run_spmd(p, program, *prog_args, machine=default_machine(), record=recorder)
+        rec = recorder.last_record
+        print(
+            f"recorded {label} on p={p} -> {ledger.path} "
+            f"(T={rec.time_total:.6g} s, E={rec.energy_total:.6g} J, "
+            f"wall={rec.wall_seconds:.4g} s)"
+        )
+    elif args.action == "report":
+        from repro.observatory.dashboard import render_html, render_report
 
-            if args.html:
-                with open(args.html, "w", encoding="utf-8") as fh:
-                    fh.write(render_html(ledger))
-                print(f"wrote {args.html}")
-            else:
-                print(render_report(ledger))
-        elif args.action == "fit":
-            from repro.observatory import fit_records
+        if args.html:
+            with open(args.html, "w", encoding="utf-8") as fh:
+                fh.write(render_html(ledger))
+            print(f"wrote {args.html}")
+        else:
+            print(render_report(ledger))
+    elif args.action == "fit":
+        from repro.observatory import fit_records
 
-            fit = fit_records(ledger)
-            if args.json:
-                print(json.dumps(fit.to_json(), indent=2))
-            else:
-                print(fit.render())
-        elif args.action == "check":
-            from repro.observatory import check_sweep, inflate_term
-            from repro.observatory.dashboard import sweep_groups
+        fit = fit_records(ledger)
+        if args.json:
+            print(json.dumps(fit.to_json(), indent=2))
+        else:
+            print(fit.render())
+    elif args.action == "check":
+        from repro.observatory import check_sweep, inflate_term
+        from repro.observatory.dashboard import sweep_groups
 
-            if args.run_sweep or not ledger.query(
-                workload=args.workload, kind="run"
-            ):
-                _observe_record_sweep(ledger, args.n if args.n else 48)
-            records = ledger.query(workload=args.workload, kind="run")
-            if not records:
-                raise SystemExit(
-                    f"repro observe: no {args.workload!r} run records in "
-                    f"{ledger.path}"
-                )
-            # Check the sweep the newest record belongs to.
-            groups = sweep_groups(records)
-            latest = records[-1]
-            sweep = next(
-                recs
-                for key, recs in groups
-                if any(r.created_at == latest.created_at for r in recs)
-            )
-            if args.inflate:
-                term, factor = _parse_inflate(args.inflate)
-                sweep = inflate_term(sweep, term, factor)
-                print(f"(demo: {term} inflated {factor:g}x on post-baseline points)")
-            verdict = check_sweep(sweep)
-            if args.json:
-                print(json.dumps(verdict.to_json(), indent=2))
-            else:
-                print(verdict.render())
-            if verdict.classification != "perfect":
-                raise SystemExit(2 if verdict.classification == "degraded" else 1)
-        else:  # pragma: no cover - argparse guards
-            raise AssertionError(args.action)
-    except ReproError as exc:
-        raise SystemExit(f"repro observe: {exc}") from exc
+        if args.run_sweep or not ledger.query(workload=args.workload, kind="run"):
+            _observe_record_sweep(ledger, args.n if args.n else 48)
+        records = ledger.query(workload=args.workload, kind="run")
+        if not records:
+            raise ParameterError(f"no {args.workload!r} run records in {ledger.path}")
+        # Check the sweep the newest record belongs to.
+        groups = sweep_groups(records)
+        latest = records[-1]
+        sweep = next(
+            recs
+            for key, recs in groups
+            if any(r.created_at == latest.created_at for r in recs)
+        )
+        if args.inflate:
+            term, factor = _parse_inflate(args.inflate)
+            sweep = inflate_term(sweep, term, factor)
+            print(f"(demo: {term} inflated {factor:g}x on post-baseline points)")
+        verdict = check_sweep(sweep)
+        if args.json:
+            print(json.dumps(verdict.to_json(), indent=2))
+        else:
+            print(verdict.render())
+        if verdict.classification != "perfect":
+            raise SystemExit(2 if verdict.classification == "degraded" else 1)
+    else:  # pragma: no cover - argparse guards
+        raise AssertionError(args.action)
 
 
 # -- sharded sweeps --------------------------------------------------------
@@ -717,17 +638,11 @@ def _sweep_load_spec(args):
             with open(args.spec, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except OSError as exc:
-            raise SystemExit(f"repro sweep: cannot read {args.spec}: {exc}")
+            raise ParameterError(f"cannot read {args.spec}: {exc}") from exc
         except ValueError as exc:
-            raise SystemExit(f"repro sweep: {args.spec} is not JSON: {exc}")
-        try:
-            return SweepSpec.from_json(payload)
-        except ParameterError as exc:
-            raise SystemExit(f"repro sweep: {exc}") from exc
-    try:
-        return smoke_spec(args.n)
-    except ParameterError as exc:
-        raise SystemExit(f"repro sweep: {exc}") from exc
+            raise ParameterError(f"{args.spec} is not JSON: {exc}") from exc
+        return SweepSpec.from_json(payload)
+    return smoke_spec(args.n)
 
 
 def _cmd_sweep(args) -> None:
@@ -764,11 +679,7 @@ def _cmd_sweep(args) -> None:
             )
         return
 
-    spec = _sweep_load_spec(args)
-    try:
-        cells = spec.cells()
-    except ParameterError as exc:
-        raise SystemExit(f"repro sweep: {exc}") from exc
+    cells = _sweep_load_spec(args).cells()
 
     if args.action == "plan":
         fingerprint = code_fingerprint()
@@ -828,6 +739,27 @@ def _cmd_sweep(args) -> None:
         raise SystemExit(5)
 
 
+def _scenario_parser(sub, name: str, help: str, description: str, width: int,
+                     width_help: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with the arguments every traced scenario run
+    takes (see :func:`_traced_run`) and the workloads epilog."""
+    parser = sub.add_parser(
+        name,
+        help=help,
+        description=description,
+        epilog=_WORKLOADS_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("workload", choices=sorted(SCENARIOS))
+    parser.add_argument("--p", type=int, default=None, help="rank count")
+    parser.add_argument("--n", type=int, default=None, help="problem size")
+    parser.add_argument(
+        "--capacity", type=int, default=None, help="per-rank event ring size"
+    )
+    parser.add_argument("--width", type=int, default=width, help=width_help)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -859,11 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report")
     pr.add_argument("--quick", action="store_true")
     pr.set_defaults(fn=_cmd_report)
-    workload_lines = "\n".join(
-        f"  {s.name:<10s} default p={s.p:<3d} n={s.n:<5d} {s.rule}"
-        for s in SCENARIOS.values()
-    )
-    pt = sub.add_parser(
+    pt = _scenario_parser(
+        sub,
         "trace",
         help="run a workload with event tracing: timeline + critical path",
         description=(
@@ -871,16 +800,9 @@ def build_parser() -> argparse.ArgumentParser:
             "machine and print the category breakdown, per-rank Gantt chart "
             "and the exact critical path bounding the simulated time."
         ),
-        epilog="workloads:\n" + workload_lines,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        width=72,
+        width_help="gantt chart width",
     )
-    pt.add_argument("workload", choices=sorted(SCENARIOS))
-    pt.add_argument("--p", type=int, default=None, help="rank count")
-    pt.add_argument("--n", type=int, default=None, help="problem size")
-    pt.add_argument(
-        "--capacity", type=int, default=None, help="per-rank event ring size"
-    )
-    pt.add_argument("--width", type=int, default=72, help="gantt chart width")
     pt.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON report instead of the text views",
@@ -890,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome/Perfetto trace.json here",
     )
     pt.set_defaults(fn=_cmd_trace)
-    pp = sub.add_parser(
+    pp = _scenario_parser(
+        sub,
         "profile",
         help="run a workload and attribute modeled time/energy per term",
         description=(
@@ -900,16 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
             "depth-0 phase table. Term sums reproduce the TraceReport "
             "estimates bit-exactly."
         ),
-        epilog="workloads:\n" + workload_lines,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        width=48,
+        width_help="stacked bar width",
     )
-    pp.add_argument("workload", choices=sorted(SCENARIOS))
-    pp.add_argument("--p", type=int, default=None, help="rank count")
-    pp.add_argument("--n", type=int, default=None, help="problem size")
-    pp.add_argument(
-        "--capacity", type=int, default=None, help="per-rank event ring size"
-    )
-    pp.add_argument("--width", type=int, default=48, help="stacked bar width")
     pp.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON report instead of the text views",
@@ -956,7 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a machine-readable JSON report instead of the text views",
     )
     pf.set_defaults(fn=_cmd_faults)
-    pw = sub.add_parser(
+    pw = _scenario_parser(
+        sub,
         "power",
         help="time-resolved power telemetry: P(t) traces, caps, counters",
         description=(
@@ -967,16 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
             "E/T. Power caps (--cap, --per-rank-cap) turn the machine "
             "envelope into violation intervals; any violation exits 3."
         ),
-        epilog="workloads:\n" + workload_lines,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        width=64,
+        width_help="power chart width",
     )
-    pw.add_argument("workload", choices=sorted(SCENARIOS))
-    pw.add_argument("--p", type=int, default=None, help="rank count")
-    pw.add_argument("--n", type=int, default=None, help="problem size")
-    pw.add_argument(
-        "--capacity", type=int, default=None, help="per-rank event ring size"
-    )
-    pw.add_argument("--width", type=int, default=64, help="power chart width")
     pw.add_argument(
         "--cap", type=float, default=None, metavar="WATTS",
         help="machine-wide power cap; violation intervals are listed and "
@@ -1014,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  check    classify the latest p-sweep (records the canonical\n"
             "           q=6, c=1,2,3 smoke sweep when the ledger is empty);\n"
             "           exits 2 when degraded, 1 when broken\n"
-            "workloads:\n" + workload_lines
+            + _WORKLOADS_EPILOG
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -1164,13 +1074,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
+    except ReproError as exc:
+        # The one place an error becomes the one-line ``repro <cmd>: ...``
+        # exit 1 every subcommand reports.
+        raise SystemExit(f"repro {args.command}: {exc}") from exc
     except BrokenPipeError:
         # Downstream pager/head closed the pipe: exit quietly like cat(1).
         try:
             sys.stdout.close()
         except BrokenPipeError:
             pass
-        return 0
     return 0
 
 

@@ -74,6 +74,10 @@ class PeerDeadError(DeadlockError):
 class RankFailedError(SimulationError):
     """One or more ranks raised an exception during an SPMD run.
 
+    The message names each distinct ``(type, text)`` once, with the
+    ranks that raised it: an error every rank hits alike reads
+    ``4 rank(s) failed: ranks 0, 1, 2, 3: ParameterError: ...``.
+
     Attributes
     ----------
     failures:
@@ -82,8 +86,12 @@ class RankFailedError(SimulationError):
 
     def __init__(self, failures: dict[int, BaseException]):
         self.failures = dict(failures)
+        ranks: dict[str, list[int]] = {}
+        for r, e in sorted(failures.items()):
+            ranks.setdefault(f"{type(e).__name__}: {e}", []).append(r)
         detail = "; ".join(
-            f"rank {r}: {type(e).__name__}: {e}" for r, e in sorted(failures.items())
+            f"rank{'s' if len(rs) > 1 else ''} {', '.join(map(str, rs))}: {what}"
+            for what, rs in ranks.items()
         )
         super().__init__(f"{len(failures)} rank(s) failed: {detail}")
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.exceptions import ParameterError
+
 __all__ = [
     "Event",
     "EventLog",
@@ -114,7 +116,7 @@ class EventLog:
 
     def __init__(self, rank: int, capacity: int = DEFAULT_TRACE_CAPACITY):
         if capacity < 1:
-            raise ValueError(f"trace capacity must be >= 1, got {capacity}")
+            raise ParameterError(f"trace capacity must be >= 1, got {capacity}")
         self.rank = rank
         self.capacity = capacity
         #: live collective-nesting depth (mutated by collective spans)

@@ -62,8 +62,9 @@ class TestTreePromises:
         sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
         registered = set(sub.choices)
         readme = read("README.md")
-        for cmd in re.findall(r"python -m repro (\w+)", readme):
-            assert cmd in registered, cmd
+        promised = set(re.findall(r"python -m repro (\w+)", readme))
+        assert promised <= registered, promised - registered
+        assert registered <= promised, f"not in README: {registered - promised}"
 
 
 class TestPublicApiImports:

@@ -226,6 +226,18 @@ class TestFailureHandling:
         assert 1 in exc.value.failures
         assert isinstance(exc.value.failures[1], ValueError)
 
+    def test_message_names_each_distinct_failure_once(self):
+        def prog(comm):
+            raise ValueError("odd" if comm.rank == 2 else "same")
+
+        with pytest.raises(RankFailedError) as exc:
+            run_spmd(4, prog)
+        assert str(exc.value) == (
+            "4 rank(s) failed: ranks 0, 1, 3: ValueError: same; "
+            "rank 2: ValueError: odd"
+        )
+        assert sorted(exc.value.failures) == [0, 1, 2, 3]
+
     def test_peer_failure_unblocks_receivers(self):
         """A crash on one rank must not leave others hanging until the
         watchdog: the abort wakes them immediately."""

@@ -475,6 +475,27 @@ print(json.dumps([m for m in ("repro.cli", "scipy") if m in sys.modules]))
         loaded = json.loads(out.stdout.strip().splitlines()[-1])
         assert loaded == (["repro.cli"] if cli else [])
 
+    def test_cli_import_loads_no_algorithm_or_simulator_module(self):
+        """Every ``repro`` command pays for ``import repro.cli``; the
+        commands that run a simulation import the simulator on use."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import json, sys, repro.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.startswith(('repro.algorithms', 'repro.simmpi')))))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
 
 class TestLargeScaleSweeps:
     """Tier-2 (slow marker): the executor and oracles at p >= 1024 —
