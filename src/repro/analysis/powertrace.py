@@ -70,6 +70,7 @@ M). :func:`catalog_power_caps` derives both from the Table I catalog
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.analysis.profiler import ENERGY_TERM_KEYS, _energy_terms
 from repro.core.energy import EnergyBreakdown
@@ -504,46 +505,38 @@ class PowerTrace:
 
     # -- export ----------------------------------------------------------
 
-    def counter_events(self, per_rank: bool = True) -> list[dict]:
-        """Chrome/Perfetto counter-track events (``ph: "C"``).
+    def counter_rows(
+        self, per_rank: bool = True
+    ) -> Iterator[tuple[float, str, float]]:
+        """The Perfetto counter tracks' steps as ``(ts, name, watts)``
+        rows, ``ts`` in virtual microseconds.
 
         One ``machine power [W]`` track for the envelope and, with
         ``per_rank``, one ``rank N power [W]`` track per rank. Values
         step at segment boundaries and drop to 0 at the horizon so the
-        track visibly ends. Merge into a timeline export via
-        ``Timeline.to_chrome_trace(power=...)``.
+        track visibly ends. ``Timeline.save_chrome_trace(power=...)``
+        writes these rows; :meth:`counter_events` is them as dicts.
         """
-        events: list[dict] = []
-
-        def emit(name: str, segments: tuple[PowerSegment, ...]) -> None:
+        tracks = [("machine power [W]", self.envelope)]
+        if per_rank:
+            tracks += [(f"rank {rt.rank} power [W]", rt.segments) for rt in self.ranks]
+        end = self.horizon * 1e6
+        for name, segments in tracks:
             last = None
             for seg in segments:
                 if seg.watts != last:
-                    events.append(
-                        {
-                            "ph": "C",
-                            "pid": 0,
-                            "ts": seg.t0 * 1e6,
-                            "name": name,
-                            "args": {"watts": seg.watts},
-                        }
-                    )
+                    yield seg.t0 * 1e6, name, seg.watts
                     last = seg.watts
-            events.append(
-                {
-                    "ph": "C",
-                    "pid": 0,
-                    "ts": self.horizon * 1e6,
-                    "name": name,
-                    "args": {"watts": 0.0},
-                }
-            )
+            yield end, name, 0.0
 
-        emit("machine power [W]", self.envelope)
-        if per_rank:
-            for rt in self.ranks:
-                emit(f"rank {rt.rank} power [W]", rt.segments)
-        return events
+    def counter_events(self, per_rank: bool = True) -> list[dict]:
+        """Chrome/Perfetto counter-track events (``ph: "C"``), one per
+        :meth:`counter_rows` row. Merge into a timeline export via
+        ``Timeline.to_chrome_trace(power=...)``."""
+        return [
+            {"ph": "C", "pid": 0, "ts": ts, "name": name, "args": {"watts": watts}}
+            for ts, name, watts in self.counter_rows(per_rank)
+        ]
 
     def to_json(self) -> dict:
         """JSON-serializable payload (``schema`` tags the layout)."""

@@ -10,10 +10,12 @@ them into answers to "where did the simulated time go?":
   (:func:`~repro.analysis.asciiplot.gantt_chart`), and a
   Chrome/Perfetto ``trace.json`` exporter
   (:meth:`Timeline.save_chrome_trace`; open in https://ui.perfetto.dev).
-  One event generator feeds both :meth:`Timeline.to_chrome_trace` (the
-  object) and the file writer, which streams fixed-size batches through
-  the C JSON encoder and never holds the whole document; its bytes equal
-  ``json.dumps(to_chrome_trace(...))``.
+  One generator writes each event's JSON text from a fixed template
+  per event shape (numbers and escaped strings filled in, no dict
+  built); the file writer streams it in fixed-size batches and never
+  holds the whole document, and :meth:`Timeline.to_chrome_trace` is
+  ``json.loads`` of the same text. Its bytes equal ``json.dumps`` of
+  the event dicts.
 * :class:`CriticalPath` — the exact chain of events that bounds
   :attr:`~repro.simmpi.trace.TraceReport.simulated_time`. The walk
   starts at the finishing rank and follows each stalled receive back to
@@ -48,8 +50,76 @@ __all__ = ["Timeline", "CriticalPath"]
 #: Gantt glyph per event kind (stalled receives drawn as ``.``).
 _GANTT_GLYPHS = {"flops": "#", "coll": "=", "send": ">", "recv": "<"}
 
-#: Events per ``json.dumps`` call when streaming a Perfetto export.
+#: Event texts joined per write when streaming a Perfetto export.
 _EXPORT_BATCH = 1024
+
+# One JSON text template per Perfetto event shape, laid out exactly as
+# ``json.dumps`` lays out the event's dict. Numbers fill ``%s`` (see
+# ``_numbers``), strings fill it already quoted by ``_quote``, and the
+# ints that the event log makes itself (rank, seq, depth, peer) ``%d``.
+_META = (
+    '{"ph": "M", "pid": 0, "tid": %d, "name": "thread_name", '
+    '"args": {"name": "rank %d"}}'
+)
+_ARGS = (
+    '"args": {"seq": %d, "kind": %s, "cost_s": %s, "words": %s, '
+    '"messages": %s, "flops": %s, "depth": %d%s}}'
+)
+_SPAN = (
+    '{"ph": "X", "pid": 0, "tid": %d, "ts": %s, "dur": %s, "name": %s, '
+    '"cat": %s, ' + _ARGS
+)
+_INSTANT = (
+    '{"ph": "i", "s": "t", "pid": 0, "tid": %d, "ts": %s, "name": %s, '
+    '"cat": %s, ' + _ARGS
+)
+_PEER = ', "peer": %d'
+_ALGORITHM = ', "algorithm": %s'
+_FLOW = (
+    '{"ph": "s", "pid": 0, "tid": %d, "ts": %s, "id": "%d.%d", '
+    '"name": "msg", "cat": "msg"}, '
+    '{"ph": "f", "bp": "e", "pid": 0, "tid": %d, "ts": %s, "id": "%d.%d", '
+    '"name": "msg", "cat": "msg"}'
+)
+_COUNTER = '{"ph": "C", "pid": 0, "ts": %s, "name": %s, "args": {"watts": %s}}'
+
+#: A string as ``json.dumps`` writes it: quoted, escaped, ASCII only.
+_quote = json.encoder.encode_basestring_ascii
+
+_INF = float("inf")
+_PLAIN = frozenset((int, float))
+
+
+def _number(x) -> str:
+    """One number's ``json.dumps`` text: ``int.__repr__`` for ints,
+    ``float.__repr__`` for floats (float subclasses such as
+    ``np.float64`` too) and ``NaN``/``Infinity``/``-Infinity`` for the
+    non-finite ones."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParameterError(
+            f"cannot export {x!r} ({type(x).__name__}) as a JSON number"
+        )
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _numbers(values: tuple) -> tuple:
+    """``values`` ready for ``%s``: unchanged when every one is a plain
+    ``int`` or a finite plain ``float`` (whose ``%s`` is already the
+    ``json.dumps`` text), else each one's :func:`_number` text."""
+    try:
+        if _PLAIN.issuperset(map(type, values)) and -_INF < sum(values) < _INF:
+            return values
+    except OverflowError:  # an int past float range; _number writes it
+        pass
+    return tuple(map(_number, values))
 
 
 def _contributes(ev: Event) -> bool:
@@ -283,106 +353,73 @@ class Timeline:
         :class:`~repro.analysis.powertrace.PowerTrace` as ``power``
         merges its counter tracks (``ph: "C"``; machine envelope plus
         one track per rank) so Perfetto draws P(t) above the spans.
-        :meth:`save_chrome_trace` streams the same events to a file.
+        The object is ``json.loads`` of the text
+        :meth:`save_chrome_trace` writes.
         """
-        return {
-            "traceEvents": list(self._chrome_events(flows, power)),
-            "displayTimeUnit": "ms",
-        }
+        return json.loads("".join(self._chrome_document(flows, power)))
 
-    def _chrome_events(self, flows: bool, power) -> Iterator[dict]:
-        """Yield :meth:`to_chrome_trace`'s ``traceEvents``, in order."""
+    def _chrome_document(self, flows: bool, power) -> Iterator[str]:
+        """The export's JSON text in pieces: the header, then
+        ``_EXPORT_BATCH`` events at a time, then the trailer."""
+        yield '{"traceEvents": ['
+        events = self._chrome_events(flows, power)
+        sep = ""
+        while batch := list(islice(events, _EXPORT_BATCH)):
+            yield sep + ", ".join(batch)
+            sep = ", "
+        yield '], "displayTimeUnit": "ms"}'
+
+    def _chrome_events(self, flows: bool, power) -> Iterator[str]:
+        """Yield each trace event's JSON text, in export order."""
         for rank in range(self.size):
-            yield {
-                "ph": "M",
-                "pid": 0,
-                "tid": rank,
-                "name": "thread_name",
-                "args": {"name": f"rank {rank}"},
-            }
+            yield _META % (rank, rank)
         for log in self.logs:
             for ev in log.events():
-                args = {
-                    "seq": ev.seq,
-                    "kind": ev.kind,
-                    "cost_s": ev.cost,
-                    "words": ev.words,
-                    "messages": ev.messages,
-                    "flops": ev.flops,
-                    "depth": ev.depth,
-                }
-                if ev.peer >= 0:
-                    args["peer"] = ev.peer
+                ts, dur, cost, words, messages, flops = _numbers((
+                    ev.t0 * 1e6, ev.duration * 1e6, ev.cost, ev.words,
+                    ev.messages, ev.flops,
+                ))
+                kind = _quote(ev.kind)
+                tail = _PEER % ev.peer if ev.peer >= 0 else ""
                 if ev.detail:
-                    args["algorithm"] = ev.detail
+                    tail += _ALGORITHM % _quote(ev.detail)
                 if ev.kind in ("alloc", "release"):
-                    yield {
-                        "ph": "i",
-                        "s": "t",
-                        "pid": 0,
-                        "tid": ev.rank,
-                        "ts": ev.t0 * 1e6,
-                        "name": f"{ev.kind} {ev.words}w",
-                        "cat": ev.kind,
-                        "args": args,
-                    }
+                    yield _INSTANT % (
+                        ev.rank, ts, _quote(f"{ev.kind} {ev.words}w"), kind,
+                        ev.seq, kind, cost, words, messages, flops, ev.depth,
+                        tail,
+                    )
                     continue
-                yield {
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": ev.rank,
-                    "ts": ev.t0 * 1e6,
-                    "dur": ev.duration * 1e6,
-                    "name": ev.label(),
-                    "cat": ev.kind,
-                    "args": args,
-                }
+                yield _SPAN % (
+                    ev.rank, ts, dur, _quote(ev.label()), kind,
+                    ev.seq, kind, cost, words, messages, flops, ev.depth, tail,
+                )
                 if flows and ev.kind == "recv" and ev.ref is not None:
                     sent = self.find(*ev.ref)
                     if sent is None:
                         continue
-                    flow_id = f"{ev.ref[0]}.{ev.ref[1]}"
-                    yield {
-                        "ph": "s",
-                        "pid": 0,
-                        "tid": sent.rank,
-                        "ts": sent.t1 * 1e6,
-                        "id": flow_id,
-                        "name": "msg",
-                        "cat": "msg",
-                    }
-                    yield {
-                        "ph": "f",
-                        "bp": "e",
-                        "pid": 0,
-                        "tid": ev.rank,
-                        "ts": ev.t1 * 1e6,
-                        "id": flow_id,
-                        "name": "msg",
-                        "cat": "msg",
-                    }
+                    sent_ts, recv_ts = _numbers((sent.t1 * 1e6, ev.t1 * 1e6))
+                    yield _FLOW % (
+                        sent.rank, sent_ts, *ev.ref, ev.rank, recv_ts, *ev.ref,
+                    )
         if power is not None:
-            yield from power.counter_events()
+            for ts, name, watts in power.counter_rows():
+                ts, watts = _numbers((ts, watts))
+                yield _COUNTER % (ts, _quote(name), watts)
 
     def save_chrome_trace(self, path, flows: bool = True, power=None) -> None:
         """Write :meth:`to_chrome_trace` as JSON, loadable by
         https://ui.perfetto.dev or ``chrome://tracing``.
 
-        The events are streamed: each batch of ``_EXPORT_BATCH`` events
-        is encoded by one ``json.dumps`` call (the C encoder; ``json.dump``
-        always runs the pure-Python one) and written at once, so neither
-        the event list nor the document string is ever held whole. The
-        bytes equal ``json.dumps(self.to_chrome_trace(flows, power))``.
+        Each event is one fixed ``%``-template per event shape, filled
+        with its numbers (written as ``json.dumps`` writes them) and its
+        escaped strings; no dict is built. The events are streamed:
+        each batch of ``_EXPORT_BATCH`` is joined and written at once,
+        so neither the event list nor the document string is ever held
+        whole. The bytes equal ``json.dumps`` of the event dicts.
         """
-        events = self._chrome_events(flows, power)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{"traceEvents": [')
-            sep = ""
-            while batch := list(islice(events, _EXPORT_BATCH)):
-                fh.write(sep)
-                fh.write(json.dumps(batch)[1:-1])
-                sep = ", "
-            fh.write('], "displayTimeUnit": "ms"}')
+            fh.writelines(self._chrome_document(flows, power))
 
 
 class CriticalPath:

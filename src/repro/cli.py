@@ -319,7 +319,13 @@ def _cmd_trace(args) -> None:
         print()
         print(timeline.gantt(width=args.width))
         print()
-        print(timeline.critical_path().render())
+        if timeline.dropped:
+            print(
+                f"critical path unavailable: {timeline.dropped} events were "
+                f"dropped"
+            )
+        else:
+            print(timeline.critical_path().render())
     if args.out:
         timeline.save_chrome_trace(args.out)
         if not args.json:
@@ -538,13 +544,19 @@ def _observe_record_sweep(ledger, n: int) -> None:
 
 
 def _parse_inflate(spec: str) -> tuple[str, float]:
+    """``--inflate TERM=FACTOR`` as (term, factor), checked in full
+    before ``observe check`` records or reads anything."""
+    from repro.observatory import inflate_term
+
     term, sep, factor = spec.partition("=")
     if not sep:
         raise ParameterError("--inflate wants TERM=FACTOR (e.g. T:alphaS=2)")
     try:
-        return term, float(factor)
+        value = float(factor)
     except ValueError:
         raise ParameterError(f"--inflate factor {factor!r} is not a number") from None
+    inflate_term((), term, value)  # checks the term and the factor
+    return term, value
 
 
 def _cmd_observe(args) -> None:
@@ -596,6 +608,7 @@ def _cmd_observe(args) -> None:
         from repro.observatory import check_sweep, inflate_term
         from repro.observatory.dashboard import sweep_groups
 
+        inflation = _parse_inflate(args.inflate) if args.inflate else None
         if args.run_sweep or not ledger.query(workload=args.workload, kind="run"):
             _observe_record_sweep(ledger, args.n if args.n else 48)
         records = ledger.query(workload=args.workload, kind="run")
@@ -609,8 +622,8 @@ def _cmd_observe(args) -> None:
             for key, recs in groups
             if any(r.created_at == latest.created_at for r in recs)
         )
-        if args.inflate:
-            term, factor = _parse_inflate(args.inflate)
+        if inflation:
+            term, factor = inflation
             sweep = inflate_term(sweep, term, factor)
             print(f"(demo: {term} inflated {factor:g}x on post-baseline points)")
         verdict = check_sweep(sweep)

@@ -393,7 +393,7 @@ def inflate_term(
             "(P:perProc is a derived ratio — inflate E:epsT instead)"
         )
     records = list(records)
-    baseline_p = min(r.p for r in records)
+    baseline_p = min((r.p for r in records), default=None)
     out = []
     for r in records:
         if r.p == baseline_p:

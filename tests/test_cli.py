@@ -236,6 +236,23 @@ class TestTraceCommand:
         assert payload["critical_path"]["total"] > 0
         assert payload["breakdown"]
 
+    @pytest.mark.filterwarnings("ignore:.*dropped by ring overflow")
+    def test_overflowed_ring_still_writes_out(self, capsys, tmp_path):
+        # The text view says the critical path is unavailable and still
+        # writes --out, as --json does (critical_path: null, exit 0).
+        out_path = tmp_path / "t.json"
+        argv = ["trace", "summa", "--capacity", "5", "--out", str(out_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "critical path unavailable: 28 events were dropped\n" in out
+        assert json.loads(out_path.read_text())["traceEvents"]
+        out_path.unlink()
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["critical_path"] is None
+        assert payload["dropped_events"] == 28
+        assert json.loads(out_path.read_text())["traceEvents"]
+
 
 class TestProfileCommand:
     def test_profile_human_mode(self, capsys):
@@ -466,6 +483,19 @@ class TestObserveCommand:
                 ["observe", "check", "--ledger", ledger, "--inflate", "bogus"]
             )
         assert "TERM=FACTOR" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "spec, why",
+        [("bogus", "TERM=FACTOR"), ("T:bogus=2", "unknown term"),
+         ("T:alphaS=x", "not a number"), ("T:alphaS=0", "must be > 0")],
+    )
+    def test_bad_inflate_records_nothing(self, spec, why, tmp_path):
+        ledger = tmp_path / "new.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["observe", "check", "--inflate", spec, "--ledger", str(ledger)])
+        assert why in str(exc.value)
+        assert not ledger.exists()
+        assert not (tmp_path / "sweepcache").exists()
 
     def test_check_reuses_sweep_cache_next_to_ledger(self, capsys, tmp_path):
         # The smoke sweep's cache lives beside the ledger: a second

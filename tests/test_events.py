@@ -4,6 +4,8 @@ and the zero-overhead-when-disabled contract."""
 import numpy as np
 import pytest
 
+from repro.analysis.validation import default_machine
+from repro.scenarios import SCENARIOS, build_scenario
 from repro.simmpi import DEFAULT_TRACE_CAPACITY, EventLog, run_spmd
 from repro.simmpi.pool import SpmdPool
 
@@ -36,6 +38,21 @@ class TestEventLog:
         assert log.find(1) is None  # dropped
         assert log.find(99) is None  # never recorded
         assert log.find(-1) is None
+
+    def test_append_fills_each_field_by_name(self):
+        # append builds the Event positionally: every keyword must land
+        # in the field of the same name
+        log = EventLog(3, capacity=4)
+        log.span_depth = 2
+        fields = dict(
+            cost=1.5, words=7, messages=2, flops=9.0, peer=5, tag="t",
+            detail="ring", ref=(1, 4), size=6,
+        )
+        ev = log.find(log.append("send", 0.25, 0.75, **fields))
+        assert (ev.seq, ev.rank, ev.kind, ev.t0, ev.t1, ev.depth) == (
+            0, 3, "send", 0.25, 0.75, 2,
+        )
+        assert {key: getattr(ev, key) for key in fields} == fields
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -167,6 +184,22 @@ class TestCountsUnaffected:
         assert [r.vtime for r in traced.report.ranks] == [
             r.vtime for r in plain.report.ranks
         ]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_traced_equals_untraced(self, name):
+        # Tracing observes and never meters: counts and per-rank clocks
+        # are bit-identical with the event logs on and off.
+        scenario = SCENARIOS[name]
+        program, args, _ = build_scenario(name, scenario.p, scenario.n)
+        runs = [
+            run_spmd(scenario.p, program, *args, machine=default_machine(), trace=trace)
+            for trace in (False, True)
+        ]
+        plain, traced = (out.report for out in runs)
+        assert traced.counts_signature() == plain.counts_signature()
+        assert [r.vtime for r in traced.ranks] == [r.vtime for r in plain.ranks]
+        assert plain.simulated_time > 0.0
+        assert runs[1].event_logs is not None and runs[0].event_logs is None
 
     def test_pool_traced_counts_bitidentical(self):
         def prog(comm):

@@ -2,14 +2,18 @@
 the Gantt renderer and the Chrome/Perfetto exporter."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.algorithms.matmul25d import matmul_25d
 from repro.analysis import timeline
+from repro.analysis.powertrace import PowerTrace
 from repro.analysis.timeline import CriticalPath
+from repro.analysis.validation import default_machine
 from repro.exceptions import ParameterError
+from repro.scenarios import SCENARIOS, build_scenario
 from repro.simmpi import run_spmd
 
 
@@ -240,8 +244,6 @@ class TestChromeTrace:
     def test_power_counters_merge_without_touching_tracks(
         self, traced_matmul, machine
     ):
-        from repro.analysis.powertrace import PowerTrace
-
         tl = traced_matmul.timeline()
         pt = PowerTrace.from_result(traced_matmul, machine)
         doc = tl.to_chrome_trace(power=pt)
@@ -265,9 +267,133 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         tl.save_chrome_trace(path)
         data = json.loads(path.read_text())
-        assert data["traceEvents"] == json.loads(
-            json.dumps(tl.to_chrome_trace())
-        )["traceEvents"]
+        assert data == tl.to_chrome_trace()
+        assert data["traceEvents"] == list(witness_events(tl))
+
+
+def witness_events(tl, flows=True, power=None):
+    """The Perfetto events as dicts, built independently of the
+    exporter's text templates and of ``PowerTrace.counter_rows``."""
+    for rank in range(tl.size):
+        yield {
+            "ph": "M",
+            "pid": 0,
+            "tid": rank,
+            "name": "thread_name",
+            "args": {"name": f"rank {rank}"},
+        }
+    for log in tl.logs:
+        for ev in log.events():
+            args = {
+                "seq": ev.seq,
+                "kind": ev.kind,
+                "cost_s": ev.cost,
+                "words": ev.words,
+                "messages": ev.messages,
+                "flops": ev.flops,
+                "depth": ev.depth,
+            }
+            if ev.peer >= 0:
+                args["peer"] = ev.peer
+            if ev.detail:
+                args["algorithm"] = ev.detail
+            if ev.kind in ("alloc", "release"):
+                yield {
+                    "ph": "i",
+                    "s": "t",
+                    "pid": 0,
+                    "tid": ev.rank,
+                    "ts": ev.t0 * 1e6,
+                    "name": f"{ev.kind} {ev.words}w",
+                    "cat": ev.kind,
+                    "args": args,
+                }
+                continue
+            yield {
+                "ph": "X",
+                "pid": 0,
+                "tid": ev.rank,
+                "ts": ev.t0 * 1e6,
+                "dur": ev.duration * 1e6,
+                "name": ev.label(),
+                "cat": ev.kind,
+                "args": args,
+            }
+            if flows and ev.kind == "recv" and ev.ref is not None:
+                sent = tl.find(*ev.ref)
+                if sent is None:
+                    continue
+                flow_id = f"{ev.ref[0]}.{ev.ref[1]}"
+                yield {
+                    "ph": "s",
+                    "pid": 0,
+                    "tid": sent.rank,
+                    "ts": sent.t1 * 1e6,
+                    "id": flow_id,
+                    "name": "msg",
+                    "cat": "msg",
+                }
+                yield {
+                    "ph": "f",
+                    "bp": "e",
+                    "pid": 0,
+                    "tid": ev.rank,
+                    "ts": ev.t1 * 1e6,
+                    "id": flow_id,
+                    "name": "msg",
+                    "cat": "msg",
+                }
+    if power is None:
+        return
+    tracks = [("machine power [W]", power.envelope)]
+    tracks += [(f"rank {rt.rank} power [W]", rt.segments) for rt in power.ranks]
+    for name, segments in tracks:
+        last = None
+        for seg in segments:
+            if seg.watts != last:
+                yield {
+                    "ph": "C",
+                    "pid": 0,
+                    "ts": seg.t0 * 1e6,
+                    "name": name,
+                    "args": {"watts": seg.watts},
+                }
+                last = seg.watts
+        yield {
+            "ph": "C",
+            "pid": 0,
+            "ts": power.horizon * 1e6,
+            "name": name,
+            "args": {"watts": 0.0},
+        }
+
+
+def witness_text(tl, flows=True, power=None) -> str:
+    """``json.dumps`` of the witness document: the export's bytes."""
+    return json.dumps(
+        {
+            "traceEvents": list(witness_events(tl, flows, power)),
+            "displayTimeUnit": "ms",
+        }
+    )
+
+
+def assert_export_is_witness(tl, tmp_path, flows=True, power=None) -> str:
+    """Export to a file, require its text to equal :func:`witness_text`
+    and return it. A mismatch reports the first differing offset, not
+    a diff of megabytes."""
+    path = tmp_path / "trace.json"
+    tl.save_chrome_trace(path, flows=flows, power=power)
+    text = path.read_text(encoding="utf-8")
+    want = witness_text(tl, flows, power)
+    if text != want:
+        at = len(os.path.commonprefix([text, want]))
+        pytest.fail(
+            f"export (flows={flows}, power={power is not None}) differs from "
+            f"the witness at offset {at}: {text[at - 60:at + 60]!r} != "
+            f"{want[at - 60:at + 60]!r}"
+        )
+    return text
 
 
 # sha256 of the CLI's Perfetto exports (58,366 B and 68,275 B). They pin
@@ -282,7 +408,8 @@ POWER_MATMUL25D_SHA256 = (
 
 
 class TestChromeTraceBytes:
-    """``save_chrome_trace`` writes exactly ``json.dumps(to_chrome_trace())``."""
+    """``save_chrome_trace`` writes exactly ``json.dumps`` of the
+    witness's event dicts, and ``to_chrome_trace`` is that document."""
 
     @staticmethod
     def _sha256(path) -> str:
@@ -308,10 +435,6 @@ class TestChromeTraceBytes:
 
     @pytest.fixture(scope="class")
     def nbody_p32(self):
-        from repro.analysis.powertrace import PowerTrace
-        from repro.analysis.validation import default_machine
-        from repro.scenarios import build_scenario
-
         machine = default_machine()
         program, args, _ = build_scenario("nbody", 32, 256)
         out = run_spmd(32, program, *args, machine=machine, trace=True)
@@ -320,32 +443,84 @@ class TestChromeTraceBytes:
     @pytest.mark.parametrize("flows", [True, False])
     def test_multi_batch_equals_dumps(self, nbody_p32, flows, tmp_path):
         tl, pt = nbody_p32
-        doc = tl.to_chrome_trace(flows=flows, power=pt)
+        events = list(witness_events(tl, flows, pt))
         # several full batches plus a partial one
-        assert len(doc["traceEvents"]) > 3 * timeline._EXPORT_BATCH
-        path = tmp_path / "trace.json"
-        tl.save_chrome_trace(path, flows=flows, power=pt)
-        assert path.read_text(encoding="utf-8") == json.dumps(doc)
+        assert len(events) > 3 * timeline._EXPORT_BATCH
+        assert_export_is_witness(tl, tmp_path, flows, pt)
+        assert tl.to_chrome_trace(flows=flows, power=pt)["traceEvents"] == events
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_batch_boundaries_equal_dumps(
         self, traced_matmul, machine, batch, tmp_path, monkeypatch
     ):
-        from repro.analysis.powertrace import PowerTrace
-
         monkeypatch.setattr(timeline, "_EXPORT_BATCH", batch)
         tl = traced_matmul.timeline()
         pt = PowerTrace.from_result(traced_matmul, machine)
-        path = tmp_path / "trace.json"
-        tl.save_chrome_trace(path, power=pt)
-        assert path.read_text(encoding="utf-8") == json.dumps(
-            tl.to_chrome_trace(power=pt)
-        )
+        assert_export_is_witness(tl, tmp_path, power=pt)
 
     def test_metadata_only_equals_dumps(self, tmp_path):
         tl = run_spmd(1, lambda comm: None, trace=True).timeline()
         doc = tl.to_chrome_trace()
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
-        path = tmp_path / "trace.json"
-        tl.save_chrome_trace(path)
-        assert path.read_text(encoding="utf-8") == json.dumps(doc)
+        assert_export_is_witness(tl, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_equals_witness(self, name, tmp_path):
+        machine = default_machine()
+        scenario = SCENARIOS[name]
+        program, args, _ = build_scenario(name, scenario.p, scenario.n)
+        out = run_spmd(scenario.p, program, *args, machine=machine, trace=True)
+        tl = out.timeline()
+        pt = PowerTrace.from_result(out, machine)
+        for flows in (True, False):
+            for power in (pt, None):
+                assert_export_is_witness(tl, tmp_path, flows, power)
+
+
+def hostile(comm):
+    """Strings that need escaping, and flop counts of three types."""
+    comm.add_flops(np.float64(1.5e3), label='q"uo\\te \u00e9\u2211')
+    comm.add_flops(7, label="int count")
+    comm.allocate(3)
+    comm.release()
+    comm.bcast(np.arange(4.0) if comm.rank == 0 else None, root=0)
+    comm.shift(np.arange(2.0), 1)
+
+
+class TestNumberFormatting:
+    """Every number is written as ``json.dumps`` writes it."""
+
+    def test_hostile_program_equals_witness(self, machine, tmp_path):
+        out = run_spmd(4, hostile, machine=machine, trace=True)
+        tl = out.timeline()
+        events = list(witness_events(tl))
+        assert any(type(e.get("args", {}).get("flops")) is np.float64 for e in events)
+        assert any(type(e.get("args", {}).get("flops")) is int for e in events)
+        assert any(e.get("args", {}).get("algorithm") for e in events)
+        assert any("\u00e9" in e["name"] for e in events if e["ph"] == "X")
+        pt = PowerTrace.from_result(out, machine)
+        for flows in (True, False):
+            for power in (pt, None):
+                assert_export_is_witness(tl, tmp_path, flows, power)
+        text = assert_export_is_witness(tl, tmp_path)
+        assert "np.float64" not in text
+        assert text.isascii()
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), np.float64(-0.0), 10**400],
+    )
+    def test_edge_numbers_equal_witness(self, value, tmp_path):
+        tl = run_spmd(1, lambda comm: comm.add_flops(2), trace=True).timeline()
+        # appended after the run: the simulator itself refuses some of these
+        tl.logs[0].append("flops", 0.0, 0.0, cost=value, flops=value)
+        text = assert_export_is_witness(tl, tmp_path)
+        assert "nan" not in text and "inf" not in text
+        assert len(tl.to_chrome_trace()["traceEvents"]) == 3
+
+    @pytest.mark.parametrize("value", [np.int64(5), True, "5"])
+    def test_non_number_is_a_parameter_error(self, value, tmp_path):
+        tl = run_spmd(1, lambda comm: None, trace=True).timeline()
+        tl.logs[0].append("flops", 0.0, 0.0, flops=value)
+        with pytest.raises(ParameterError, match="JSON number"):
+            tl.save_chrome_trace(tmp_path / "trace.json")
