@@ -2,8 +2,12 @@
 
 Times the three optimization axes this repo's simulator exposes —
 
-* executor: per-call thread ``spawn`` (:func:`repro.simmpi.run_spmd`)
-  vs the persistent rank ``pool`` (:class:`repro.simmpi.SpmdPool`);
+* executor: the ``spawn`` rows go through :func:`repro.simmpi.run_spmd`
+  and the ``pool`` rows through a private :class:`repro.simmpi.SpmdPool`.
+  The names are historical: ``run_spmd`` spawned ``p`` threads per
+  call until it moved onto the process-wide pool's threads, so both
+  rows now run on reused rank threads and differ only in entry point
+  and home CPU, and ``speedup`` below measures mostly the payload axis;
 * payload transport: legacy deep-``copy``-per-hop vs copy-on-write
   (``cow``) frozen payloads;
 * collective engine: the faithful ``message`` simulation (every
@@ -23,7 +27,9 @@ trajectory is tracked PR over PR and plotted by ``repro observe
 report``. Reported speedups:
 
 * ``speedup`` — seed ``spawn+copy`` over ``pool+cow``, both on the
-  message path (the historical headline, gated by bench_regress);
+  message path (the historical headline, gated by bench_regress at
+  >= 1.2x against the committed ``BENCH_simmpi.json``, which predates
+  the shared threads);
 * ``fastpath_speedup`` — ``pool+cow`` message path over fast path;
 * ``speedup_vs_seed`` — seed ``spawn+copy`` message path over
   ``pool+cow`` fast path (the end-to-end win of this repo's substrate

@@ -50,13 +50,17 @@ __all__ = ["Timeline", "CriticalPath"]
 #: Gantt glyph per event kind (stalled receives drawn as ``.``).
 _GANTT_GLYPHS = {"flops": "#", "coll": "=", "send": ">", "recv": "<"}
 
+#: The per-category tallies of :meth:`Timeline.breakdown`, in order.
+_BREAKDOWN_FIELDS = ("seconds", "words", "messages", "flops", "count")
+
 #: Event texts joined per write when streaming a Perfetto export.
 _EXPORT_BATCH = 1024
 
 # One JSON text template per Perfetto event shape, laid out exactly as
 # ``json.dumps`` lays out the event's dict. Numbers fill ``%s`` (see
-# ``_numbers``), strings fill it already quoted by ``_quote``, and the
-# ints that the event log makes itself (rank, seq, depth, peer) ``%d``.
+# ``Timeline._chrome_events``), strings fill it already quoted by
+# ``_quote``, and the ints that the event log makes itself (rank, seq,
+# depth, peer) ``%d``.
 _META = (
     '{"ph": "M", "pid": 0, "tid": %d, "name": "thread_name", '
     '"args": {"name": "rank %d"}}'
@@ -87,7 +91,9 @@ _COUNTER = '{"ph": "C", "pid": 0, "ts": %s, "name": %s, "args": {"watts": %s}}'
 _quote = json.encoder.encode_basestring_ascii
 
 _INF = float("inf")
-_PLAIN = frozenset((int, float))
+
+#: Kinds whose name reads no tag, so any tag may key their shape.
+_TAGLESS = frozenset(("send", "recv", "alloc", "release"))
 
 
 def _number(x) -> str:
@@ -108,18 +114,6 @@ def _number(x) -> str:
     if x == -_INF:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _numbers(values: tuple) -> tuple:
-    """``values`` ready for ``%s``: unchanged when every one is a plain
-    ``int`` or a finite plain ``float`` (whose ``%s`` is already the
-    ``json.dumps`` text), else each one's :func:`_number` text."""
-    try:
-        if _PLAIN.issuperset(map(type, values)) and -_INF < sum(values) < _INF:
-            return values
-    except OverflowError:  # an int past float range; _number writes it
-        pass
-    return tuple(map(_number, values))
 
 
 def _contributes(ev: Event) -> bool:
@@ -227,10 +221,9 @@ class Timeline:
                     key, seconds = "p2p-wait", ev.duration
                 else:  # alloc/release marks carry no time
                     continue
-                slot = out.setdefault(
-                    key,
-                    {"seconds": 0.0, "words": 0.0, "messages": 0.0, "flops": 0.0, "count": 0.0},
-                )
+                slot = out.get(key)
+                if slot is None:
+                    slot = out[key] = dict.fromkeys(_BREAKDOWN_FIELDS, 0.0)
                 slot["seconds"] += seconds
                 slot["words"] += ev.words
                 slot["messages"] += ev.messages
@@ -370,42 +363,73 @@ class Timeline:
         yield '], "displayTimeUnit": "ms"}'
 
     def _chrome_events(self, flows: bool, power) -> Iterator[str]:
-        """Yield each trace event's JSON text, in export order."""
+        """Yield each trace event's JSON text, in export order.
+
+        Events repeat their numbers and names, so one export fills two
+        tables on first use: ``texts`` maps a nonzero plain float to its
+        text, and ``shapes`` maps an event's (kind, peer, tag, detail)
+        to its quoted name, cat and tail. Zeros and NaN are never
+        stored: ``0.0 == -0.0`` as keys but their texts differ, and NaN
+        equals nothing. A shape is stored only where its key fixes the
+        name: the kind's name reads no tag, or the tag is a ``str`` or
+        None (``1 == 1.0`` as tags, yet their names differ)."""
+        texts: dict[float, str] = {}
+        shapes: dict[tuple, tuple[str, str, str]] = {}
+
+        def num(x):
+            """``x`` ready for ``%s``: a plain int as is, a plain float's
+            text formatted once per value, anything else through
+            :func:`_number`."""
+            if type(x) is float:
+                if not x:
+                    return float.__repr__(x)  # "0.0" or "-0.0"
+                text = texts.get(x)
+                if text is None:
+                    text = _number(x)
+                    if x == x:
+                        texts[x] = text
+                return text
+            return x if type(x) is int else _number(x)
+
         for rank in range(self.size):
             yield _META % (rank, rank)
         for log in self.logs:
             for ev in log.events():
-                ts, dur, cost, words, messages, flops = _numbers((
-                    ev.t0 * 1e6, ev.duration * 1e6, ev.cost, ev.words,
-                    ev.messages, ev.flops,
-                ))
-                kind = _quote(ev.kind)
-                tail = _PEER % ev.peer if ev.peer >= 0 else ""
-                if ev.detail:
-                    tail += _ALGORITHM % _quote(ev.detail)
-                if ev.kind in ("alloc", "release"):
+                kind, tag = ev.kind, ev.tag
+                key = (kind, ev.peer, tag, ev.detail)
+                shape = shapes.get(key)
+                if shape is None:
+                    tail = _PEER % ev.peer if ev.peer >= 0 else ""
+                    if ev.detail:
+                        tail += _ALGORITHM % _quote(ev.detail)
+                    shape = (_quote(ev.label()), _quote(kind), tail)
+                    if kind in _TAGLESS or tag is None or type(tag) is str:
+                        shapes[key] = shape
+                name, cat, tail = shape
+                ts = num(ev.t0 * 1e6)
+                if kind == "alloc" or kind == "release":
                     yield _INSTANT % (
-                        ev.rank, ts, _quote(f"{ev.kind} {ev.words}w"), kind,
-                        ev.seq, kind, cost, words, messages, flops, ev.depth,
-                        tail,
+                        ev.rank, ts, _quote(f"{kind} {ev.words}w"), cat,
+                        ev.seq, cat, num(ev.cost), num(ev.words),
+                        num(ev.messages), num(ev.flops), ev.depth, tail,
                     )
                     continue
                 yield _SPAN % (
-                    ev.rank, ts, dur, _quote(ev.label()), kind,
-                    ev.seq, kind, cost, words, messages, flops, ev.depth, tail,
+                    ev.rank, ts, num(ev.duration * 1e6), name, cat,
+                    ev.seq, cat, num(ev.cost), num(ev.words),
+                    num(ev.messages), num(ev.flops), ev.depth, tail,
                 )
-                if flows and ev.kind == "recv" and ev.ref is not None:
+                if flows and kind == "recv" and ev.ref is not None:
                     sent = self.find(*ev.ref)
                     if sent is None:
                         continue
-                    sent_ts, recv_ts = _numbers((sent.t1 * 1e6, ev.t1 * 1e6))
                     yield _FLOW % (
-                        sent.rank, sent_ts, *ev.ref, ev.rank, recv_ts, *ev.ref,
+                        sent.rank, num(sent.t1 * 1e6), *ev.ref,
+                        ev.rank, num(ev.t1 * 1e6), *ev.ref,
                     )
         if power is not None:
             for ts, name, watts in power.counter_rows():
-                ts, watts = _numbers((ts, watts))
-                yield _COUNTER % (ts, _quote(name), watts)
+                yield _COUNTER % (num(ts), _quote(name), num(watts))
 
     def save_chrome_trace(self, path, flows: bool = True, power=None) -> None:
         """Write :meth:`to_chrome_trace` as JSON, loadable by

@@ -89,7 +89,8 @@ def scaling_points(
     ``label`` is a format string over the cell's ``workload``, ``p``,
     ``c`` (1 unless the cell has one) and its params, e.g.
     ``"nbody c={c}"`` or ``"fft {all_to_all} p={p}"``. Raises
-    SimulationError naming the first cell whose run failed.
+    SimulationError naming the first cell whose run failed, chained
+    (``__cause__``) to the exception the cell raised.
     """
     from repro.sweep import plan_cells, run_sweep
 
@@ -97,7 +98,9 @@ def scaling_points(
     outcome = run_sweep(cells, workers=0)
     for out in outcome.outcomes:
         if out.status == "failed":
-            raise SimulationError(f"sweep cell {out.cell_id} failed: {out.error}")
+            raise SimulationError(
+                f"sweep cell {out.cell_id} failed: {out.error}"
+            ) from out.exception
     points = []
     for cell in cells:
         rec = outcome.records[cell.cell_id]

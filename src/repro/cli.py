@@ -540,7 +540,7 @@ def _observe_record_sweep(ledger, n: int) -> None:
     outcome = run_sweep(cells, ledger=ledger, cache=cache, workers=0)
     if not outcome.ok:
         bad = next(o for o in outcome.outcomes if o.status == "failed")
-        raise SimulationError(f"sweep cell failed: {bad.error}")
+        raise SimulationError(f"sweep cell failed: {bad.error}") from bad.exception
 
 
 def _parse_inflate(spec: str) -> tuple[str, float]:

@@ -29,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CostCounter", "CounterSnapshot"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class CounterSnapshot:
@@ -129,9 +131,19 @@ class CostCounter:
             self.vtime = arrival
 
     def add_flops(self, count: float) -> None:
-        """Record ``count`` floating point operations."""
-        if count < 0:
-            raise ParameterError(f"flop count must be >= 0, got {count!r}")
+        """Record ``count`` floating point operations: a finite number
+        >= 0. NaN or an infinity would poison every virtual clock the
+        count reaches, and an int past float range could not be priced."""
+        try:
+            valid = 0.0 <= float(count) < _INF
+        except OverflowError:  # an int past float range
+            valid = False
+        if not valid:
+            try:
+                shown = repr(count)
+            except ValueError:  # an int too long to write in decimal
+                shown = f"an int of {count.bit_length()} bits"
+            raise ParameterError(f"flop count must be a finite number >= 0, got {shown}")
         self.flops += count
         if self.recovering:
             self.recovery_flops += count

@@ -1,8 +1,8 @@
 """The SPMD execution engine.
 
-:func:`run_spmd` runs one OS thread per rank, each executing the
-same ``program(comm, *args, **kwargs)`` — the SPMD idiom of mpi4py
-scripts, with the communicator injected instead of imported. It waits
+:func:`run_spmd` runs ``program(comm, *args, **kwargs)`` on one OS
+thread per rank — the SPMD idiom of mpi4py scripts, with the
+communicator injected instead of imported. It waits
 for all ranks, converts any rank exception into
 :class:`~repro.exceptions.RankFailedError` (after waking peers blocked
 on receives), and returns an :class:`SpmdResult` carrying each rank's
@@ -12,8 +12,8 @@ measured costs.
 Only one rank of a run executes at a time: the one holding the world's
 :class:`~repro.simmpi.baton.Baton`. A rank hands it on only where it
 would block (or when it returns), to the longest-waiting ready rank,
-and rank r's thread starts the first time the baton reaches it. So a
-run is one fixed interleaving, a deadlock is reported the moment no
+and rank r starts on its thread the first time the baton reaches it.
+So a run is one fixed interleaving, a deadlock is reported the moment no
 rank can proceed, and hundreds of rank threads never contend for the
 interpreter lock. Determinism of the *counts* never depended on this:
 it comes from the algorithms' fixed communication patterns. No wait
@@ -32,10 +32,13 @@ it had. Nothing is pinned where ``os.sched_setaffinity`` is missing,
 where the process may use one CPU only, or where the call fails; the
 caller's own thread is never pinned.
 
-``run_spmd`` spawns fresh threads per call; for repeated runs (sweeps,
-benchmarks) use :class:`~repro.simmpi.pool.SpmdPool`, which keeps the
-worker threads alive and runs this module's per-rank body and failure
-handling (:class:`_Run`).
+The rank threads are the workers of a
+:class:`~repro.simmpi.pool.SpmdPool`: ``run_spmd`` runs on the
+process-wide :func:`~repro.simmpi.pool.shared_pool`, whose workers live
+across runs, and :meth:`~repro.simmpi.pool.SpmdPool.run` on its own
+pool. Both go through one runner, which executes this module's per-rank
+body and failure handling (:class:`_Run`, :func:`_finalize`) under its
+progress watchdog (:func:`_run_watched`).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from time import monotonic as _monotonic
 from typing import Any, Callable
 
 from repro.exceptions import DeadlockError, RankCrashedError, RankFailedError
@@ -119,10 +121,9 @@ _pinned = threading.local()
 
 
 class _Run:
-    """One SPMD run's shared state and the per-rank body both substrates
-    execute: :func:`run_spmd`'s rank threads and the
-    :class:`~repro.simmpi.pool.SpmdPool` workers each call
-    :meth:`rank`, and :func:`_finalize` reads the joined state.
+    """One SPMD run's shared state and the per-rank body: each
+    :class:`~repro.simmpi.pool.SpmdPool` worker of the run calls
+    :meth:`rank`, and :func:`_finalize` reads the finished state.
     ``cpu`` is the run's home CPU (:func:`_home_cpu`), or None."""
 
     __slots__ = (
@@ -189,10 +190,7 @@ def _finalize(
     crashes: dict[int, BaseException] | None = None,
     wall_seconds: float = 0.0,
 ) -> SpmdResult:
-    """Convert joined-run state into an SpmdResult or RankFailedError.
-
-    Shared by :func:`run_spmd` and :class:`~repro.simmpi.pool.SpmdPool`
-    so both substrates report failures and build traces identically.
+    """Convert finished-run state into an SpmdResult or RankFailedError.
 
     ``crashes`` holds injected :class:`~repro.exceptions.RankCrashedError`
     unwinds. Alone they are *survivable* — the run succeeds with
@@ -240,10 +238,9 @@ _UNWIND_GRACE = 1.0
 def _run_watched(
     world: World,
     start: Callable[[int], None],
-    on_wedged: Callable[[list[int]], None] | None = None,
+    on_wedged: Callable[[list[int]], None],
 ) -> None:
-    """Run ``world``'s ranks under the progress watchdog both substrates
-    share.
+    """Run ``world``'s ranks under the progress watchdog.
 
     ``start(r)`` launches rank r when the baton first reaches it. Every
     wait inside the world ends by the baton (a deposit, a collective's
@@ -283,8 +280,7 @@ def _run_watched(
         # the rank that held it at abort still does, none can.
         baton.wait(_UNWIND_GRACE)
     stuck = baton.unfinished()
-    if on_wedged is not None:
-        on_wedged(stuck)
+    on_wedged(stuck)
     message = (
         f"no baton hand-off for {budget:.1f}s (2*timeout+1): rank "
         f"thread(s) {stuck if holder is None else [holder]} are wedged "
@@ -317,7 +313,10 @@ def run_spmd(
     in rank order, each runs until it would block or returns, and the
     baton then passes to the longest-waiting ready rank. A program in
     which every unfinished rank is blocked fails at once with
-    :class:`~repro.exceptions.DeadlockError` on each blocked rank.
+    :class:`~repro.exceptions.DeadlockError` on each blocked rank. The
+    ranks run on idle threads of :func:`~repro.simmpi.pool.shared_pool`
+    taken for this run alone, so a run may start inside another run's
+    rank program or from several threads at once.
 
     Parameters
     ----------
@@ -412,16 +411,6 @@ def run_spmd(
         fastpath=fastpath,
         record=record,
     )
-    wall_start = _monotonic()
-    run = _Run(world, program, args, kwargs, _home_cpu())
-    threads = [
-        threading.Thread(target=run.rank, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
-        for r in range(size)
-    ]
-    _run_watched(world, lambda r: threads[r].start())
-    for t in threads:
-        t.join()  # every rank has exited the baton; only teardown is left
+    from repro.simmpi.pool import shared_pool  # pool imports this module
 
-    return _finalize(
-        world, run.results, run.failures, run.crashes, _monotonic() - wall_start
-    )
+    return shared_pool()._execute(world, program, args, kwargs, _home_cpu())

@@ -1,24 +1,25 @@
-"""Persistent rank-pool executor for repeated SPMD runs.
+"""The rank threads every SPMD run executes on.
 
-:func:`~repro.simmpi.engine.run_spmd` spawns and joins ``p`` fresh OS
-threads on every call. That is fine for a single run but dominates
-wall-clock time for sweeps and benchmarks that execute hundreds of
-small simulations (a validation sweep at p = 256 pays 256 spawns+joins
-*per data point*). :class:`SpmdPool` keeps a set of daemon worker
-threads alive across runs: each :meth:`SpmdPool.run` call dispatches
-the program to the first ``size`` workers through per-worker queues,
-so steady-state cost per run is one queue put/get per rank instead of
-a thread spawn/join. As in ``run_spmd``, one rank runs at a time: rank
-r's job is put on worker r's queue when the world's
+A simulated rank is one OS thread, and starting and joining ``p``
+threads per run would dominate the wall-clock time of sweeps and
+benchmarks that execute hundreds of small simulations. An
+:class:`SpmdPool` keeps daemon worker threads alive across runs instead.
+Each run takes ``size`` idle workers for its ranks (starting new ones
+only when too few are idle) and hands them back when it ends, so
+steady-state cost per run is one queue put/get per rank. Runs own their
+workers, so a run may start inside another run's rank program, and two
+threads may run at once. As in every world, one rank of a run runs at a
+time: rank r's job is put on its worker's queue when the world's
 :class:`~repro.simmpi.baton.Baton` first reaches it, and the run ends
 when every rank has handed the baton on for good.
 
-Semantics are identical to ``run_spmd`` — same ``World`` construction,
-same per-rank body and failure handling (shared via
+:func:`~repro.simmpi.engine.run_spmd` runs on the process-wide
+:func:`shared_pool`, and :meth:`SpmdPool.run` on its own pool; both go
+through one internal runner (``SpmdPool._execute``) with the same
+``World`` construction, per-rank body and failure handling (shared via
 :class:`~repro.simmpi.engine._Run` and
-:func:`~repro.simmpi.engine._finalize`),
-same :class:`~repro.simmpi.engine.SpmdResult` — and the counts are
-bit-identical because the substrate never touches metering.
+:func:`~repro.simmpi.engine._finalize`), so the counts are bit-identical
+whichever entry point a caller uses.
 
 Usage::
 
@@ -26,11 +27,8 @@ Usage::
         for p in (16, 64, 256):
             out = pool.run(p, program, *args)
 
-Runs are serialized: every rank of a simulation blocks synchronously in
-its worker, so a ``size``-rank run needs ``size`` live workers and two
-concurrent runs would deadlock sharing them. The pool grows on demand
-to the largest ``size`` seen and a pool-level lock enforces one run at
-a time. :func:`shared_pool` returns a process-wide pool for callers
+A pool grows to the most workers its concurrent runs have needed at
+once. :func:`shared_pool` returns the process-wide pool for callers
 (validation sweeps, benchmarks) that want reuse without plumbing a pool
 object through their call stacks.
 """
@@ -60,7 +58,10 @@ class SpmdPool:
 
     The pool picks its runs' home CPU once, when it is built (see
     :func:`~repro.simmpi.engine._home_cpu`), so its workers pin
-    themselves on their first run and stay put afterwards.
+    themselves on their first run and stay put afterwards. Idle workers
+    are kept per CPU they are pinned to: a run takes workers already on
+    its home CPU first, and a run that pins nothing takes only workers
+    that were never pinned.
 
     The pool is a context manager; leaving the ``with`` block shuts the
     workers down. A pool survives failed runs — a program raising in
@@ -74,21 +75,26 @@ class SpmdPool:
             raise ValueError(
                 f"initial_workers must be >= 0, got {initial_workers}"
             )
-        self._queues: list[queue.SimpleQueue] = []
-        self._threads: list[threading.Thread] = []
-        self._run_lock = threading.Lock()  # serializes run()s
-        self._state_lock = threading.Lock()  # guards grow/shutdown
+        #: live worker queue -> its thread (wedged workers leave it)
+        self._live: dict[queue.SimpleQueue, threading.Thread] = {}
+        #: home CPU (None: never pinned) -> idle worker queues, a stack
+        self._idle: dict[int | None, list[queue.SimpleQueue]] = {}
+        self._started = 0  # workers ever started; names them
+        self._lock = threading.Lock()  # guards the above and _closed
         self._closed = False
         self._cpu = _home_cpu()
         if initial_workers:
-            self._grow(initial_workers)
+            with self._lock:
+                self._idle[None] = [
+                    self._start_worker() for _ in range(initial_workers)
+                ]
 
     # -- lifecycle -------------------------------------------------------
 
     @property
     def workers(self) -> int:
         """Number of live worker threads."""
-        return len(self._threads)
+        return len(self._live)
 
     def __enter__(self) -> "SpmdPool":
         return self
@@ -98,37 +104,67 @@ class SpmdPool:
 
     def shutdown(self) -> None:
         """Stop all workers. Idempotent; the pool is unusable afterwards."""
-        with self._state_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for q in self._queues:
+            threads = list(self._live.values())
+            for q in self._live:
                 q.put(None)  # wake + exit sentinel
-        for t in self._threads:
+        for t in threads:
             t.join()
 
-    def _grow(self, target: int) -> None:
-        with self._state_lock:
-            if self._closed:
-                raise RuntimeError("SpmdPool is shut down")
-            while len(self._threads) < target:
-                q, t = self._start_worker(len(self._threads))
-                self._queues.append(q)
-                self._threads.append(t)
-
-    def _start_worker(
-        self, idx: int
-    ) -> tuple[queue.SimpleQueue, threading.Thread]:
-        """Start the worker for slot ``idx``; returns its queue and thread."""
+    def _start_worker(self) -> queue.SimpleQueue:
+        """Start one worker (caller holds ``_lock``); returns its queue."""
         q: queue.SimpleQueue = queue.SimpleQueue()
         t = threading.Thread(
             target=_worker_loop,
             args=(q,),
-            name=f"simmpi-pool-{idx}",
+            name=f"simmpi-pool-{self._started}",
             daemon=True,
         )
         t.start()
-        return q, t
+        self._started += 1
+        self._live[q] = t
+        return q
+
+    def _take(self, size: int, cpu: int | None) -> list[queue.SimpleQueue]:
+        """``size`` idle workers for one run homed on ``cpu``: those
+        pinned there first, then (if the run pins) any other idle ones,
+        then new ones."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("SpmdPool is shut down")
+            taken: list[queue.SimpleQueue] = []
+            for home in (cpu, *self._idle) if cpu is not None else (None,):
+                idle = self._idle.get(home)
+                if idle:
+                    cut = max(0, len(idle) - (size - len(taken)))
+                    taken += idle[cut:]
+                    del idle[cut:]
+            while len(taken) < size:
+                taken.append(self._start_worker())
+            return taken
+
+    def _give_back(self, workers: list[queue.SimpleQueue], cpu: int | None) -> None:
+        """Return a finished run's workers, now homed on ``cpu``."""
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(cpu, []).extend(workers)
+
+    def _replace_workers(
+        self, workers: list[queue.SimpleQueue], ranks: list[int]
+    ) -> None:
+        """Stand fresh workers in for the wedged ranks' ones. A wedged
+        thread (a daemon blocked in user code) is abandoned: its queue
+        holds only the exit sentinel, so it stops if it ever returns."""
+        with self._lock:
+            for rank in ranks:
+                q = workers[rank]
+                self._live.pop(q, None)
+                q.put(None)
+                if not self._closed:
+                    workers[rank] = self._start_worker()
 
     # -- execution -------------------------------------------------------
 
@@ -156,14 +192,13 @@ class SpmdPool:
         behavior (including ``trace=``/``trace_capacity=`` event
         tracing and the run metrics folded from it, ``faults=``
         injection, the ``fastpath=`` analytic-collective toggle and the
-        ``record=`` run-ledger hook) —
-        minus the per-call thread spawn/join. Ranks run one at a time
-        in FIFO hand-off order, rank r's job reaching worker r when the
-        baton first does. A rank wedged outside a receive raises the
-        same :class:`~repro.exceptions.DeadlockError` as ``run_spmd``
-        (one progress watchdog,
-        :func:`~repro.simmpi.engine._run_watched`); the wedged workers
-        are then replaced so the pool stays usable.
+        ``record=`` run-ledger hook) — on this pool's workers and home
+        CPU. Ranks run one at a time in FIFO hand-off order, rank r's
+        job reaching its worker when the baton first does. A rank wedged
+        outside a receive raises the same
+        :class:`~repro.exceptions.DeadlockError` as ``run_spmd`` (one
+        progress watchdog, :func:`~repro.simmpi.engine._run_watched`);
+        the wedged workers are then replaced so the pool stays usable.
         """
         world = World(
             size,
@@ -178,27 +213,33 @@ class SpmdPool:
             fastpath=fastpath,
             record=record,
         )
+        return self._execute(world, program, args, kwargs, self._cpu)
+
+    def _execute(
+        self,
+        world: World,
+        program: Callable[..., Any],
+        args: tuple,
+        kwargs: dict,
+        cpu: int | None,
+    ) -> SpmdResult:
+        """Run ``world`` on workers of its own, homed on ``cpu``: the one
+        runner behind :meth:`run` and
+        :func:`~repro.simmpi.engine.run_spmd`."""
         wall_start = time.monotonic()
-        run = _Run(world, program, args, kwargs, self._cpu)
-        with self._run_lock:
-            self._grow(size)
-            queues = self._queues
+        run = _Run(world, program, args, kwargs, cpu)
+        workers = self._take(world.size, cpu)
+        try:
             _run_watched(
-                world, lambda r: queues[r].put((r, run)), self._replace_workers
+                world,
+                lambda r: workers[r].put((r, run)),
+                lambda ranks: self._replace_workers(workers, ranks),
             )
+        finally:
+            self._give_back(workers, cpu)
         return _finalize(
             world, run.results, run.failures, run.crashes, time.monotonic() - wall_start
         )
-
-    def _replace_workers(self, indices: list[int]) -> None:
-        """Stand up fresh workers at ``indices``, abandoning the wedged
-        threads (daemons blocked in user code; their old queues are
-        orphaned so nothing new ever reaches them)."""
-        with self._state_lock:
-            if self._closed:
-                return
-            for idx in indices:
-                self._queues[idx], self._threads[idx] = self._start_worker(idx)
 
 
 def _worker_loop(q: queue.SimpleQueue) -> None:
@@ -215,11 +256,12 @@ _shared_pool_lock = threading.Lock()
 
 
 def shared_pool() -> SpmdPool:
-    """The process-wide pool (created lazily, never shut down — workers
-    are daemons, so process exit reaps them)."""
+    """The process-wide pool (created lazily; workers are daemons, so
+    process exit reaps them). A caller that shuts it down gets a fresh
+    one on the next call, so ``run_spmd`` keeps working."""
     global _shared_pool
     with _shared_pool_lock:
-        if _shared_pool is None:
+        if _shared_pool is None or _shared_pool._closed:
             _shared_pool = SpmdPool()
         return _shared_pool
 

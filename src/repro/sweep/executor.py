@@ -99,6 +99,9 @@ class CellOutcome:
     shard: int | None = None  # the worker slot that ran it
     error: str | None = None
     wall_seconds: float = 0.0
+    #: the exception a serially run cell raised (kept in memory only, so
+    #: a caller can chain it; the worker path ships ``error`` alone)
+    exception: BaseException | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -379,6 +382,7 @@ def run_sweep(
                         cell.cell_id,
                         "failed",
                         error=f"{type(exc).__name__}: {exc}",
+                        exception=exc,
                     )
                 )
             else:

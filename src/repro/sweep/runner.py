@@ -93,11 +93,13 @@ def execute_cell(cell: Cell, use_pool: bool = True) -> RunRecord:
     stamps it on the records a ledger or cache keeps, so a run nobody
     keeps forks no ``git rev-parse``.
 
-    ``use_pool=True`` runs through the process-local
-    :func:`~repro.simmpi.pool.shared_pool` (reuses rank threads across
-    the cells a worker executes); ``use_pool=False`` runs through a
-    fresh :func:`~repro.simmpi.run_spmd` engine. Conformance certifies
-    the two paths bit-identical, and the fuzz suite re-checks it here.
+    ``use_pool=True`` runs through ``shared_pool().run`` (the pool's
+    home CPU), ``use_pool=False`` through
+    :func:`~repro.simmpi.run_spmd` (the caller's CPU at the call). Both
+    run on the threads of the process-local
+    :func:`~repro.simmpi.pool.shared_pool`, so the flag picks only the
+    entry point. Conformance certifies the two bit-identical, and the
+    fuzz suite re-checks it here.
     """
     program, prog_args, label = build_cell_program(cell)
     machine = cell_machine(cell)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.validation import scaling_points
 from repro.core.costs import ClassicalMatMulCosts, NBodyCosts
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, RankFailedError, SimulationError
 from repro.simmpi.engine import run_spmd
 from repro.sweep import SweepSpec
 
@@ -176,6 +176,36 @@ class TestScalingPoints:
             "r/c ring steps (got p=12, c=3)"
         )
         assert started == []
+
+    def test_cell_failing_at_run_time_chains_the_rank_error(self, monkeypatch):
+        """A cell that fails while it runs is one SimulationError naming
+        the cell, chained to the run's RankFailedError, which holds the
+        rank's own exception."""
+        from repro.sweep import runner
+
+        build = runner.build_cell_program
+
+        def build_failing(cell):
+            _, args, label = build(cell)
+
+            def failing(comm, *args):
+                if comm.rank == 1:
+                    raise ValueError("rank 1 broke")
+
+            return failing, args, label
+
+        monkeypatch.setattr(runner, "build_cell_program", build_failing)
+        spec = SweepSpec("fft", n=64, p_values=(4,))
+        with pytest.raises(SimulationError) as exc:
+            scaling_points(spec, "fft p={p}")
+        (cell,) = spec.cells()
+        assert str(exc.value) == (
+            f"sweep cell {cell.cell_id} failed: RankFailedError: 1 rank(s) "
+            "failed: rank 1: ValueError: rank 1 broke"
+        )
+        cause = exc.value.__cause__
+        assert isinstance(cause, RankFailedError)
+        assert str(cause.failures[1]) == "rank 1 broke"
 
 
 class TestCrossAlgorithmConsistency:

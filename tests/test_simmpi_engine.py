@@ -13,6 +13,7 @@ from repro.analysis.validation import default_machine
 from repro.exceptions import (
     CommunicatorError,
     DeadlockError,
+    ParameterError,
     RankFailedError,
 )
 from repro.simmpi import engine
@@ -264,6 +265,31 @@ class TestFailureHandling:
             isinstance(e, DeadlockError) for e in exc.value.failures.values()
         )
 
+    @pytest.mark.parametrize(
+        "count, shown",
+        [
+            (float("nan"), "nan"),
+            (float("inf"), "inf"),
+            (-float("inf"), "-inf"),
+            (10**400, repr(10**400)),
+            (2**20000, "an int of 20001 bits"),  # past repr's digit limit
+            (-1, "-1"),
+        ],
+        ids=["nan", "inf", "-inf", "10**400", "2**20000", "-1"],
+    )
+    def test_unpriceable_flop_count_is_one_parameter_error(self, count, shown):
+        """NaN, an infinity or an int past float range would poison or
+        break every virtual clock; the count is refused by name."""
+        with pytest.raises(RankFailedError) as exc:
+            run_spmd(
+                2, lambda comm: comm.add_flops(count), machine=default_machine()
+            )
+        failures = exc.value.failures
+        assert sorted(failures) == [0, 1]
+        for err in failures.values():
+            assert type(err) is ParameterError
+            assert str(err) == f"flop count must be a finite number >= 0, got {shown}"
+
 
 class TestMailbox:
     def test_put_get(self):
@@ -447,7 +473,9 @@ class TestJoinWatchdog:
         replaced: list[int] = []
         if pool is not None:
             replace = pool._replace_workers
-            pool._replace_workers = lambda idx: (replaced.extend(idx), replace(idx))
+            pool._replace_workers = lambda workers, ranks: (
+                replaced.extend(ranks), replace(workers, ranks)
+            )
         run = pool.run if pool is not None else run_spmd
         try:
             with pytest.raises(DeadlockError) as exc:

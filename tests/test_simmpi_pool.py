@@ -1,13 +1,16 @@
 """SpmdPool: persistent rank workers, equivalence with run_spmd,
 failure recovery, and a standalone mailbox's matching wait."""
 
+import os
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.exceptions import RankFailedError
+from repro.analysis.validation import default_machine
+from repro.exceptions import DeadlockError, RankFailedError
 from repro.simmpi import SpmdPool, run_spmd, shared_pool
 from repro.simmpi.mailbox import Mailbox
 
@@ -94,6 +97,132 @@ class TestSpmdPool:
     def test_shared_pool_is_a_singleton(self):
         assert shared_pool() is shared_pool()
         assert shared_pool().run(3, _sum_of_ranks).results == (3, 3, 3)
+
+    def test_run_spmd_outlives_a_shut_down_shared_pool(self):
+        old = shared_pool()
+        old.shutdown()
+        assert run_spmd(3, _sum_of_ranks).results == (3, 3, 3)
+        assert shared_pool() is not old
+
+
+def _ring_and_reduce(comm):
+    comm.add_flops(1000 * (comm.rank + 1))
+    x = comm.shift(np.full(8 + comm.rank, float(comm.rank)), 1)
+    return comm.allreduce(float(x.sum()))
+
+
+def _counts_and_clocks(out):
+    return out.results, out.report.counts_signature(), [
+        r.vtime for r in out.report.ranks
+    ]
+
+
+class TestOneSubstrate:
+    """``run_spmd`` runs on the shared pool's threads, and every run
+    takes workers of its own: runs nest and run concurrently."""
+
+    def test_run_spmd_starts_no_thread_once_warm(self):
+        run_spmd(5, _ring_and_reduce)
+        before = set(threading.enumerate())
+        for _ in range(3):
+            out = run_spmd(5, lambda comm: threading.current_thread())
+            assert set(out.results) <= before
+
+    def test_run_spmd_never_goes_through_spmdpool_run(self, monkeypatch):
+        """Both entry points share one internal runner, so a wrapper on
+        ``SpmdPool.run`` never sees (or nests inside) a ``run_spmd``."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("run_spmd called SpmdPool.run")
+
+        monkeypatch.setattr(SpmdPool, "run", refused)
+        assert run_spmd(3, _sum_of_ranks).results == (3, 3, 3)
+
+    def test_run_inside_a_rank_program_matches_a_lone_run(self):
+        machine = default_machine()
+        lone = _counts_and_clocks(run_spmd(5, _ring_and_reduce, machine=machine))
+
+        def outer(comm):
+            inner = run_spmd(5, _ring_and_reduce, machine=machine)
+            return _counts_and_clocks(inner), comm.allreduce(comm.rank)
+
+        out = run_spmd(3, outer)
+        assert [r[0] for r in out.results] == [lone] * 3
+        assert [r[1] for r in out.results] == [3, 3, 3]
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_two_threads_at_once_match_a_lone_run(self, substrate):
+        machine = default_machine()
+        with SpmdPool() as pool:
+            run = pool.run if substrate == "pool" else run_spmd
+            lone = _counts_and_clocks(run(6, _ring_and_reduce, machine=machine))
+            start = threading.Barrier(2)
+            got: list = [None, None]
+
+            def worker(i):
+                start.wait()
+                got[i] = _counts_and_clocks(
+                    run(6, _ring_and_reduce, machine=machine)
+                )
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+            assert not any(t.is_alive() for t in threads)
+        assert got == [lone, lone]
+
+    def test_concurrent_runs_hand_every_worker_back_once(self):
+        """More threads than CPUs run on one pool with a short switch
+        interval: every run is right, and afterwards each live worker is
+        idle exactly once (a lost or doubled hand-back breaks this)."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        errors: list = []
+
+        def worker(pool):
+            try:
+                for size in (4, 3, 5, 4):
+                    assert pool.run(size, _sum_of_ranks).results == (
+                        size * (size - 1) // 2,
+                    ) * size
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        try:
+            with SpmdPool() as pool:
+                threads = [
+                    threading.Thread(target=worker, args=(pool,))
+                    for _ in range(2 * (os.cpu_count() or 1) + 2)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+                assert not any(t.is_alive() for t in threads)
+                idle = [q for queues in pool._idle.values() for q in queues]
+                assert len(idle) == len(set(idle)) == pool.workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_shared_pool_runs_after_a_wedged_run(self):
+        release = threading.Event()
+
+        def wedged(comm):
+            if comm.rank == 1:
+                while not release.wait(0.01):
+                    pass
+            return comm.rank
+
+        try:
+            with pytest.raises(DeadlockError, match=r"\[1\] are wedged"):
+                run_spmd(3, wedged, timeout=0.2)
+            assert run_spmd(3, _sum_of_ranks).results == (3, 3, 3)
+            assert shared_pool().run(4, _sum_of_ranks).results == (6, 6, 6, 6)
+        finally:
+            release.set()
 
 
 class TestWatchdogDeadline:

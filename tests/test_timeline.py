@@ -518,6 +518,31 @@ class TestNumberFormatting:
         assert "nan" not in text and "inf" not in text
         assert len(tl.to_chrome_trace()["traceEvents"]) == 3
 
+    @pytest.mark.parametrize(
+        "first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)]
+    )
+    def test_equal_numbers_keep_their_own_texts(self, first, second, tmp_path):
+        """One export formats each plain float once, yet ``0.0 == -0.0``
+        and ``1 == 1.0``: every value is still written as its own."""
+        tl = run_spmd(1, lambda comm: None, trace=True).timeline()
+        log = tl.logs[0]
+        for value in (first, second):
+            log.append("flops", 0.0, 0.0, cost=value, words=value, flops=value)
+            log.append("send", value, value, messages=value, peer=0, tag=value)
+        assert_export_is_witness(tl, tmp_path)
+        assert len(tl.to_chrome_trace()["traceEvents"]) == 5
+
+    def test_equal_tags_keep_their_own_names(self, tmp_path):
+        """Event names are formatted once per (kind, peer, tag, detail),
+        but a flops event's name is its tag's ``str``: tags ``1``,
+        ``1.0`` and ``True`` are equal keys with three names."""
+        tl = run_spmd(1, lambda comm: None, trace=True).timeline()
+        for tag in (1, 1.0, True, "gemm", None, "gemm"):
+            tl.logs[0].append("flops", 0.0, 1e-6, cost=1e-6, flops=1.0, tag=tag)
+        text = assert_export_is_witness(tl, tmp_path)
+        for name in ('"1"', '"1.0"', '"True"', '"gemm"', '"compute"'):
+            assert f'"name": {name}' in text
+
     @pytest.mark.parametrize("value", [np.int64(5), True, "5"])
     def test_non_number_is_a_parameter_error(self, value, tmp_path):
         tl = run_spmd(1, lambda comm: None, trace=True).timeline()
