@@ -92,7 +92,7 @@ _quote = json.encoder.encode_basestring_ascii
 
 _INF = float("inf")
 
-#: Kinds whose name reads no tag, so any tag may key their shape.
+#: Kinds whose name reads no tag, so their shape is keyed without it.
 _TAGLESS = frozenset(("send", "recv", "alloc", "release"))
 
 
@@ -367,12 +367,13 @@ class Timeline:
 
         Events repeat their numbers and names, so one export fills two
         tables on first use: ``texts`` maps a nonzero plain float to its
-        text, and ``shapes`` maps an event's (kind, peer, tag, detail)
-        to its quoted name, cat and tail. Zeros and NaN are never
-        stored: ``0.0 == -0.0`` as keys but their texts differ, and NaN
-        equals nothing. A shape is stored only where its key fixes the
-        name: the kind's name reads no tag, or the tag is a ``str`` or
-        None (``1 == 1.0`` as tags, yet their names differ)."""
+        text, and ``shapes`` maps an event's shape key to its quoted
+        name, cat and tail. Zeros and NaN are never stored: ``0.0 ==
+        -0.0`` as keys but their texts differ, and NaN equals nothing.
+        A shape key holds what the name reads: (kind, peer, detail) for
+        a kind whose name reads no tag, else (kind, peer, tag, detail),
+        stored only for a ``str`` or None tag (``1 == 1.0`` as tags,
+        yet their names differ)."""
         texts: dict[float, str] = {}
         shapes: dict[tuple, tuple[str, str, str]] = {}
 
@@ -396,14 +397,17 @@ class Timeline:
         for log in self.logs:
             for ev in log.events():
                 kind, tag = ev.kind, ev.tag
-                key = (kind, ev.peer, tag, ev.detail)
+                if kind in _TAGLESS:
+                    key = (kind, ev.peer, ev.detail)
+                else:
+                    key = (kind, ev.peer, tag, ev.detail)
                 shape = shapes.get(key)
                 if shape is None:
                     tail = _PEER % ev.peer if ev.peer >= 0 else ""
                     if ev.detail:
                         tail += _ALGORITHM % _quote(ev.detail)
                     shape = (_quote(ev.label()), _quote(kind), tail)
-                    if kind in _TAGLESS or tag is None or type(tag) is str:
+                    if len(key) == 3 or tag is None or type(tag) is str:
                         shapes[key] = shape
                 name, cat, tail = shape
                 ts = num(ev.t0 * 1e6)

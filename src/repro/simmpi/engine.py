@@ -22,14 +22,15 @@ progress watchdog (:func:`_run_watched`), which catches a rank that
 holds the baton too long without handing it on.
 
 Since only one rank runs at a time, every rank thread of a run is
-pinned to one *home CPU* (:func:`_home_cpu`): the CPU the launching
-thread runs on when ``run_spmd`` is called or the
-:class:`~repro.simmpi.pool.SpmdPool` is built. A hand-off then wakes the
+pinned to one *home CPU* (:func:`_home_cpu`): the CPU the thread that
+built the run's :class:`~repro.simmpi.pool.SpmdPool` ran on then (for
+``run_spmd``, the process-wide pool's), so a pool's workers pin
+themselves once and stay put. A hand-off then wakes the
 next rank on the CPU the previous one just left, instead of sending an
 interrupt to an idle CPU whose thread would only wait there for the
 interpreter lock the waker still holds. The world loses no parallelism
 it had. Nothing is pinned where ``os.sched_setaffinity`` is missing,
-where the process may use one CPU only, or where the call fails; the
+where the caller may use one CPU only, or where the call fails; the
 caller's own thread is never pinned.
 
 The rank threads are the workers of a
@@ -99,12 +100,19 @@ class SpmdResult:
         return Timeline.from_result(self)
 
 
+def _can_pin() -> bool:
+    """Whether a run started from the calling thread may pin its rank
+    threads: ``os.sched_setaffinity`` exists and the caller may use more
+    than one CPU."""
+    return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 def _home_cpu() -> int | None:
-    """The CPU a world's rank threads are pinned to: the one the calling
+    """The CPU a pool's rank threads are pinned to: the one the calling
     thread runs on now (field 39 of ``/proc/thread-self/stat``), or
-    None to pin nothing — without ``os.sched_setaffinity``, when the
-    caller may use one CPU only, or when the field cannot be read."""
-    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+    None to pin nothing — when the caller cannot pin (:func:`_can_pin`)
+    or the field cannot be read."""
+    if not _can_pin():
         return None
     try:
         with open("/proc/thread-self/stat", "rb") as fh:
@@ -235,11 +243,7 @@ def _finalize(
 _UNWIND_GRACE = 1.0
 
 
-def _run_watched(
-    world: World,
-    start: Callable[[int], None],
-    on_wedged: Callable[[list[int]], None],
-) -> None:
+def _run_watched(world: World, start: Callable[[int], None]) -> None:
     """Run ``world``'s ranks under the progress watchdog.
 
     ``start(r)`` launches rank r when the baton first reaches it. Every
@@ -253,8 +257,7 @@ def _run_watched(
     a live run of any length finishes. On a wedge the world is aborted; if the baton
     has moved off the rank that held it, the ranks get
     :data:`_UNWIND_GRACE` seconds to unwind (a holder that keeps it
-    leaves none able to). Then ``on_wedged`` receives the ranks still
-    unfinished (the pool replaces their workers), and a
+    leaves none able to). Then a
     :class:`~repro.exceptions.DeadlockError` names the holder as wedged
     and lists what each rank parked at that moment waits on (a rank
     polling ``Request.test()`` for a message that never comes keeps the
@@ -280,7 +283,6 @@ def _run_watched(
         # the rank that held it at abort still does, none can.
         baton.wait(_UNWIND_GRACE)
     stuck = baton.unfinished()
-    on_wedged(stuck)
     message = (
         f"no baton hand-off for {budget:.1f}s (2*timeout+1): rank "
         f"thread(s) {stuck if holder is None else [holder]} are wedged "
@@ -413,4 +415,4 @@ def run_spmd(
     )
     from repro.simmpi.pool import shared_pool  # pool imports this module
 
-    return shared_pool()._execute(world, program, args, kwargs, _home_cpu())
+    return shared_pool()._execute(world, program, args, kwargs)

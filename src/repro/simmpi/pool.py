@@ -8,10 +8,12 @@ Each run takes ``size`` idle workers for its ranks (starting new ones
 only when too few are idle) and hands them back when it ends, so
 steady-state cost per run is one queue put/get per rank. Runs own their
 workers, so a run may start inside another run's rank program, and two
-threads may run at once. As in every world, one rank of a run runs at a
-time: rank r's job is put on its worker's queue when the world's
-:class:`~repro.simmpi.baton.Baton` first reaches it, and the run ends
-when every rank has handed the baton on for good.
+threads may run at once. A run that ends with ranks unfinished (wedged,
+or the caller's wait interrupted) hands back fresh workers in their
+place, so no later run waits behind them. As in every world, one rank
+of a run runs at a time: rank r's job is put on its worker's queue when
+the world's :class:`~repro.simmpi.baton.Baton` first reaches it, and
+the run ends when every rank has handed the baton on for good.
 
 :func:`~repro.simmpi.engine.run_spmd` runs on the process-wide
 :func:`shared_pool`, and :meth:`SpmdPool.run` on its own pool; both go
@@ -42,7 +44,14 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.simmpi.engine import SpmdResult, _finalize, _home_cpu, _Run, _run_watched
+from repro.simmpi.engine import (
+    SpmdResult,
+    _can_pin,
+    _finalize,
+    _home_cpu,
+    _Run,
+    _run_watched,
+)
 from repro.simmpi.world import World
 
 __all__ = ["SpmdPool", "shared_pool"]
@@ -58,10 +67,11 @@ class SpmdPool:
 
     The pool picks its runs' home CPU once, when it is built (see
     :func:`~repro.simmpi.engine._home_cpu`), so its workers pin
-    themselves on their first run and stay put afterwards. Idle workers
-    are kept per CPU they are pinned to: a run takes workers already on
-    its home CPU first, and a run that pins nothing takes only workers
-    that were never pinned.
+    themselves on their first run and stay put afterwards. A run whose
+    caller cannot pin (:func:`~repro.simmpi.engine._can_pin`) pins
+    nothing. Idle workers are kept on two stacks, pinned and never
+    pinned: a run that pins takes pinned ones first, and a run that pins
+    nothing takes only never-pinned ones, so it stays unpinned.
 
     The pool is a context manager; leaving the ``with`` block shuts the
     workers down. A pool survives failed runs — a program raising in
@@ -75,19 +85,18 @@ class SpmdPool:
             raise ValueError(
                 f"initial_workers must be >= 0, got {initial_workers}"
             )
-        #: live worker queue -> its thread (wedged workers leave it)
+        #: live worker queue -> its thread (abandoned workers leave it)
         self._live: dict[queue.SimpleQueue, threading.Thread] = {}
-        #: home CPU (None: never pinned) -> idle worker queues, a stack
-        self._idle: dict[int | None, list[queue.SimpleQueue]] = {}
+        #: idle worker queues, stacks: ever pinned, never pinned
+        self._idle_pinned: list[queue.SimpleQueue] = []
+        self._idle_unpinned: list[queue.SimpleQueue] = []
         self._started = 0  # workers ever started; names them
         self._lock = threading.Lock()  # guards the above and _closed
         self._closed = False
         self._cpu = _home_cpu()
-        if initial_workers:
-            with self._lock:
-                self._idle[None] = [
-                    self._start_worker() for _ in range(initial_workers)
-                ]
+        with self._lock:
+            for _ in range(initial_workers):
+                self._idle_unpinned.append(self._start_worker())
 
     # -- lifecycle -------------------------------------------------------
 
@@ -128,36 +137,41 @@ class SpmdPool:
         self._live[q] = t
         return q
 
-    def _take(self, size: int, cpu: int | None) -> list[queue.SimpleQueue]:
-        """``size`` idle workers for one run homed on ``cpu``: those
-        pinned there first, then (if the run pins) any other idle ones,
-        then new ones."""
+    def _take(self, size: int, pins: bool) -> list[queue.SimpleQueue]:
+        """``size`` idle workers for one run: if the run ``pins``, the
+        pinned ones first, then never-pinned ones; otherwise only
+        never-pinned ones. New ones make up any shortfall."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("SpmdPool is shut down")
             taken: list[queue.SimpleQueue] = []
-            for home in (cpu, *self._idle) if cpu is not None else (None,):
-                idle = self._idle.get(home)
-                if idle:
-                    cut = max(0, len(idle) - (size - len(taken)))
-                    taken += idle[cut:]
-                    del idle[cut:]
+            stacks = (self._idle_pinned,) if pins else ()
+            for idle in (*stacks, self._idle_unpinned):
+                cut = max(0, len(idle) - (size - len(taken)))
+                taken += idle[cut:]
+                del idle[cut:]
             while len(taken) < size:
                 taken.append(self._start_worker())
             return taken
 
-    def _give_back(self, workers: list[queue.SimpleQueue], cpu: int | None) -> None:
-        """Return a finished run's workers, now homed on ``cpu``."""
+    def _release(self, crew: "_Crew") -> None:
+        """Hand a run's workers back, first standing fresh ones in for
+        those of ranks still unfinished (see :meth:`_Crew.close`)."""
+        stuck = crew.close()
+        if stuck:
+            self._replace_workers(crew.workers, stuck)
+        idle = self._idle_pinned if crew.run.cpu is not None else self._idle_unpinned
         with self._lock:
             if not self._closed:
-                self._idle.setdefault(cpu, []).extend(workers)
+                idle += crew.workers
 
     def _replace_workers(
         self, workers: list[queue.SimpleQueue], ranks: list[int]
     ) -> None:
-        """Stand fresh workers in for the wedged ranks' ones. A wedged
-        thread (a daemon blocked in user code) is abandoned: its queue
-        holds only the exit sentinel, so it stops if it ever returns."""
+        """Stand fresh workers in for the unfinished ranks' ones. Such a
+        thread (a daemon blocked in user code, or unwinding an aborted
+        run) is abandoned: the exit sentinel follows its job on its
+        queue, so it stops once that job returns."""
         with self._lock:
             for rank in ranks:
                 q = workers[rank]
@@ -213,33 +227,63 @@ class SpmdPool:
             fastpath=fastpath,
             record=record,
         )
-        return self._execute(world, program, args, kwargs, self._cpu)
+        return self._execute(world, program, args, kwargs)
 
     def _execute(
-        self,
-        world: World,
-        program: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        cpu: int | None,
+        self, world: World, program: Callable[..., Any], args: tuple, kwargs: dict
     ) -> SpmdResult:
-        """Run ``world`` on workers of its own, homed on ``cpu``: the one
-        runner behind :meth:`run` and
-        :func:`~repro.simmpi.engine.run_spmd`."""
+        """Run ``world`` on workers of its own, homed on the pool's CPU
+        if the caller can pin: the one runner behind :meth:`run` and
+        :func:`~repro.simmpi.engine.run_spmd`. A wait that ends in an
+        exception (a wedge's :class:`~repro.exceptions.DeadlockError`,
+        or anything raised into the caller's wait, such as
+        ``KeyboardInterrupt``) aborts the world. Either way the workers
+        go back only as :meth:`_release` leaves them: idle or fresh."""
         wall_start = time.monotonic()
-        run = _Run(world, program, args, kwargs, cpu)
-        workers = self._take(world.size, cpu)
+        run = _Run(world, program, args, kwargs, self._cpu if _can_pin() else None)
+        crew = _Crew(self._take(world.size, run.cpu is not None), run)
         try:
-            _run_watched(
-                world,
-                lambda r: workers[r].put((r, run)),
-                lambda ranks: self._replace_workers(workers, ranks),
-            )
+            _run_watched(world, crew.start)
+        except BaseException:
+            world.abort()  # already done on a wedge; idempotent
+            raise
         finally:
-            self._give_back(workers, cpu)
+            self._release(crew)
         return _finalize(
             world, run.results, run.failures, run.crashes, time.monotonic() - wall_start
         )
+
+
+class _Crew:
+    """The workers one run holds, rank r's at ``workers[r]``, and the
+    launcher the run's baton calls to start rank r on its worker."""
+
+    __slots__ = ("workers", "run", "_lock", "_closed")
+
+    def __init__(self, workers: list[queue.SimpleQueue], run: _Run):
+        self.workers = workers
+        self.run = run
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def start(self, rank: int) -> None:
+        """Put rank ``rank``'s job on its worker; once the crew is
+        closed (its workers handed back) on a thread of its own."""
+        with self._lock:
+            if not self._closed:
+                self.workers[rank].put((rank, self.run))
+                return
+        threading.Thread(
+            target=self.run.rank, args=(rank,), name=f"simmpi-late-{rank}", daemon=True
+        ).start()
+
+    def close(self) -> list[int]:
+        """Close the crew: the ranks started and not finished, whose
+        workers are still busy (none after a run that finished). A
+        rank an aborted world reaches later starts off the pool."""
+        with self._lock:
+            self._closed = True
+            return self.run.world.baton.unfinished()
 
 
 def _worker_loop(q: queue.SimpleQueue) -> None:

@@ -17,6 +17,7 @@ from repro.exceptions import (
     RankFailedError,
 )
 from repro.simmpi import engine
+from repro.simmpi import pool as pool_module
 from repro.simmpi.engine import run_spmd
 from repro.simmpi.mailbox import ANY_TAG, NOTHING, Mailbox
 from repro.simmpi.pool import SpmdPool, shared_pool
@@ -622,6 +623,23 @@ class TestOneCpuPerWorld:
         if substrate == "pool":
             assert runs[0] == runs[1]  # chosen once per pool
         assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_every_run_is_homed_on_its_pools_cpu(self, substrate, monkeypatch):
+        """Both entry points home a run on the CPU its pool (for
+        ``run_spmd`` the shared one) chose when it was built, wherever
+        the caller runs later, so the workers never move."""
+        built, later = sorted(_allowed_cpus())[:2]
+        monkeypatch.setattr(pool_module, "_home_cpu", lambda: built)
+        shared_pool().shutdown()  # the next one is built on ``built``
+        with SpmdPool() as pool:
+            run = pool.run if substrate == "pool" else run_spmd
+            try:
+                assert set(run(4, _affinity).results) == {frozenset({built})}
+                monkeypatch.setattr(pool_module, "_home_cpu", lambda: later)
+                assert set(run(4, _affinity).results) == {frozenset({built})}
+            finally:
+                shared_pool().shutdown()  # the next one is built unpatched
 
     @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
     def test_unpinned_run_is_bit_identical(self, substrate, monkeypatch):

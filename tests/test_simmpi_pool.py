@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.validation import default_machine
 from repro.exceptions import DeadlockError, RankFailedError
 from repro.simmpi import SpmdPool, run_spmd, shared_pool
+from repro.simmpi.baton import Baton
 from repro.simmpi.mailbox import Mailbox
 
 
@@ -201,11 +202,53 @@ class TestOneSubstrate:
                 for t in threads:
                     t.join(60.0)
                 assert not any(t.is_alive() for t in threads)
-                idle = [q for queues in pool._idle.values() for q in queues]
+                idle = pool._idle_pinned + pool._idle_unpinned
                 assert len(idle) == len(set(idle)) == pool.workers
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
+
+    @pytest.mark.parametrize("substrate", ["run_spmd", "pool"])
+    def test_next_run_is_prompt_after_an_interrupted_wait(self, substrate, monkeypatch):
+        """The caller's wait raises (as ``KeyboardInterrupt`` would from
+        Ctrl-C) while rank 0 still runs outside the simulator: the world
+        is aborted and rank 0's worker is replaced, so the next run
+        neither waits behind it nor gets an aborted rank's job. Once
+        released, the interrupted run unwinds and leaves no thread."""
+        release = threading.Event()
+        inside = threading.Event()
+
+        def held(comm):
+            if comm.rank == 0:
+                inside.set()
+                release.wait(30.0)
+            return comm.allreduce(comm.rank)
+
+        def interrupted(baton, timeout):
+            monkeypatch.setattr(Baton, "wait", wait)  # only the first wait raises
+            assert inside.wait(10.0)
+            raise KeyboardInterrupt
+
+        with SpmdPool() as pool:
+            run = pool.run if substrate == "pool" else run_spmd
+            wait = Baton.wait
+            monkeypatch.setattr(Baton, "wait", interrupted)
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    run(2, held, timeout=0.2)
+                t0 = time.monotonic()
+                assert run(2, _sum_of_ranks, timeout=0.2).results == (1, 1)
+                assert time.monotonic() - t0 < 1.0  # below one watchdog budget
+            finally:
+                release.set()
+
+            def late():
+                return [t for t in threading.enumerate() if t.name.startswith("simmpi-late")]
+
+            deadline = time.monotonic() + 10.0
+            while late() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert late() == []
 
     def test_shared_pool_runs_after_a_wedged_run(self):
         release = threading.Event()
