@@ -396,14 +396,23 @@ def assert_export_is_witness(tl, tmp_path, flows=True, power=None) -> str:
     return text
 
 
-# sha256 of the CLI's Perfetto exports (58,366 B and 68,275 B). They pin
-# the exact bytes users get, so a separator, float-format or ordering
-# drift in the writer fails here even when the parsed events agree.
+# sha256 of the CLI's Perfetto exports (58,366 B, 68,275 B, 1,559,594 B
+# and 139,400 B). They pin the exact bytes users get, so a separator,
+# float-format or ordering drift in the writer fails here even when the
+# parsed events agree. The n-body and FFT pins also hold every message,
+# count and clock of the ring and the transpose FFT in place while their
+# host kernels change. CI's `trace` job checks the same four digests.
 TRACE_MATMUL25D_P8_SHA256 = (
     "c133ad1658e481e720665635201c85d12f1e7dc3f19aef0ebf55757114c1f26c"
 )
 POWER_MATMUL25D_SHA256 = (
     "69136b29423d11eac8fbe56342cc493440f6b5c7cadd3769ae715dd8a903d402"
+)
+TRACE_NBODY_P32_SHA256 = (
+    "5f72284a615455e245c9fd4cf0bf362997df3f9addcfe24e501a6660e5e7422d"
+)
+POWER_FFT_P16_SHA256 = (
+    "ee9dc72b52ef86e15c18b1f932f6ad0aa5431a7914b88713d668b8ec7819799a"
 )
 
 
@@ -432,6 +441,22 @@ class TestChromeTraceBytes:
         assert main(["power", "matmul25d", "--perfetto-out", str(path)]) == 0
         assert path.stat().st_size == 68275
         assert self._sha256(path) == POWER_MATMUL25D_SHA256
+
+    def test_cli_trace_nbody_bytes_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace_nbody.json"
+        assert main(["trace", "nbody", "--p", "32", "--out", str(path)]) == 0
+        assert path.stat().st_size == 1559594
+        assert self._sha256(path) == TRACE_NBODY_P32_SHA256
+
+    def test_cli_power_fft_perfetto_bytes_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "power_fft.json"
+        assert main(["power", "fft", "--p", "16", "--perfetto-out", str(path)]) == 0
+        assert path.stat().st_size == 139400
+        assert self._sha256(path) == POWER_FFT_P16_SHA256
 
     @pytest.fixture(scope="class")
     def nbody_p32(self):
