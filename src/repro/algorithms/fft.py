@@ -8,7 +8,9 @@ implemented, either the message count (naive: S = p) or the word count
 nothing. This module makes that measurable:
 
 * :func:`fft_serial` — iterative radix-2 Cooley-Tukey with exact flop
-  metering (5 n log2 n for the standard operation count).
+  metering (5 n log2 n for the standard operation count). It is the
+  one-row case of :func:`fft_rows`, which transforms every row of a
+  (rows, n) array with one numpy op per butterfly stage.
 * :func:`fft_parallel` — the transpose algorithm on p ranks: local FFTs
   over the second factor, twiddle scaling, one global transpose
   (all-to-all), local FFTs over the first factor. The all-to-all is
@@ -27,6 +29,13 @@ so rank r owns the k2 block, step 4 computes the outer length-n1 FFTs.
 The output lands k2-major: rank r holds X[k2 + n2 k1] for its k2 block,
 all k1 — :func:`fft_output_index` maps (rank, local slot) to the global
 frequency index for reassembly.
+
+Steps 1 and 4 transform all of a rank's rows at once. The bits are
+those of one :func:`fft_serial` call per row: every butterfly operation
+is elementwise, so each output element is computed from the same
+operands by the same operation whether a stage spans one row or all of
+them. The ``flop_counter`` gets the same calls too, one
+``10 * (n // 2)`` per row and stage.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from repro.simmpi.comm import Comm
 
 __all__ = [
     "fft_serial",
+    "fft_rows",
     "fft_parallel",
     "fft_flop_count",
     "assemble_fft_output",
@@ -85,28 +95,42 @@ def fft_serial(x: np.ndarray, flop_counter=None) -> np.ndarray:
     ``flop_counter`` calls are those of a from-scratch build.
     """
     x = np.asarray(x, dtype=complex)
-    n = x.size
+    return fft_rows(x.reshape(1, x.size), flop_counter)[0]
+
+
+def fft_rows(x: np.ndarray, flop_counter=None) -> np.ndarray:
+    """:func:`fft_serial` of each row of a (rows, n) array, all rows in
+    one numpy op per butterfly stage; returns a fresh (rows, n) array.
+
+    Row i of the result has the bits of ``fft_serial(x[i])``, and
+    ``flop_counter`` gets the same calls as those rows' ``fft_serial``
+    calls: ``10 * (n // 2)`` once per row and stage.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2:
+        raise ParameterError(f"fft_rows needs a (rows, n) array, got shape {x.shape}")
+    rows, n = x.shape
     if not _is_pow2(n):
         raise ParameterError(f"radix-2 FFT needs a power-of-two length, got {n}")
-    count = flop_counter if flop_counter is not None else (lambda _: None)
     if n == 1:
         return x.copy()
 
     rev, twiddles = _fft_plan(n)
-    y = x[rev]  # fancy indexing: already a fresh array
+    y = x[:, rev]  # fancy indexing: already a fresh array
 
     # Butterfly stages.
     half = 1
     for w in twiddles:
-        y = y.reshape(-1, 2 * half)
-        lo = y[:, :half]
-        hi = y[:, half:] * w  # 6 flops per element
-        y[:, half:] = lo - hi  # 2 flops per element
-        y[:, :half] = lo + hi  # 2 flops per element
-        count(10.0 * (n // 2))
-        y = y.reshape(-1)
+        y = y.reshape(rows, -1, 2 * half)
+        lo = y[..., :half]
+        hi = y[..., half:] * w  # 6 flops per element
+        y[..., half:] = lo - hi  # 2 flops per element
+        y[..., :half] = lo + hi  # 2 flops per element
         half *= 2
-    return y
+    if flop_counter is not None:
+        for _ in range(rows * len(twiddles)):
+            flop_counter(10.0 * (n // 2))
+    return y.reshape(rows, n)
 
 
 def fft_flop_count(n: int) -> float:
@@ -154,9 +178,7 @@ def fft_parallel(
     comm.allocate(2 * a.size)  # complex words: count re+im as 2 words/elt
 
     # Step 1: length-n2 FFTs along j2 for each of my j1.
-    y = np.empty_like(a)
-    for i in range(rows):
-        y[i] = fft_serial(a[i], flop_counter=comm.add_flops)
+    y = fft_rows(a, comm.add_flops)
 
     # Step 2: twiddles w_n^(j1 k2).
     j1_vals = np.arange(j1_lo, j1_lo + rows)
@@ -175,9 +197,7 @@ def fft_parallel(
     z = np.concatenate([g.T for g in got], axis=1)  # (cols, n1)
 
     # Step 4: length-n1 FFTs along j1 for each of my k2.
-    out = np.empty_like(z)
-    for i in range(cols):
-        out[i] = fft_serial(z[i], flop_counter=comm.add_flops)
+    out = fft_rows(z, comm.add_flops)
     comm.release()
     return out
 

@@ -24,6 +24,18 @@ Force laws are pluggable; see :class:`ForceLaw` and the built-ins
 (:data:`GRAVITY`, :data:`COULOMB`, :data:`LENNARD_JONES`). Each law
 reports its per-pair flop count f — the paper's ``interaction_flops`` —
 so measured F matches f n^2 / p.
+
+Host kernels are batched. A rank's ring steps each receive one small
+source block, and one kernel call per block costs more in numpy
+overhead than in arithmetic. So each received block is copied into a
+chunk buffer, and a chunk of up to :data:`PAIR_BUDGET` target x source
+pairs is evaluated in one kernel call over a leading batch axis. The
+bits do not change: a law's batched call gives, in slice i, exactly the
+bits of its call on block i alone (the contract :class:`ForceLaw`
+states), and the slices are added to the forces one at a time in ring
+step order, as the per-step calls were. Every ``shift`` and
+``add_flops`` call stays where it was, so no message, count or clock
+moves either.
 """
 
 from __future__ import annotations
@@ -46,7 +58,9 @@ __all__ = [
     "nbody_serial",
     "nbody_ring",
     "nbody_replicated",
+    "team_forces",
     "team_layout",
+    "PAIR_BUDGET",
 ]
 
 
@@ -60,11 +74,16 @@ class ForceLaw:
         Human-readable identifier.
     kernel:
         ``kernel(targets_pos, targets_q, sources_pos, sources_q,
-        exclude_self) -> (n_targets, dim) forces`` — vectorized over all
-        target x source pairs. ``targets_q``/``sources_q`` are the
-        per-particle scalars (mass or charge). ``exclude_self`` is True
-        when the two sets are the same block and self-interactions must
-        be skipped.
+        exclude_self) -> forces`` — vectorized over all target x source
+        pairs. Targets are ``(t, dim)`` positions and ``(t,)`` scalars
+        (mass or charge). Sources are ``(..., s, dim)`` and ``(..., s)``:
+        optional leading batch dimensions hold several source blocks of
+        one length, and the result is ``(..., t, dim)``. Slice ``i`` of a
+        batched result must equal, bit for bit, the kernel's result for
+        ``sources_pos[i]``, ``sources_q[i]`` alone; the ring algorithms
+        evaluate chunks of received blocks in one call and rely on it.
+        ``exclude_self`` is True when every source block is the target
+        block itself, and each block's self-interactions must be skipped.
     flops_per_pair:
         The paper's f: flops one target-source pair costs (used for
         metering; a documented model constant, not a measured count).
@@ -79,19 +98,26 @@ class ForceLaw:
 
 
 def _pair_geometry(tp, sp, eps):
-    """diff (t, s, d), inverse distance (t, s) with softening."""
-    diff = sp[None, :, :] - tp[:, None, :]
-    dist2 = np.sum(diff * diff, axis=2) + eps
+    """diff (..., t, s, d) and softened squared distance (..., t, s)."""
+    diff = sp[..., None, :, :] - tp[:, None, :]
+    dist2 = np.sum(diff * diff, axis=-1) + eps
     return diff, dist2
+
+
+def _zero_self_pairs(pairs):
+    """Zero the diagonal of each (t, s) pair block: a particle's
+    interaction with itself."""
+    i = np.arange(min(pairs.shape[-2:]))
+    pairs[..., i, i] = 0.0
 
 
 def _gravity_kernel(tp, tq, sp, sq, exclude_self, eps=1e-12):
     diff, dist2 = _pair_geometry(tp, sp, eps)
     inv = dist2 ** (-1.5)
     if exclude_self:
-        np.fill_diagonal(inv, 0.0)
-    w = (tq[:, None] * sq[None, :]) * inv
-    return np.einsum("ts,tsd->td", w, diff)
+        _zero_self_pairs(inv)
+    w = (tq[:, None] * sq[..., None, :]) * inv
+    return np.einsum("...ts,...tsd->...td", w, diff)
 
 
 def _coulomb_kernel(tp, tq, sp, sq, exclude_self, eps=1e-12):
@@ -107,8 +133,8 @@ def _lj_kernel(tp, tq, sp, sq, exclude_self, eps=1e-12, sigma=1.0):
     # F = 24 (2 inv12 - inv6) / r^2 * diff   (epsilon_LJ = 1)
     mag = 24.0 * (2.0 * inv6 * inv6 - inv6) / dist2
     if exclude_self:
-        np.fill_diagonal(mag, 0.0)
-    return -np.einsum("ts,tsd->td", mag, diff)
+        _zero_self_pairs(mag)
+    return -np.einsum("...ts,...tsd->...td", mag, diff)
 
 
 #: Softened Newtonian gravity, ~20 flops/pair in 3D.
@@ -117,6 +143,58 @@ GRAVITY = ForceLaw("gravity", _gravity_kernel, flops_per_pair=20.0)
 COULOMB = ForceLaw("coulomb", _coulomb_kernel, flops_per_pair=20.0)
 #: Lennard-Jones 6-12, ~23 flops/pair in 3D.
 LENNARD_JONES = ForceLaw("lennard-jones", _lj_kernel, flops_per_pair=23.0)
+
+
+#: Most target x source pairs one batched kernel call evaluates (a block
+#: longer than this is evaluated alone). A chunk of received source
+#: blocks closes when one more block would pass it, so a call's
+#: temporaries stay near 80 bytes per pair (40 KiB) whatever n and p
+#: are. Every rank thread's allocator keeps the largest temporaries it
+#: has freed, so a larger budget raises peak RSS and, once a few hundred
+#: pairs share one call's numpy overhead, buys no speed (EXPERIMENTS.md,
+#: "Batched host kernels"). It bounds host memory only: no message,
+#: count or output bit depends on it.
+PAIR_BUDGET = 1 << 9
+
+
+def _add_source_forces(law, tp, tq, forces, sources, count) -> None:
+    """Add ``law(tp, tq, sp, sq, exclude_self)`` to ``forces`` in place
+    for each ``(sp, sq, exclude_self)`` of ``sources`` (``count`` blocks),
+    in order.
+
+    Each block is copied into a chunk buffer as it arrives, so no
+    received block is held past its step. A chunk is evaluated in one
+    batched kernel call when it holds :data:`PAIR_BUDGET` pairs, when
+    the block length changes (p does not divide n), or when the blocks
+    run out; a self block is evaluated on its own. The chunk's partial
+    forces are then added one block at a time, which gives the bits of
+    one kernel call and one ``+=`` per block.
+    """
+    pos_buf = q_buf = None
+    held = 0
+    for sp, sq, exclude_self in sources:
+        if held and (exclude_self or held == len(pos_buf) or sp.shape != pos_buf.shape[1:]):
+            _add_chunk(law, tp, tq, forces, pos_buf[:held], q_buf[:held])
+            held = 0
+        if exclude_self:
+            forces += law(tp, tq, sp, sq, True)
+        else:
+            if not held:
+                chunk = min(count, max(1, PAIR_BUDGET // max(1, len(tp) * len(sp))))
+                pos_buf = np.empty((chunk, *sp.shape), dtype=sp.dtype)
+                q_buf = np.empty((chunk, *sq.shape), dtype=sq.dtype)
+            pos_buf[held] = sp
+            q_buf[held] = sq
+            held += 1
+        count -= 1
+    if held:
+        _add_chunk(law, tp, tq, forces, pos_buf[:held], q_buf[:held])
+
+
+def _add_chunk(law, tp, tq, forces, sp, sq) -> None:
+    """One batched kernel call over the chunk, added block by block."""
+    for part in law(tp, tq, sp, sq, False):
+        forces += part
 
 
 def _validate_particles(pos: np.ndarray, q: np.ndarray) -> None:
@@ -155,12 +233,16 @@ def nbody_ring(
 
     forces = law(my_pos, my_q, my_pos, my_q, True)
     comm.add_flops(law.flops_per_pair * len(my_pos) * len(my_pos))
-    travel_pos, travel_q = my_pos, my_q
-    for step in range(1, p):
-        travel_pos = comm.shift(travel_pos, 1, tag=("nbody_pos", step))
-        travel_q = comm.shift(travel_q, 1, tag=("nbody_q", step))
-        forces += law(my_pos, my_q, travel_pos, travel_q, False)
-        comm.add_flops(law.flops_per_pair * len(my_pos) * len(travel_pos))
+
+    def received():
+        travel_pos, travel_q = my_pos, my_q
+        for step in range(1, p):
+            travel_pos = comm.shift(travel_pos, 1, tag=("nbody_pos", step))
+            travel_q = comm.shift(travel_q, 1, tag=("nbody_q", step))
+            comm.add_flops(law.flops_per_pair * len(my_pos) * len(travel_pos))
+            yield travel_pos, travel_q, False
+
+    _add_source_forces(law, my_pos, my_q, forces, received(), p - 1)
     comm.release()
     return forces
 
@@ -184,6 +266,44 @@ def team_layout(p: int, n: int, c: int | None = None) -> int:
     if n % r:
         raise ParameterError(f"particle count {n} must divide into r={r} blocks")
     return r
+
+
+def team_forces(
+    comm: Comm,
+    ring: Comm,
+    member: int,
+    c: int,
+    law: ForceLaw,
+    tp: np.ndarray,
+    tq: np.ndarray,
+    tags: tuple = ("align_p", "align_q", "p", "q"),
+) -> np.ndarray:
+    """One team member's partial forces on its team's block (tp, tq),
+    before the team reduction.
+
+    Member m of team i handles source blocks (i + s) mod r for
+    s = m, m + c, ..., r - c of the team ring ``ring`` (size r). Align
+    by shifting the sources m steps around the member's ring, then c
+    steps between rounds. ``tags`` names the two alignment shifts and
+    the two per-round shifts; flops are metered on ``comm``.
+    """
+    rounds = ring.size // c
+
+    def received():
+        travel_pos, travel_q = tp, tq
+        if member:
+            travel_pos = ring.shift(travel_pos, member, tag=tags[0])
+            travel_q = ring.shift(travel_q, member, tag=tags[1])
+        for rnd in range(rounds):
+            comm.add_flops(law.flops_per_pair * len(tp) * len(travel_pos))
+            yield travel_pos, travel_q, member + rnd * c == 0
+            if rnd < rounds - 1:
+                travel_pos = ring.shift(travel_pos, c, tag=(tags[2], rnd))
+                travel_q = ring.shift(travel_q, c, tag=(tags[3], rnd))
+
+    forces = np.zeros_like(tp)
+    _add_source_forces(law, tp, tq, forces, received(), rounds)
+    return forces
 
 
 def nbody_replicated(
@@ -226,24 +346,7 @@ def nbody_replicated(
     my_q = q[lo:hi].copy()
     comm.allocate(my_pos.size + my_q.size)
 
-    # Member m of team i handles source blocks (i + s) mod r for
-    # s = m, m + c, ..., r - c. Align by shifting the sources m steps
-    # around the member's ring, then c steps between rounds.
-    travel_pos, travel_q = my_pos, my_q
-    if member:
-        travel_pos = team_ring.comm.shift(travel_pos, member, tag="align_p")
-        travel_q = team_ring.comm.shift(travel_q, member, tag="align_q")
-
-    forces = np.zeros_like(my_pos)
-    rounds = r // c
-    for rnd in range(rounds):
-        s = member + rnd * c
-        forces += law(my_pos, my_q, travel_pos, travel_q, s == 0)
-        comm.add_flops(law.flops_per_pair * len(my_pos) * len(travel_pos))
-        if rnd < rounds - 1:
-            travel_pos = team_ring.comm.shift(travel_pos, c, tag=("p", rnd))
-            travel_q = team_ring.comm.shift(travel_q, c, tag=("q", rnd))
-
+    forces = team_forces(comm, team_ring.comm, member, c, law, my_pos, my_q)
     total = (
         team_comm.comm.reduce(forces, root=0, algorithm="reduce_scatter_gather")
         if c > 1

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.distributions import block_ranges
-from repro.algorithms.nbody import GRAVITY, ForceLaw, nbody_serial, team_layout
+from repro.algorithms.nbody import (
+    GRAVITY,
+    ForceLaw,
+    nbody_serial,
+    team_forces,
+    team_layout,
+)
 from repro.exceptions import ParameterError
 from repro.simmpi.cart import CartComm
 from repro.simmpi.comm import Comm
@@ -116,19 +122,10 @@ def simulate_replicated(
     def forces(x_local: np.ndarray) -> np.ndarray:
         # One replicated force evaluation with the resident block as both
         # targets and the ring sources.
-        travel_pos, travel_q = x_local, q
-        if member:
-            travel_pos = team_ring.comm.shift(travel_pos, member, tag="sim_ap")
-            travel_q = team_ring.comm.shift(travel_q, member, tag="sim_aq")
-        out = np.zeros_like(x_local)
-        rounds = r // c
-        for rnd in range(rounds):
-            s = member + rnd * c
-            out += law(x_local, q, travel_pos, travel_q, s == 0)
-            comm.add_flops(law.flops_per_pair * len(x_local) * len(travel_pos))
-            if rnd < rounds - 1:
-                travel_pos = team_ring.comm.shift(travel_pos, c, tag=("sp", rnd))
-                travel_q = team_ring.comm.shift(travel_q, c, tag=("sq", rnd))
+        out = team_forces(
+            comm, team_ring.comm, member, c, law, x_local, q,
+            tags=("sim_ap", "sim_aq", "sp", "sq"),
+        )
         if c > 1:
             out = team_comm.comm.allreduce(out)
         return out

@@ -391,6 +391,14 @@ def run_sweep(
         return outcome
 
     # -- dispatched path -------------------------------------------------
+    # Scenario cells draw their inputs from numpy.random, which `import
+    # repro.cli` leaves out. Importing it here, once, lets every forked
+    # worker inherit it instead of importing its 16 modules on its first
+    # scenario cell. Collective cells never use it, and a parent that
+    # held it would only make their workers larger.
+    if any(not cell.workload.startswith("coll:") for cell in misses):
+        import numpy.random  # noqa: F401
+
     ctx = _mp_context(mp_context)
     out_queue = ctx.Queue()
     # Longest first: big-p cells start early, and the small ones at the

@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable
 
 from repro.conformance.battery import BATTERY
@@ -136,7 +137,9 @@ class Cell:
     ``identity()`` is the canonical content that names the cell — the
     cache key hashes it together with the code fingerprint, and
     :attr:`cell_id` digests it (without the fingerprint) into a stable,
-    human-scannable id.
+    human-scannable id. A cell is immutable, its dict fields too:
+    :attr:`digest` and :attr:`cell_id` are computed once per cell, on
+    first read.
     """
 
     workload: str
@@ -186,14 +189,14 @@ class Cell:
             "label": self.label,
         }
 
-    @property
+    @cached_property
     def digest(self) -> str:
         """12-hex digest of the canonical identity (fingerprint-free, so
         it is stable across code changes)."""
         blob = canonical_json(self.identity()).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    @property
+    @cached_property
     def cell_id(self) -> str:
         """Stable readable id: ``workload/p<NN>[...params]@digest``."""
         parts = [f"{k}{v}" for k, v in sorted(self.params.items())

@@ -1,5 +1,6 @@
 """Tests for LU factorization, the n-body algorithms, and the FFT."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import fft as fft_module
+from repro.algorithms import nbody as nbody_module
+from repro.algorithms import nbody_sim
+from repro.algorithms.distributions import block_ranges
 from repro.algorithms.fft import (
     assemble_fft_output,
     fft_flop_count,
     fft_parallel,
+    fft_rows,
     fft_serial,
 )
 from repro.algorithms.lu import blocked_lu, lu_2d, lu_flop_count
@@ -324,3 +330,265 @@ class TestFFTParallel:
     def test_too_short_signal(self, rng):
         with pytest.raises(RankFailedError):
             run_spmd(8, fft_parallel, np.zeros(16), "naive")
+
+
+# -- batched host kernels ---------------------------------------------------
+#
+# The ring algorithms evaluate chunks of received source blocks in one
+# batched kernel call, and fft_parallel transforms all of a rank's rows
+# at once. The witnesses below are the per-step and per-row forms those
+# replaced; every output bit, count, clock and trace event must match.
+
+
+def _gravity_2d(tp, tq, sp, sq, exclude_self, eps=1e-12):
+    """The gravity kernel as a plain 2-D formula, one source block."""
+    diff = sp[None, :, :] - tp[:, None, :]
+    dist2 = np.sum(diff * diff, axis=2) + eps
+    inv = dist2 ** (-1.5)
+    if exclude_self:
+        np.fill_diagonal(inv, 0.0)
+    w = (tq[:, None] * sq[None, :]) * inv
+    return np.einsum("ts,tsd->td", w, diff)
+
+
+def _lj_2d(tp, tq, sp, sq, exclude_self, eps=1e-12, sigma=1.0):
+    """The Lennard-Jones kernel as a plain 2-D formula, one source block."""
+    diff = sp[None, :, :] - tp[:, None, :]
+    dist2 = np.sum(diff * diff, axis=2) + eps
+    inv2 = sigma * sigma / dist2
+    inv6 = inv2**3
+    mag = 24.0 * (2.0 * inv6 * inv6 - inv6) / dist2
+    if exclude_self:
+        np.fill_diagonal(mag, 0.0)
+    return -np.einsum("ts,tsd->td", mag, diff)
+
+
+_LAWS_2D = [
+    (GRAVITY, _gravity_2d),
+    (COULOMB, lambda *a: -_gravity_2d(*a)),
+    (LENNARD_JONES, _lj_2d),
+]
+
+
+def _check_batched_law(law, formula, t, s, chunk, seed, exclude_self=False):
+    """A batched call's slices equal the per-block calls, and the last
+    equals the plain 2-D formula, bit for bit."""
+    rng = np.random.default_rng(seed)
+    tp = rng.standard_normal((t, 3))
+    tq = rng.uniform(0.5, 2.0, t)
+    if exclude_self:
+        sp, sq = np.stack([tp] * chunk), np.stack([tq] * chunk)
+    else:
+        sp = rng.standard_normal((chunk, s, 3))
+        sq = rng.uniform(0.5, 2.0, (chunk, s))
+    batched = law(tp, tq, sp, sq, exclude_self)
+    assert batched.shape == (chunk, t, 3)
+    for i in range(chunk):
+        assert batched[i].tobytes() == law(tp, tq, sp[i], sq[i], exclude_self).tobytes()
+    want = formula(tp, tq, sp[-1], sq[-1], exclude_self)
+    assert batched[-1].tobytes() == want.tobytes()
+
+
+def _ring_per_step(comm, pos, q, law=GRAVITY):
+    """nbody_ring with one kernel call per ring step."""
+    p, r = comm.size, comm.rank
+    lo, hi = block_ranges(pos.shape[0], p)[r]
+    my_pos = pos[lo:hi].copy()
+    my_q = q[lo:hi].copy()
+    comm.allocate(my_pos.size + my_q.size)
+    forces = law(my_pos, my_q, my_pos, my_q, True)
+    comm.add_flops(law.flops_per_pair * len(my_pos) * len(my_pos))
+    travel_pos, travel_q = my_pos, my_q
+    for step in range(1, p):
+        travel_pos = comm.shift(travel_pos, 1, tag=("nbody_pos", step))
+        travel_q = comm.shift(travel_q, 1, tag=("nbody_q", step))
+        forces += law(my_pos, my_q, travel_pos, travel_q, False)
+        comm.add_flops(law.flops_per_pair * len(my_pos) * len(travel_pos))
+    comm.release()
+    return forces
+
+
+def _team_forces_per_step(comm, ring, member, c, law, tp, tq,
+                          tags=("align_p", "align_q", "p", "q")):
+    """team_forces with one kernel call per team-ring step."""
+    travel_pos, travel_q = tp, tq
+    if member:
+        travel_pos = ring.shift(travel_pos, member, tag=tags[0])
+        travel_q = ring.shift(travel_q, member, tag=tags[1])
+    forces = np.zeros_like(tp)
+    rounds = ring.size // c
+    for rnd in range(rounds):
+        forces += law(tp, tq, travel_pos, travel_q, member + rnd * c == 0)
+        comm.add_flops(law.flops_per_pair * len(tp) * len(travel_pos))
+        if rnd < rounds - 1:
+            travel_pos = ring.shift(travel_pos, c, tag=(tags[2], rnd))
+            travel_q = ring.shift(travel_q, c, tag=(tags[3], rnd))
+    return forces
+
+
+def _fft_rows_per_row(x, flop_counter=None):
+    """fft_rows as one from-scratch transform per row."""
+    return np.stack([_fft_reference(row, flop_counter) for row in x])
+
+
+def _result_bytes(value):
+    if value is None:
+        return None
+    if isinstance(value, nbody_sim.SimulationResult):
+        return (value.positions.tobytes(), value.velocities.tobytes(),
+                value.potential_proxy)
+    return (value.shape, value.tobytes())
+
+
+def _traced_signature(out):
+    """Everything a traced run shows: result bytes, counts, per-rank
+    virtual clocks and every event's fields."""
+    return (
+        [_result_bytes(r) for r in out.results],
+        out.report.counts_signature(),
+        [r.vtime for r in out.report.ranks],
+        [[dataclasses.astuple(e) for e in log.events()] for log in out.event_logs],
+    )
+
+
+def _run_both(monkeypatch, patch, p, program, *args):
+    """A traced run of the batched program, then of its per-step witness
+    (``patch`` installs the witness)."""
+    batched = run_spmd(p, program, *args, trace=True)
+    with monkeypatch.context() as m:
+        patch(m)
+        witness = run_spmd(p, program, *args, trace=True)
+    return _traced_signature(batched), _traced_signature(witness)
+
+
+def _particles(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 3)) * 2, rng.uniform(0.5, 2.0, n)
+
+
+class TestBatchedForceLaws:
+    @given(
+        st.integers(0, 12), st.integers(0, 12), st.integers(1, 6),
+        st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_call_equals_per_block_calls(self, t, s, chunk, seed, self_block):
+        for law, formula in _LAWS_2D:
+            _check_batched_law(law, formula, t, t if self_block else s, chunk,
+                               seed, exclude_self=self_block)
+
+    def test_two_batch_dimensions(self, rng):
+        tp, tq = rng.standard_normal((5, 3)), rng.uniform(0.5, 2, 5)
+        sp, sq = rng.standard_normal((2, 3, 4, 3)), rng.uniform(0.5, 2, (2, 3, 4))
+        got = GRAVITY(tp, tq, sp, sq, False)
+        assert got.shape == (2, 3, 5, 3)
+        for i in range(2):
+            for j in range(3):
+                want = GRAVITY(tp, tq, sp[i, j], sq[i, j], False)
+                assert got[i, j].tobytes() == want.tobytes()
+
+    @pytest.mark.slow
+    def test_exhaustive_grid(self):
+        for t in range(49):
+            for s in range(49):
+                chunk = 1 + (7 * t + 11 * s) % 70
+                for law, formula in (_LAWS_2D[0], _LAWS_2D[2]):
+                    _check_batched_law(law, formula, t, s, chunk, seed=t * 64 + s)
+
+
+class TestBatchedRing:
+    """Ring, team and integration results, counts, clocks and events
+    equal their per-step witnesses'."""
+
+    @pytest.mark.parametrize("law", [GRAVITY, COULOMB, LENNARD_JONES], ids=lambda law: law.name)
+    @pytest.mark.parametrize("p,n", [(4, 64), (5, 23), (7, 7), (8, 5), (6, 1), (1, 9)])
+    def test_ring_matches_per_step_witness(self, p, n, law):
+        pos, q = _particles(n)
+        got = run_spmd(p, nbody_ring, pos, q, law, trace=True)
+        want = run_spmd(p, _ring_per_step, pos, q, law, trace=True)
+        assert _traced_signature(got) == _traced_signature(want)
+
+    @pytest.mark.parametrize("budget", [1, 5, 18, 100])
+    def test_chunks_closing_at_the_pair_budget_change_nothing(self, monkeypatch, budget):
+        pos, q = _particles(29)
+        want = run_spmd(6, _ring_per_step, pos, q, GRAVITY, trace=True)
+        monkeypatch.setattr(nbody_module, "PAIR_BUDGET", budget)
+        got = run_spmd(6, nbody_ring, pos, q, GRAVITY, trace=True)
+        assert _traced_signature(got) == _traced_signature(want)
+
+    @pytest.mark.parametrize("budget", [1, 16, nbody_module.PAIR_BUDGET])
+    @pytest.mark.parametrize("p,n,c", [(4, 8, 1), (8, 24, 2), (16, 48, 4), (18, 12, 3), (9, 6, 3)])
+    def test_team_matches_per_step_witness(self, monkeypatch, p, n, c, budget):
+        pos, q = _particles(n)
+        monkeypatch.setattr(nbody_module, "PAIR_BUDGET", budget)
+        got, want = _run_both(
+            monkeypatch,
+            lambda m: m.setattr(nbody_module, "team_forces", _team_forces_per_step),
+            p, nbody_replicated, pos, q, c, LENNARD_JONES,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("p,n,c", [(4, 8, 1), (8, 16, 2), (16, 32, 4)])
+    def test_simulation_matches_per_step_witness(self, monkeypatch, p, n, c):
+        pos, masses = _particles(n)
+        vel = np.random.default_rng(3).standard_normal((n, 3)) * 0.1
+        got, want = _run_both(
+            monkeypatch,
+            lambda m: m.setattr(nbody_sim, "team_forces", _team_forces_per_step),
+            p, nbody_sim.simulate_replicated, pos, vel, masses, 1e-3, 2, c,
+        )
+        assert got == want
+
+    @pytest.mark.slow
+    def test_exhaustive_ring_grid(self):
+        for p in range(1, 10):
+            for n in range(0, 41):
+                pos, q = _particles(n, seed=p * 64 + n)
+                got = run_spmd(p, nbody_ring, pos, q, GRAVITY)
+                want = run_spmd(p, _ring_per_step, pos, q, GRAVITY)
+                assert [r.tobytes() for r in got.results] == [
+                    r.tobytes() for r in want.results
+                ]
+                assert got.report.counts_signature() == want.report.counts_signature()
+
+
+class TestFFTRows:
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 16, 256])
+    def test_rows_match_reference(self, n, rows, rng):
+        x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        want_flops: list = []
+        want = _fft_rows_per_row(x, want_flops.append)
+        flops: list = []
+        got = fft_rows(x, flops.append)
+        assert got.tobytes() == want.tobytes()
+        assert flops == want_flops
+
+    @pytest.mark.parametrize("shape", [(2, 12), (8,), (2, 2, 4)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ParameterError):
+            fft_rows(np.zeros(shape))
+
+    @pytest.mark.parametrize("mode", ["naive", "bruck"])
+    @pytest.mark.parametrize("p,n", [(1, 8), (2, 64), (4, 1024), (8, 256)])
+    def test_parallel_matches_per_row_witness(self, monkeypatch, p, n, mode, rng):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got, want = _run_both(
+            monkeypatch,
+            lambda m: m.setattr(fft_module, "fft_rows", _fft_rows_per_row),
+            p, fft_parallel, x, mode,
+        )
+        assert got == want
+
+    @pytest.mark.slow
+    def test_exhaustive_grid(self):
+        rng = np.random.default_rng(5)
+        for k in range(13):
+            n = 1 << k
+            for rows in range(1, 65):
+                x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+                want_flops: list = []
+                want = _fft_rows_per_row(x, want_flops.append)
+                flops: list = []
+                assert fft_rows(x, flops.append).tobytes() == want.tobytes()
+                assert flops == want_flops

@@ -91,6 +91,34 @@ class TestPlanner:
         assert clone == cell
         assert clone.cell_id == cell.cell_id
 
+    def test_cell_id_is_computed_once_and_matches_a_fresh_one(self):
+        """The digest and id are read once per cell; a cell made by
+        ``from_json`` or ``dataclasses.replace`` gets its own, equal to a
+        fresh computation over its identity."""
+        import dataclasses
+        import hashlib
+
+        from repro.sweep.spec import canonical_json
+
+        def fresh(cell):
+            blob = canonical_json(cell.identity()).encode("utf-8")
+            digest = hashlib.sha256(blob).hexdigest()[:12]
+            return f"{cell.cell_id.rsplit('@', 1)[0]}@{digest}"
+
+        cell = SweepSpec("nbody", n=48, p_values=(4,)).cells()[0]
+        first = cell.cell_id
+        assert cell.cell_id is first
+        assert first == fresh(cell)
+        clone = Cell.from_json(json.loads(json.dumps(cell.to_json())))
+        assert clone.cell_id == first == fresh(clone)
+        for changed in (
+            dataclasses.replace(cell, p=8),
+            dataclasses.replace(cell, label="other"),
+            dataclasses.replace(cell, params={**cell.params, "n": 96}),
+        ):
+            assert changed.cell_id == fresh(changed) != first
+            assert changed.digest == changed.cell_id.rsplit("@", 1)[1]
+
     def test_spec_json_roundtrip(self):
         spec = SweepSpec(workload="fft", n=64, p_values=(2, 4, 8))
         clone = SweepSpec.from_json(json.loads(json.dumps(spec.to_json())))
@@ -477,14 +505,15 @@ print(json.dumps([m for m in ("repro.cli", "scipy") if m in sys.modules]))
 
     def test_cli_import_loads_no_algorithm_or_simulator_module(self):
         """Every ``repro`` command pays for ``import repro.cli``; the
-        commands that run a simulation import the simulator on use."""
+        commands that run a simulation import the simulator (and
+        ``numpy.random``, which only the input builders use) on use."""
         import repro
 
         src = str(Path(repro.__file__).resolve().parents[1])
         script = (
             "import json, sys, repro.cli\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "    if m.startswith(('repro.algorithms', 'repro.simmpi')))))\n"
+            "    if m.startswith(('repro.algorithms', 'repro.simmpi', 'numpy.random')))))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
@@ -495,6 +524,56 @@ print(json.dumps([m for m in ("repro.cli", "scipy") if m in sys.modules]))
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
+
+    FORK_SCRIPT = """
+import json, sys
+import repro.cli
+from repro.scenarios import SCENARIOS
+from repro.sweep import Cell, collective_cell, executor, run_sweep
+from repro.sweep.spec import resolve_machine_spec
+
+machine = resolve_machine_spec("default")
+cells = [Cell(s.name, s.p, {"n": s.n}, machine) for s in SCENARIOS.values()]
+cells.append(collective_cell("allreduce", 8, machine, words=4))
+real = executor.execute_cell
+
+def spy(cell):
+    held = set(sys.modules)
+    record = real(cell)
+    with open(sys.argv[1], "a") as out:
+        out.write(json.dumps([cell.workload, sorted(set(sys.modules) - held)]) + "\\n")
+    return record
+
+executor.execute_cell = spy
+outcome = run_sweep(cells[-1:], workers=1, mp_context="fork")
+assert outcome.failed == 0, outcome.to_json()
+assert "numpy.random" not in sys.modules
+outcome = run_sweep(cells, workers=1, mp_context="fork")
+assert outcome.failed == 0, outcome.to_json()
+"""
+
+    def test_forked_worker_imports_no_module_its_parent_lacks(self, tmp_path):
+        """A dispatched sweep's parent imports what its forked workers
+        use, so no worker pays for an import on its first cell; a sweep
+        of collective cells alone leaves ``numpy.random`` out."""
+        import repro
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        log = tmp_path / "imports.jsonl"
+        out = subprocess.run(
+            [sys.executable, "-c", self.FORK_SCRIPT, str(log)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        imported = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(imported) == 9
+        assert [new for _, new in imported if new] == []
 
 
 class TestLargeScaleSweeps:
