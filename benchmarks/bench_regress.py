@@ -24,8 +24,8 @@ row per baseline and :func:`run_gates` reads every row the same way:
    exact, not tolerance-based.
 
 The exact equivalence gates with no baseline (fault hooks off, the
-collective fast path, the ``record=`` hook, the conformance grid and
-the sweep cache) are tier-1 tests, not rows here.
+collective fast path, the conformance grid, and the sweep cache and
+ledger replay) are tier-1 tests, not rows here.
 
 Writes a ``bench_regress/v1`` report to ``benchmarks/results/`` and
 exits nonzero on any violation. Run from the repo root::

@@ -522,6 +522,18 @@ DEFAULT_LEDGER = "benchmarks/results/ledger.jsonl"
 DEFAULT_SWEEP_CACHE = "benchmarks/results/sweepcache"
 
 
+def _record_cells(cells, ledger, cache=None):
+    """Run ``cells`` in process through the sweep funnel, which appends
+    each cell's record to ``ledger``; a failed cell raises."""
+    from repro.sweep import run_sweep
+
+    outcome = run_sweep(cells, ledger=ledger, cache=cache, workers=0)
+    if not outcome.ok:
+        bad = next(o for o in outcome.outcomes if o.status == "failed")
+        raise SimulationError(f"sweep cell failed: {bad.error}") from bad.exception
+    return outcome
+
+
 def _observe_record_sweep(ledger, n: int) -> None:
     """Record the canonical fixed-tile matmul25d p-sweep into ``ledger``.
 
@@ -533,14 +545,10 @@ def _observe_record_sweep(ledger, n: int) -> None:
     """
     from pathlib import Path
 
-    from repro.sweep import RunCache, run_sweep, smoke_spec
+    from repro.sweep import RunCache, smoke_spec
 
-    cells = smoke_spec(n).cells()
     cache = RunCache(str(Path(ledger.path).parent / "sweepcache"))
-    outcome = run_sweep(cells, ledger=ledger, cache=cache, workers=0)
-    if not outcome.ok:
-        bad = next(o for o in outcome.outcomes if o.status == "failed")
-        raise SimulationError(f"sweep cell failed: {bad.error}") from bad.exception
+    _record_cells(smoke_spec(n).cells(), ledger, cache)
 
 
 def _parse_inflate(spec: str) -> tuple[str, float]:
@@ -566,24 +574,20 @@ def _cmd_observe(args) -> None:
 
     ledger = Ledger(args.ledger)
     if args.action == "record":
-        from repro.analysis.validation import default_machine
-        from repro.observatory import RunRecorder
-        from repro.simmpi import run_spmd
+        from repro.sweep import Cell
+        from repro.sweep.spec import resolve_machine_spec
 
         scenario = get_scenario(args.workload)
         p, n = scenario.size(args.p, args.n)
-        program, prog_args, label = build_scenario(args.workload, p, n)
-        params = {"n": n, **scenario.check(p, n)}
-        recorder = RunRecorder(
-            ledger=ledger,
-            workload=args.workload,
-            params=params,
-            label=label,
+        cell = Cell(
+            args.workload,
+            p,
+            params={"n": n, **scenario.check(p, n)},
+            machine=resolve_machine_spec("default"),
         )
-        run_spmd(p, program, *prog_args, machine=default_machine(), record=recorder)
-        rec = recorder.last_record
+        rec = _record_cells([cell], ledger).records[cell.cell_id]
         print(
-            f"recorded {label} on p={p} -> {ledger.path} "
+            f"recorded {rec.label} on p={p} -> {ledger.path} "
             f"(T={rec.time_total:.6g} s, E={rec.energy_total:.6g} J, "
             f"wall={rec.wall_seconds:.4g} s)"
         )
@@ -931,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "actions:\n"
-            "  record   run one scenario with record= and append it\n"
+            "  record   run one scenario as a one-cell sweep and append it\n"
             "  report   ASCII dashboard (or --html OUT for the HTML one)\n"
             "  fit      least-squares recovery of the machine constants\n"
             "  check    classify the latest p-sweep (records the canonical\n"
@@ -978,9 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential conformance: cost oracles vs every execution mode",
         description=(
             "Execute a grid of (collective | scenario) cases under all "
-            "seven execution modes (message path vs analytic fastpath, "
-            "engine vs pool, copy vs CoW payloads, the trace "
-            "observer) and assert per-rank counts, virtual clocks, "
+            "five execution modes (message path vs analytic fastpath, "
+            "copy vs CoW payloads, the trace observer) and assert "
+            "per-rank counts, virtual clocks, "
             "internode sub-tallies and payload contents are bit-identical "
             "across modes and equal to the closed-form oracles of "
             "repro.conformance.oracles. Any divergence prints a minimized "

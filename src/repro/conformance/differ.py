@@ -1,11 +1,11 @@
 """Differential conformance runner: every execution mode vs the oracle.
 
-The simulator can execute the same program seven ways — message path or
-analytic fastpath, fresh-thread engine or persistent pool, copy-on-write
-or deep-copy payload transport, with the tracing observer on or off. Each combination must produce **bit-identical** per-rank counts
-(:meth:`~repro.simmpi.trace.TraceReport.counts_signature`), virtual
-clocks, internode sub-tallies, and payload contents — identical to each
-other *and* to the closed-form predictions of
+The simulator can execute the same program five ways — message path or
+analytic fastpath, copy-on-write or deep-copy payload transport, with
+the tracing observer on or off. Each must produce **bit-identical**
+per-rank counts (:meth:`~repro.simmpi.trace.TraceReport.counts_signature`),
+virtual clocks, internode sub-tallies, and payload contents — identical
+to each other *and* to the closed-form predictions of
 :mod:`repro.conformance.oracles`.
 
 The grid model:
@@ -16,7 +16,7 @@ The grid model:
   must raise;
 * a *cell* is one execution of a case under one :data:`VARIANTS` entry;
 * :func:`run_grid` executes every cell, compares each against the
-  case's baseline (message path, engine, CoW) and the baseline against
+  case's baseline (message path, CoW) and the baseline against
   the oracle, and reports :class:`Divergence` records carrying a
   minimized reproducer.
 
@@ -90,21 +90,16 @@ MACHINE = MachineParameters(
     max_message_words=float(2**16),
 )
 
-#: The seven execution modes every case runs under. ``trace`` worlds
+#: The five execution modes every case runs under. ``trace`` worlds
 #: force the message path internally (per-message observer, plus the
 #: live mailbox-depth histogram); their cells prove observation never
 #: perturbs the counts.
 VARIANTS: tuple[tuple[str, dict], ...] = (
-    ("message+engine+cow", dict(runner="engine", payload_mode="cow", fastpath=False)),
-    ("message+engine+copy", dict(runner="engine", payload_mode="copy", fastpath=False)),
-    ("message+pool+cow", dict(runner="pool", payload_mode="cow", fastpath=False)),
-    ("fastpath+engine+cow", dict(runner="engine", payload_mode="cow", fastpath=True)),
-    ("fastpath+engine+copy", dict(runner="engine", payload_mode="copy", fastpath=True)),
-    ("fastpath+pool+cow", dict(runner="pool", payload_mode="cow", fastpath=True)),
-    (
-        "trace+engine+cow",
-        dict(runner="engine", payload_mode="cow", fastpath=True, trace=True),
-    ),
+    ("message+cow", dict(payload_mode="cow", fastpath=False)),
+    ("message+copy", dict(payload_mode="copy", fastpath=False)),
+    ("fastpath+cow", dict(payload_mode="cow", fastpath=True)),
+    ("fastpath+copy", dict(payload_mode="copy", fastpath=True)),
+    ("trace+cow", dict(payload_mode="cow", fastpath=True, trace=True)),
 )
 
 BASELINE_VARIANT = VARIANTS[0][0]
@@ -258,16 +253,10 @@ def _fingerprint(obj: Any) -> Any:
 
 
 def _execute(case: Case, variant_kwargs: dict):
-    from repro.simmpi import run_spmd, shared_pool
+    from repro.simmpi import run_spmd
 
     program, args = case.build()
-    kwargs = case.run_kwargs()
-    kwargs.update(
-        {k: v for k, v in variant_kwargs.items() if k != "runner"}
-    )
-    if variant_kwargs.get("runner") == "pool":
-        return shared_pool().run(case.size, program, *args, **kwargs)
-    return run_spmd(case.size, program, *args, **kwargs)
+    return run_spmd(case.size, program, *args, **case.run_kwargs(), **variant_kwargs)
 
 
 def run_cell(case: Case, variant: str) -> CellResult:

@@ -5,13 +5,14 @@ The simulator can *assert* the paper's theorem analytically, one run at
 a time; this package makes the claim empirical and durable:
 
 * :mod:`repro.observatory.ledger` — an append-only JSONL run ledger.
-  Every simmpi run can emit a versioned :class:`RunRecord` (workload
-  id, machine constants, per-rank counts and virtual clocks, model
-  terms, metrics snapshot, wall-clock, git SHA) via the ``record=``
-  hook on :func:`repro.simmpi.run_spmd` /
-  :meth:`repro.simmpi.SpmdPool.run`, or explicitly through
-  :meth:`Ledger.append`. Reads validate the schema and quarantine
-  corrupt lines instead of failing.
+  A finished simmpi run becomes a versioned :class:`RunRecord`
+  (workload id, machine constants, per-rank counts and virtual clocks,
+  model terms, metrics snapshot, wall-clock, git SHA) through
+  :meth:`RunRecord.from_result`; the sweep engine
+  (:func:`repro.sweep.run_sweep` with ``ledger=``) appends the records
+  of the runs it plans, and any caller can :meth:`Ledger.append` one.
+  Reads validate the schema and quarantine corrupt lines instead of
+  failing.
 * :mod:`repro.observatory.fit` — least-squares inversion of
   Eq. (1)/(2): recover (gamma_t, beta_t, alpha_t) and the five energy
   constants from a set of ledger records, with per-term residuals and
@@ -40,14 +41,12 @@ from repro.observatory.ledger import (
     LEDGER_SCHEMA,
     Ledger,
     RunRecord,
-    RunRecorder,
 )
 
 __all__ = [
     "LEDGER_SCHEMA",
     "Ledger",
     "RunRecord",
-    "RunRecorder",
     "FitResult",
     "fit_records",
     "DRIFT_TOLERANCES",

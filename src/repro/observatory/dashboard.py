@@ -105,8 +105,7 @@ def render_report(source: "Ledger | Iterable[RunRecord]") -> str:
                 f"{source.quarantine_path}"
             )
     if not records:
-        lines.append("  (empty — run `repro observe record` or pass record= "
-                     "to run_spmd)")
+        lines.append("  (empty — run `repro observe record`)")
         return "\n".join(lines)
     hits, misses = sweep_cache_stats(records)
     if hits or misses:

@@ -13,20 +13,15 @@ skipped, so one corrupt write cannot take down the history.
 
 Two record kinds share the schema:
 
-* ``kind="run"`` — a simulated SPMD execution with per-rank counts;
-  emitted by the ``record=`` hook on
-  :func:`repro.simmpi.run_spmd` / :meth:`repro.simmpi.SpmdPool.run`
-  (pass a :class:`RunRecorder` naming the workload) or built explicitly
-  with :meth:`RunRecord.from_result`.
+* ``kind="run"`` — a simulated SPMD execution with per-rank counts,
+  built from the joined result with :meth:`RunRecord.from_result` (so
+  recording can never perturb counts or virtual clocks) and kept with
+  :meth:`Ledger.append`. The sweep engine's single-writer funnel
+  (:func:`repro.sweep.run_sweep` with ``ledger=``) does both for every
+  cell it runs; ``repro observe record`` plans one cell through it.
 * ``kind="bench"`` — a wall-clock benchmark headline (no per-rank
   counts); the perf benchmarks append these so the BENCH trajectory
   accumulates PR over PR.
-
-The ``record=None`` default path costs the engine a single ``is None``
-test *after* the run has joined — counts and per-rank virtual clocks
-are bit-identical with the hook on or off
-(``tests/test_observatory.py::TestRecordHookEquivalence`` holds this
-exactly).
 """
 
 from __future__ import annotations
@@ -46,9 +41,7 @@ __all__ = [
     "LEDGER_SCHEMA",
     "MACHINE_FIELDS",
     "RunRecord",
-    "RunRecorder",
     "Ledger",
-    "emit_run",
     "git_sha",
 ]
 
@@ -558,77 +551,6 @@ class Ledger:
         for rec in self.records():
             counts[rec.workload] = counts.get(rec.workload, 0) + 1
         return counts
-
-
-@dataclass
-class RunRecorder:
-    """The ``record=`` hook: names the workload a run belongs to and the
-    ledger it lands in.
-
-    Pass one to :func:`repro.simmpi.run_spmd` or
-    :meth:`repro.simmpi.SpmdPool.run`::
-
-        ledger = Ledger("benchmarks/results/ledger.jsonl")
-        rec = RunRecorder(ledger, workload="matmul25d",
-                          params={"n": 48, "c": 2})
-        run_spmd(32, matmul_25d, a, b, 2, machine=m, record=rec)
-
-    The engine calls :meth:`emit` once, after the run has joined
-    successfully — the hook can never perturb counts or virtual clocks.
-    ``last_record`` keeps the most recent emission for callers that
-    want the record without re-reading the ledger.
-    """
-
-    ledger: Ledger
-    workload: str
-    params: dict[str, Any] = field(default_factory=dict)
-    label: str = ""
-    memory_words: float | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
-    last_record: RunRecord | None = field(default=None, repr=False)
-
-    def emit(self, world, result, wall_seconds: float) -> RunRecord:
-        record = RunRecord.from_result(
-            result,
-            workload=self.workload,
-            params=self.params,
-            machine=world.machine,
-            memory_words=self.memory_words,
-            label=self.label,
-            wall_seconds=wall_seconds,
-            extra=self.extra,
-        )
-        self.ledger.append(record)
-        self.last_record = record
-        return record
-
-
-def emit_run(hook, world, result, wall_seconds: float) -> None:
-    """Dispatch one finished run to its ``record=`` hook.
-
-    Accepts a :class:`RunRecorder` (or anything with an ``emit(world,
-    result, wall_seconds)`` method), a bare :class:`Ledger` (recorded
-    under the generic ``"spmd"`` workload id), or a callable receiving
-    the built :class:`RunRecord`.
-    """
-    if hasattr(hook, "emit"):
-        hook.emit(world, result, wall_seconds)
-        return
-    record = RunRecord.from_result(
-        result,
-        workload="spmd",
-        machine=world.machine,
-        wall_seconds=wall_seconds,
-    )
-    if isinstance(hook, Ledger):
-        hook.append(record)
-    elif callable(hook):
-        hook(record)
-    else:
-        raise ParameterError(
-            "record= hook must be a RunRecorder, a Ledger, or a callable; "
-            f"got {type(hook).__name__}"
-        )
 
 
 def records_from(source: "Ledger | Iterable[RunRecord]") -> list[RunRecord]:

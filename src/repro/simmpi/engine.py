@@ -196,7 +196,6 @@ def _finalize(
     results: list[Any],
     failures: dict[int, BaseException],
     crashes: dict[int, BaseException] | None = None,
-    wall_seconds: float = 0.0,
 ) -> SpmdResult:
     """Convert finished-run state into an SpmdResult or RankFailedError.
 
@@ -222,20 +221,13 @@ def _finalize(
     mailbox_depths = None
     if world.trace:
         mailbox_depths = tuple(box.depths for box in world.mailboxes)
-    result = SpmdResult(
+    return SpmdResult(
         results=tuple(results),
         report=report,
         event_logs=world.event_logs,
         mailbox_depths=mailbox_depths,
         crashed=tuple(sorted(crashes)),
     )
-    if world.record is not None:
-        # Ledger hook: runs strictly after the join, on the already-built
-        # result — it can never perturb counts or virtual clocks.
-        from repro.observatory.ledger import emit_run
-
-        emit_run(world.record, world, result, wall_seconds)
-    return result
 
 
 #: Seconds an aborted world's ranks get to unwind before the
@@ -306,7 +298,6 @@ def run_spmd(
     trace_capacity: int | None = None,
     faults: Any = None,
     fastpath: bool = True,
-    record: Any = None,
     **kwargs: Any,
 ) -> SpmdResult:
     """Run ``program(comm, *args, **kwargs)`` on ``size`` simulated ranks.
@@ -379,15 +370,6 @@ def run_spmd(
         counts, virtual clocks and payloads at a fraction of the
         wall-clock cost (see :mod:`repro.simmpi.fastpath`). Pass False
         to force the faithful message path everywhere.
-    record:
-        Optional run-ledger hook (a
-        :class:`~repro.observatory.ledger.RunRecorder`, a bare
-        :class:`~repro.observatory.ledger.Ledger`, or a callable
-        receiving the built :class:`~repro.observatory.ledger.RunRecord`).
-        Invoked once after a *successful* join with the finished result
-        and the run's wall-clock seconds; counts and per-rank virtual
-        clocks are bit-identical with the hook on or off (the hook runs
-        strictly post-join).
 
     Raises
     ------
@@ -411,7 +393,6 @@ def run_spmd(
         trace_capacity=trace_capacity,
         faults=faults,
         fastpath=fastpath,
-        record=record,
     )
     from repro.simmpi.pool import shared_pool  # pool imports this module
 

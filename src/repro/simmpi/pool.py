@@ -41,7 +41,6 @@ import math
 import os
 import queue
 import threading
-import time
 from typing import Any, Callable
 
 from repro.simmpi.engine import (
@@ -196,7 +195,6 @@ class SpmdPool:
         trace_capacity: int | None = None,
         faults: Any = None,
         fastpath: bool = True,
-        record: Any = None,
         **kwargs: Any,
     ) -> SpmdResult:
         """Run ``program(comm, *args, **kwargs)`` on ``size`` pooled ranks.
@@ -205,9 +203,8 @@ class SpmdPool:
         identical signature, results, trace counts, and failure
         behavior (including ``trace=``/``trace_capacity=`` event
         tracing and the run metrics folded from it, ``faults=``
-        injection, the ``fastpath=`` analytic-collective toggle and the
-        ``record=`` run-ledger hook) — on this pool's workers and home
-        CPU. Ranks run one at a time in FIFO hand-off order, rank r's
+        injection and the ``fastpath=`` analytic-collective toggle) — on
+        this pool's workers and home CPU. Ranks run one at a time in FIFO hand-off order, rank r's
         job reaching its worker when the baton first does. A rank wedged
         outside a receive raises the same
         :class:`~repro.exceptions.DeadlockError` as ``run_spmd`` (one
@@ -225,7 +222,6 @@ class SpmdPool:
             trace_capacity=trace_capacity,
             faults=faults,
             fastpath=fastpath,
-            record=record,
         )
         return self._execute(world, program, args, kwargs)
 
@@ -239,7 +235,6 @@ class SpmdPool:
         or anything raised into the caller's wait, such as
         ``KeyboardInterrupt``) aborts the world. Either way the workers
         go back only as :meth:`_release` leaves them: idle or fresh."""
-        wall_start = time.monotonic()
         run = _Run(world, program, args, kwargs, self._cpu if _can_pin() else None)
         crew = _Crew(self._take(world.size, run.cpu is not None), run)
         try:
@@ -249,9 +244,7 @@ class SpmdPool:
             raise
         finally:
             self._release(crew)
-        return _finalize(
-            world, run.results, run.failures, run.crashes, time.monotonic() - wall_start
-        )
+        return _finalize(world, run.results, run.failures, run.crashes)
 
 
 class _Crew:

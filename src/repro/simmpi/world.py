@@ -82,16 +82,6 @@ class World:
         :mod:`repro.simmpi.fastpath`). Automatically disabled when
         ``trace`` or ``faults`` need to observe individual messages;
         pass ``fastpath=False`` to force the message path outright.
-    record:
-        Optional run-ledger hook — a
-        :class:`~repro.observatory.ledger.RunRecorder` (or bare
-        :class:`~repro.observatory.ledger.Ledger`, or a callable
-        receiving the built record). Consulted exactly once, *after*
-        the run has joined successfully, so it can never perturb
-        counts or virtual clocks; the None default path costs one
-        ``is None`` test per run (not per operation). It never forces
-        the message path — recording composes freely with
-        ``fastpath``.
     """
 
     def __init__(
@@ -106,7 +96,6 @@ class World:
         trace_capacity: int | None = None,
         faults=None,
         fastpath: bool = True,
-        record=None,
     ):
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
@@ -164,9 +153,6 @@ class World:
         #: live FaultState when a non-empty FaultPlan was given, else None
         #: (zero-overhead path — one ``is None`` test per operation)
         self.faults = faults.activate(size) if faults else None
-        #: optional run-ledger hook, consumed once by the engine's
-        #: ``_finalize`` after a successful join (None = no recording)
-        self.record = record
         #: ranks whose thread raised RankCrashedError (injected faults);
         #: mutated only by the engine's runner threads via mark_dead()
         self.dead: set[int] = set()

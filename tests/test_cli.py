@@ -2,11 +2,13 @@
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import SCENARIOS, build_scenario, get_scenario
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -428,6 +430,53 @@ class TestObserveCommand:
         assert main(["observe", "report", "--ledger", ledger]) == 0
         out = capsys.readouterr().out
         assert "scaling observatory" in out and "cannon" in out
+
+    @pytest.mark.parametrize("workload", sorted(SCENARIOS))
+    def test_record_appends_one_sweep_cell_per_call(self, workload, capsys, tmp_path):
+        """``observe record`` plans one cell and runs it through the
+        sweep funnel: each call appends one run record that equals a
+        direct run of the scenario, tagged with the cell's id."""
+        from repro.analysis.validation import default_machine
+        from repro.observatory import Ledger, RunRecord
+        from repro.simmpi import run_spmd
+        from repro.sweep import Cell
+        from repro.sweep.spec import resolve_machine_spec
+
+        scenario = get_scenario(workload)
+        p, n = scenario.size()
+        params = {"n": n, **scenario.check(p, n)}
+        program, args, label = build_scenario(workload, p, n)
+        machine = default_machine()
+        witness = RunRecord.from_result(
+            run_spmd(p, program, *args, machine=machine),
+            workload=workload,
+            params=params,
+            machine=machine,
+            label=label,
+            with_git_sha=False,
+        )
+        cell = Cell(workload, p, params=params, machine=resolve_machine_spec("default"))
+        path = tmp_path / "ledger.jsonl"
+        argv = ["observe", "record", workload, "--ledger", str(path)]
+
+        assert main(argv) == 0
+        assert re.fullmatch(
+            rf"recorded {re.escape(label)} on p={p} -> {re.escape(str(path))} "
+            r"\(T=\S+ s, E=\S+ J, wall=\S+ s\)\n",
+            capsys.readouterr().out,
+        )
+        (rec,) = Ledger(path).records()
+        assert rec.kind == "run" and rec.workload == workload
+        assert rec.counts_signature() == witness.counts_signature()
+        assert rec.vtimes == witness.vtimes
+        assert rec.time_terms == witness.time_terms
+        assert rec.energy_terms == witness.energy_terms
+        assert rec.params == witness.params
+        assert rec.label == witness.label
+        assert rec.extra["sweep"]["cell"] == cell.cell_id
+
+        assert main(argv) == 0
+        assert [r.kind for r in Ledger(path).records()] == ["run", "run"]
 
     def test_report_html(self, capsys, tmp_path):
         ledger = str(tmp_path / "ledger.jsonl")

@@ -485,7 +485,7 @@ class TestSingleClosedForm:
             for d in report.divergences
             if d.reference == BASELINE_VARIANT
         }
-        fast_variants = ("fastpath+engine+cow", "fastpath+engine+copy", "fastpath+pool+cow")
+        fast_variants = ("fastpath+cow", "fastpath+copy")
         ring_cases = [c.name for c in cases if c.name.split("/")[0] in self.RING]
         assert against_message == {(c, v) for c in ring_cases for v in fast_variants}
         # The wrong predictions disagree with the message path too.

@@ -1,8 +1,8 @@
 """Tests for the scaling observatory: ledger round-trip, quarantine,
-model-fit inversion, drift classification and the record hook's
-zero-overhead guarantee."""
+model-fit inversion, drift classification and the dashboard."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.observatory import (
     DRIFT_TOLERANCES,
     Ledger,
     RunRecord,
-    RunRecorder,
     check_sweep,
     diff_against_baseline,
     fit_records,
@@ -22,30 +21,39 @@ from repro.observatory import (
 from repro.simmpi import run_spmd
 
 
+def _record(ledger, workload, params, p, program, *args, machine, memory_words=None):
+    """Run ``program`` and append its record to ``ledger``."""
+    start = time.perf_counter()
+    out = run_spmd(p, program, *args, machine=machine)
+    return ledger.append(
+        RunRecord.from_result(
+            out,
+            workload=workload,
+            params=params,
+            machine=machine,
+            memory_words=memory_words,
+            wall_seconds=time.perf_counter() - start,
+        )
+    )
+
+
 def _record_sweep(ledger, n=48, q=6, c_values=(1, 2, 3), machine=None):
     """Record the canonical fixed-tile 2.5D matmul p-sweep (the walk the
     drift tolerance table is calibrated on)."""
     from repro.algorithms.matmul25d import matmul_25d
-    from repro.simmpi.pool import shared_pool
 
     machine = machine or default_machine()
     rng = np.random.default_rng(0)
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
     tile_words = 3 * (n // q) ** 2
-    out = []
-    for c in c_values:
-        rec = RunRecorder(
-            ledger,
-            workload="matmul25d",
-            params={"n": n, "q": q, "c": c},
-            memory_words=tile_words,
+    return [
+        _record(
+            ledger, "matmul25d", {"n": n, "q": q, "c": c}, q * q * c,
+            matmul_25d, a, b, c, machine=machine, memory_words=tile_words,
         )
-        shared_pool().run(
-            q * q * c, matmul_25d, a, b, c, machine=machine, record=rec
-        )
-        out.append(rec.last_record)
-    return out
+        for c in c_values
+    ]
 
 
 def _diverse_records(ledger):
@@ -59,14 +67,12 @@ def _diverse_records(ledger):
     rng = np.random.default_rng(1)
     for n, p in ((48, 4), (64, 16)):
         a = rng.standard_normal((n, n))
-        rec = RunRecorder(ledger, workload="lu2d", params={"n": n})
-        run_spmd(p, lu_2d, a, machine=machine, record=rec)
-        records.append(rec.last_record)
+        records.append(_record(ledger, "lu2d", {"n": n}, p, lu_2d, a, machine=machine))
     for n, p in ((1024, 4), (4096, 8)):
         x = rng.standard_normal(n)
-        rec = RunRecorder(ledger, workload="fft", params={"n": n})
-        run_spmd(p, fft_parallel, x, machine=machine, record=rec)
-        records.append(rec.last_record)
+        records.append(
+            _record(ledger, "fft", {"n": n}, p, fft_parallel, x, machine=machine)
+        )
     return records
 
 
@@ -321,80 +327,6 @@ class TestPowerFlatness:
         records = _record_sweep(ledger, c_values=(1,))
         with pytest.raises(ParameterError):
             check_power_flatness(records)
-
-
-class TestRecordHookEquivalence:
-    def test_record_none_bit_identical(self, tmp_path):
-        """The record= hook must not perturb the simulation: counts and
-        per-rank virtual clocks are bit-identical with the hook on or
-        off."""
-        from repro.algorithms.cannon import cannon_matmul
-
-        machine = default_machine()
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8))
-        b = rng.standard_normal((8, 8))
-        base = run_spmd(4, cannon_matmul, a, b, machine=machine)
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        rec = RunRecorder(ledger, workload="cannon", params={"n": 8})
-        hooked = run_spmd(
-            4, cannon_matmul, a, b, machine=machine, record=rec
-        )
-        assert (
-            base.report.counts_signature()
-            == hooked.report.counts_signature()
-        )
-        assert tuple(r.vtime for r in base.report.ranks) == tuple(
-            r.vtime for r in hooked.report.ranks
-        )
-        assert (
-            rec.last_record.counts_signature()
-            == hooked.report.counts_signature()
-        )
-        # ...and the ledger on disk round-trips that exact signature
-        (stored,) = ledger.records()
-        assert stored.counts_signature() == hooked.report.counts_signature()
-
-    def test_callable_hook(self):
-        from repro.algorithms.cannon import cannon_matmul
-
-        got = []
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8))
-        run_spmd(
-            4,
-            cannon_matmul,
-            a,
-            a,
-            machine=default_machine(),
-            record=got.append,
-        )
-        assert len(got) == 1
-        assert got[0].workload == "spmd" and got[0].p == 4
-
-    def test_bare_ledger_hook(self, tmp_path):
-        from repro.algorithms.cannon import cannon_matmul
-
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8))
-        run_spmd(4, cannon_matmul, a, a, machine=default_machine(),
-                 record=ledger)
-        assert len(ledger.records()) == 1
-
-    def test_pool_run_records_too(self, tmp_path):
-        from repro.algorithms.cannon import cannon_matmul
-        from repro.simmpi.pool import shared_pool
-
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8))
-        rec = RunRecorder(ledger, workload="cannon")
-        shared_pool().run(
-            4, cannon_matmul, a, a, machine=default_machine(), record=rec
-        )
-        assert rec.last_record is not None
-        assert rec.last_record.wall_seconds > 0
 
 
 class TestDashboard:
